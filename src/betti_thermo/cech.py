@@ -157,21 +157,6 @@ class NeighborGrid:
         self._coords = coords[order]
         self._cells, self._starts = np.unique(flat[order], return_index=True)
 
-    @property
-    def buckets(self) -> dict[tuple[int, ...], list[int]]:
-        """Cell coordinates -> sorted vertex indices (built on demand)."""
-        out: dict[tuple[int, ...], list[int]] = {}
-        if self._brute:
-            if len(self.points):
-                out[(0,) * self.points.shape[1]] = list(range(len(self.points)))
-            return out
-        bounds = np.append(self._starts, len(self._order))
-        for ci, cell in enumerate(self._cells):
-            members = np.sort(self._order[bounds[ci]:bounds[ci + 1]])
-            key = tuple(int(x) for x in np.unravel_index(int(cell), tuple(self._extents)))
-            out[key] = members.tolist()
-        return out
-
     def pairs_within(self, r: float) -> tuple[np.ndarray, np.ndarray]:
         """All unordered pairs at distance <= r + 2*MINIBALL_TOL.
 
@@ -326,7 +311,14 @@ def build_cech(cloud: PointCloud, r: float, max_dim: int,
 
 def build_rips(cloud: PointCloud, r: float, max_dim: int,
                period: float | None = None) -> SimplicialComplex:
-    """Vietoris-Rips complex: clique complex of the r-neighbor graph."""
+    """Vietoris-Rips complex: clique complex of the r-neighbor graph.
+
+    Not part of the estimators; kept as an oracle. The Cech complex is
+    the Rips complex minus the cliques the miniball filter rejects, so
+    tests in test_cech.py and test_homology.py compare against it, and
+    the benchmark's traced run counts its cliques for the miniball
+    acceptance ratio.
+    """
     return _build(cloud, r, max_dim, period, filtered=False)
 
 

@@ -5,16 +5,18 @@ manages seeds and the limit-curve cache, and writes CSV/JSON/plot-data
 artifacts atomically under ``<prefix>.<command>.<ext>``. A run with a
 fixed seed produces byte-identical artifacts. Flags may also come from
 a JSON config (--config); explicit command-line flags win.
-"""
 
-from __future__ import annotations
+Every flag is one field of ExperimentConfig: its name, type, default,
+help and choices there build the parser and check config-file values.
+"""
 
 import argparse
 import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+import typing
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -50,146 +52,19 @@ class CliError(ValueError):
     pass
 
 
-# unit-square corners; at r = 1.05 the four edges close a single loop
-_SQUARE4 = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+# bundled clouds for betti: the unit-square corners close a single loop
+# at r = 1.05
+_FIXTURES = {"square4": np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])}
 
-_DEFAULTS = {
-    "dim": 2,
-    "k": 1,
-    "j": None,
-    "r": 1.0,
-    "lam": 1.0,
-    "L": 100.0,
-    "n": None,
-    "n_schedule": (200, 400, 800, 1600),
-    "reps": 100,
-    "density": None,
-    "seed": 0,
-    "boundary": None,
-    "workers": 1,
-    "out": "betti-thermo",
-    "s_max": 1.3,
-    "s_step": 0.1,
-    "curve_L": 400.0,
-    "curve_reps": 200,
-    "theta": 2.0,
-    "eps": 0.1,
-    "boxes": 4,
-    "fixture": None,
-    "only": None,
-}
-
-_INT_FIELDS = ("dim", "k", "j", "n", "reps", "seed", "workers", "curve_reps", "boxes")
-_FLOAT_FIELDS = ("r", "lam", "L", "s_max", "s_step", "curve_L", "theta", "eps")
-
-_COMMANDS = (
-    ("sample", "draw a point cloud and write its coordinates"),
-    ("complex", "simplex counts of the Cech complex on a sampled cloud"),
-    ("betti", "Betti numbers of a sampled cloud or the bundled square fixture"),
-    ("rate", "per-volume Betti (or j-simplex) rate of a Poisson process"),
-    ("curve", "tabulate the unit-intensity limit curve over an s-grid (cached)"),
-    ("converge", "binomial expectations over an n-schedule against the limit target"),
-    ("gap", "coupled binomial vs Poissonized expectation gap over an n-schedule"),
-    ("checks", "scaling identity, boundary strips, intensity perturbation"),
-)
+_CHECKS = ("scaling", "strips", "perturbation")
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """One fully resolved run: command plus every knob it may read."""
-
-    command: str
-    dim: int
-    k: int
-    j: int | None
-    r: float
-    lam: float
-    L: float
-    n: int | None
-    n_schedule: tuple[int, ...]
-    reps: int
-    density: str | None
-    seed: int
-    boundary: str | None
-    workers: int
-    out: str
-    s_max: float
-    s_step: float
-    curve_L: float
-    curve_reps: int
-    theta: float
-    eps: float
-    boxes: int
-    fixture: str | None
-    only: str | None
-    cache_dir: Path
-
-
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False,
-                                     argument_default=argparse.SUPPRESS)
-    common.add_argument("--config", help="JSON config file; explicit flags win")
-    common.add_argument("--dim", type=int, help="ambient dimension (default 2)")
-    common.add_argument("--k", type=int, help="homology degree (default 1)")
-    common.add_argument("--j", type=int,
-                        help="simplex dimension; switches rate to the j-simplex count")
-    common.add_argument("--r", type=float, help="radius parameter (default 1)")
-    common.add_argument("--lambda", type=float, dest="lam",
-                        help="Poisson intensity (default 1)")
-    common.add_argument("--L", type=float,
-                        help="observation window volume (default 100)")
-    common.add_argument("--n", type=int, help="binomial sample size")
-    common.add_argument("--n-schedule",
-                        help="comma-separated increasing sizes (default 200,400,800,1600)")
-    common.add_argument("--reps", type=int,
-                        help="Monte Carlo replicates (default 100)")
-    common.add_argument("--density", help="piecewise-constant density JSON file")
-    common.add_argument("--seed", type=int, help="master seed (default 0)")
-    common.add_argument("--boundary", choices=("plain", "torus"),
-                        help="window boundary handling")
-    common.add_argument("--workers", type=int,
-                        help="worker processes (default 1)")
-    common.add_argument("--out", help="artifact path prefix (default betti-thermo)")
-    common.add_argument("--s-max", type=float,
-                        help="limit-curve grid endpoint (default 1.3)")
-    common.add_argument("--s-step", type=float,
-                        help="limit-curve grid step (default 0.1)")
-    common.add_argument("--curve-L", type=float,
-                        help="window volume of the converge target curve (default 400)")
-    common.add_argument("--curve-reps", type=int,
-                        help="replicates per target-curve point (default 200)")
-    common.add_argument("--theta", type=float,
-                        help="scaling factor for checks (default 2)")
-    common.add_argument("--eps", type=float,
-                        help="intensity perturbation size for checks (default 0.1)")
-    common.add_argument("--boxes", type=int,
-                        help="sub-box count for the strip check (default 4)")
-    common.add_argument("--fixture", choices=("square4",),
-                        help="bundled cloud for betti")
-    common.add_argument("--only", choices=("scaling", "strips", "perturbation"),
-                        help="run a single check")
-
-    parser = argparse.ArgumentParser(
-        prog="betti-thermo",
-        description="Cech-complex Betti numbers of sampled point processes "
-                    "and their thermodynamic-regime limits.",
-    )
-    parser.add_argument("--config", default=None,
-                        help="JSON config file supplying the command and flags")
-    sub = parser.add_subparsers(dest="command", metavar="command")
-    for name, blurb in _COMMANDS:
-        sub.add_parser(name, parents=[common], help=blurb, description=blurb)
-    return parser
-
-
-def _parse_schedule(value) -> tuple[int, ...]:
-    if isinstance(value, str):
-        parts = [p for p in value.split(",") if p.strip()]
-        try:
-            return tuple(int(p) for p in parts)
-        except ValueError:
-            raise CliError(f"bad n-schedule {value!r}: want comma-separated integers")
-    return tuple(int(v) for v in value)
+def _flag(default, text: str, *, key: str | None = None, choices=None):
+    """An ExperimentConfig field that is also the flag --<key> and the
+    config-file key <key>; key defaults to the field name, and the flag
+    spells its underscores as dashes."""
+    return field(default=default,
+                 metadata={"help": text, "key": key, "choices": choices})
 
 
 def _cache_dir() -> Path:
@@ -199,8 +74,111 @@ def _cache_dir() -> Path:
     return Path.home() / ".cache" / "betti-thermo"
 
 
+@dataclass(frozen=True)
+class ExperimentConfig:
+    """One fully resolved run: command plus every knob it may read."""
+
+    command: str
+    cache_dir: Path
+    dim: int = _flag(2, "ambient dimension")
+    k: int = _flag(1, "homology degree")
+    j: int | None = _flag(None, "simplex dimension; switches rate to the j-simplex count")
+    r: float = _flag(1.0, "radius parameter")
+    lam: float = _flag(1.0, "Poisson intensity", key="lambda")
+    L: float = _flag(100.0, "observation window volume")
+    n: int | None = _flag(None, "binomial sample size")
+    n_schedule: tuple[int, ...] = _flag((200, 400, 800, 1600),
+                                        "comma-separated increasing sizes")
+    reps: int = _flag(100, "Monte Carlo replicates")
+    density: str | None = _flag(None, "piecewise-constant density JSON file")
+    seed: int = _flag(0, "master seed")
+    boundary: str | None = _flag(None, "window boundary handling",
+                                 choices=("plain", "torus"))
+    workers: int = _flag(1, "worker processes")
+    out: str = _flag("betti-thermo", "artifact path prefix")
+    s_max: float = _flag(1.3, "limit-curve grid endpoint")
+    s_step: float = _flag(0.1, "limit-curve grid step")
+    curve_L: float = _flag(400.0, "window volume of the converge target curve")
+    curve_reps: int = _flag(200, "replicates per target-curve point")
+    theta: float = _flag(2.0, "scaling factor for checks")
+    eps: float = _flag(0.1, "intensity perturbation size for checks")
+    boxes: int = _flag(4, "sub-box count for the strip check")
+    fixture: str | None = _flag(None, "bundled cloud for betti", choices=tuple(_FIXTURES))
+    only: str | None = _flag(None, "run a single check", choices=_CHECKS)
+
+
+def _flags() -> list:
+    return [f for f in fields(ExperimentConfig) if "help" in f.metadata]
+
+
+def _key(f) -> str:
+    return f.metadata["key"] or f.name
+
+
+def _flag_name(f) -> str:
+    return "--" + _key(f).replace("_", "-")
+
+
+def _scalar_type(f) -> type:
+    """int, float or str: the type of the flag's value (of each item for
+    the n-schedule)."""
+    return next(t for t in (*typing.get_args(f.type), f.type) if t is not type(None))
+
+
+def _parse(f, value, source: str):
+    """A flag's text or a config-file value as the field's type, checked
+    against its choices; a CliError names the source (flag or key)."""
+    kind = _scalar_type(f)
+    many = typing.get_origin(f.type) is tuple
+    text = ",".join(map(str, value)) if many and isinstance(value, list) else str(value)
+    try:
+        value = tuple(kind(p) for p in text.split(",") if p.strip()) if many else kind(text)
+    except ValueError:
+        raise CliError(f"{source}: invalid {kind.__name__} value {text!r}") from None
+    choices = f.metadata["choices"]
+    if choices and value not in choices:
+        raise CliError(f"{source}: invalid choice {value!r} "
+                       f"(choose from {', '.join(choices)})")
+    return value
+
+
+def _default_text(value) -> str:
+    if isinstance(value, tuple):
+        return ",".join(map(str, value))
+    return f"{value:g}" if isinstance(value, float) else str(value)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    config = argparse.ArgumentParser(add_help=False,
+                                     argument_default=argparse.SUPPRESS)
+    config.add_argument("--config",
+                        help="JSON config file supplying the command and flags; "
+                             "explicit flags win")
+    common = argparse.ArgumentParser(add_help=False, parents=[config],
+                                     argument_default=argparse.SUPPRESS)
+    for f in _flags():
+        text = f.metadata["help"]
+        if f.default is not None:
+            text += f" (default {_default_text(f.default)})"
+        common.add_argument(_flag_name(f), dest=f.name,
+                            choices=f.metadata["choices"], help=text)
+
+    parser = argparse.ArgumentParser(
+        prog="betti-thermo",
+        description="Cech-complex Betti numbers of sampled point processes "
+                    "and their thermodynamic-regime limits.",
+        parents=[config],
+    )
+    sub = parser.add_subparsers(dest="command", metavar="command")
+    for name, (_, blurb) in _COMMANDS.items():
+        sub.add_parser(name, parents=[common], help=blurb, description=blurb)
+    return parser
+
+
 def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
-    """Merge command-line flags over the JSON config over the defaults."""
+    """Merge command-line flags over the JSON config over the defaults.
+
+    Flag text and config values are parsed alike, by _parse."""
     doc = {}
     config_path = getattr(args, "config", None)
     if config_path:
@@ -211,29 +189,18 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     command = getattr(args, "command", None) or doc.get("command")
     if command is None:
         raise CliError('no command given (subcommand or "command" config key)')
-    known = {name for name, _ in _COMMANDS}
-    if command not in known:
+    if not isinstance(command, str) or command not in _COMMANDS:
         raise CliError(f"unknown command {command!r}")
-    doc_keys = {"lambda" if key == "lam" else key: key for key in _DEFAULTS}
-    unknown = set(doc) - set(doc_keys) - {"command"}
+    unknown = set(doc) - {_key(f) for f in _flags()} - {"command"}
     if unknown:
         raise CliError(f"unknown config keys: {sorted(unknown)}")
     values = {}
-    for key, default in _DEFAULTS.items():
-        cli_val = getattr(args, key, None)
-        doc_key = "lambda" if key == "lam" else key
-        if cli_val is not None:
-            values[key] = cli_val
-        elif doc_key in doc:
-            values[key] = doc[doc_key]
-        else:
-            values[key] = default
-    for key in _INT_FIELDS:
-        if values[key] is not None:
-            values[key] = int(values[key])
-    for key in _FLOAT_FIELDS:
-        values[key] = float(values[key])
-    values["n_schedule"] = _parse_schedule(values["n_schedule"])
+    for f in _flags():
+        key = _key(f)
+        if hasattr(args, f.name):
+            values[f.name] = _parse(f, getattr(args, f.name), _flag_name(f))
+        elif doc.get(key) is not None:
+            values[f.name] = _parse(f, doc[key], f"config key {key!r}")
     return ExperimentConfig(command=command, cache_dir=_cache_dir(), **values)
 
 
@@ -250,10 +217,7 @@ def _write_json(cfg: ExperimentConfig, doc: dict) -> None:
 
 
 def _boundary(cfg: ExperimentConfig, default: str) -> str:
-    mode = cfg.boundary or default
-    if mode not in ("plain", "torus"):
-        raise CliError(f"unknown boundary mode {mode!r}")
-    return mode
+    return cfg.boundary or default
 
 
 def _resolve_density(cfg: ExperimentConfig) -> DensityGrid:
@@ -352,11 +316,9 @@ def cmd_complex(cfg: ExperimentConfig) -> int:
 def cmd_betti(cfg: ExperimentConfig) -> int:
     _check_complex_params(cfg)
     if cfg.fixture is not None:
-        if cfg.fixture != "square4":
-            raise CliError(f"unknown fixture {cfg.fixture!r}")
         if _boundary(cfg, "plain") == "torus":
             raise CliError("torus boundary applies to the homogeneous Poisson window only")
-        cloud, period = PointCloud(_SQUARE4), None
+        cloud, period = PointCloud(_FIXTURES[cfg.fixture]), None
     else:
         period = _period_for(cfg)
         cloud = _sample_cloud(cfg)
@@ -459,7 +421,7 @@ def cmd_gap(cfg: ExperimentConfig) -> int:
 def cmd_checks(cfg: ExperimentConfig) -> int:
     if cfg.eps < 0:
         raise CliError("eps must be non-negative")
-    names = ("scaling", "strips", "perturbation") if cfg.only is None else (cfg.only,)
+    names = _CHECKS if cfg.only is None else (cfg.only,)
     master = RngStream(cfg.seed)
     doc = {}
     failed = 0
@@ -498,24 +460,22 @@ def cmd_checks(cfg: ExperimentConfig) -> int:
     return 0 if failed == 0 else 1
 
 
-_HANDLERS = {
-    "sample": cmd_sample,
-    "complex": cmd_complex,
-    "betti": cmd_betti,
-    "rate": cmd_rate,
-    "curve": cmd_curve,
-    "converge": cmd_converge,
-    "gap": cmd_gap,
-    "checks": cmd_checks,
+_COMMANDS = {
+    "sample": (cmd_sample, "draw a point cloud and write its coordinates"),
+    "complex": (cmd_complex, "simplex counts of the Cech complex on a sampled cloud"),
+    "betti": (cmd_betti, "Betti numbers of a sampled cloud or the bundled square fixture"),
+    "rate": (cmd_rate, "per-volume Betti (or j-simplex) rate of a Poisson process"),
+    "curve": (cmd_curve, "tabulate the unit-intensity limit curve over an s-grid (cached)"),
+    "converge": (cmd_converge,
+                 "binomial expectations over an n-schedule against the limit target"),
+    "gap": (cmd_gap, "coupled binomial vs Poissonized expectation gap over an n-schedule"),
+    "checks": (cmd_checks, "scaling identity, boundary strips, intensity perturbation"),
 }
 
 
 def run(config: ExperimentConfig) -> int:
     """Dispatch a resolved config; returns the process exit status."""
-    handler = _HANDLERS.get(config.command)
-    if handler is None:
-        raise CliError(f"unknown command {config.command!r}")
-    return handler(config)
+    return _COMMANDS[config.command][0](config)
 
 
 def main(argv=None) -> int:

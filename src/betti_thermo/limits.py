@@ -19,8 +19,9 @@ import json
 import math
 import os
 import tempfile
+import typing
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -51,16 +52,60 @@ class CurveCoverageError(LimitsError):
 
 
 def _fmt(x) -> str:
-    x = float(x)
-    if x != x:
-        return "nan"
-    if x == int(x) and abs(x) < 1e16:
-        return repr(x)
-    return repr(x)
+    return repr(float(x))
+
+
+# dataclass field -> JSON key, where the two differ; from_dict inverts it
+_JSON_KEYS = {"lam": "lambda", "k_or_j": "k", "master_seed": "seed", "records": "rows"}
+
+
+def _to_json(value):
+    if isinstance(value, _JsonRecord):
+        return value.to_dict()
+    if isinstance(value, tuple):
+        return [_to_json(v) for v in value]
+    return value
+
+
+def _from_json(hint, value):
+    if isinstance(hint, type) and issubclass(hint, _JsonRecord):
+        return hint.from_dict(value)
+    if typing.get_origin(hint) is tuple:
+        return tuple(_from_json(typing.get_args(hint)[0], v) for v in value)
+    return value
+
+
+class _JsonRecord:
+    """JSON form of a frozen report dataclass.
+
+    to_dict writes every field under its _JSON_KEYS name, nested records
+    and tuples included, then the derived properties named in _derived.
+    from_dict reads the fields back (derived keys are ignored) and raises
+    KeyError, TypeError or ValueError on a malformed document.
+    """
+
+    _derived = ()
+
+    def to_dict(self) -> dict:
+        names = [f.name for f in fields(self)] + list(self._derived)
+        return {_JSON_KEYS.get(name, name): _to_json(getattr(self, name))
+                for name in names}
+
+    @classmethod
+    def from_dict(cls, doc: dict):
+        if not isinstance(doc, dict):
+            raise TypeError(f"{cls.__name__} needs a JSON object, got {type(doc).__name__}")
+        hints = typing.get_type_hints(cls)
+        kwargs = {}
+        for f in fields(cls):
+            key = _JSON_KEYS.get(f.name, f.name)
+            if key in doc or f.default is MISSING:
+                kwargs[f.name] = _from_json(hints[f.name], doc[key])
+        return cls(**kwargs)
 
 
 @dataclass(frozen=True)
-class EstimateRecord:
+class EstimateRecord(_JsonRecord):
     """One Monte Carlo estimate with its provenance.
 
     lam is None for quantities without an intensity (binomial and
@@ -93,20 +138,6 @@ class EstimateRecord:
                 self.boundary_mode,
             ]
         )
-
-    def to_dict(self) -> dict:
-        return {
-            "quantity": self.quantity,
-            "k": self.k_or_j,
-            "lambda": self.lam,
-            "r": self.r,
-            "L_or_n": self.L_or_n,
-            "mean": self.mean,
-            "stderr": self.stderr,
-            "reps": self.reps,
-            "seed": self.master_seed,
-            "boundary_mode": self.boundary_mode,
-        }
 
 
 def records_csv(records) -> str:
@@ -266,23 +297,52 @@ def _mean_stderr(values) -> tuple[float, float]:
 
 
 # ---------------------------------------------------------------------------
-# rate estimators
+# argument checks
 
-def _check_window(lam: float, r: float, L: float, dim: int, reps: int) -> None:
-    if lam < 0:
+def _check_args(*, r: float, reps: int | None = None, lam: float | None = None,
+                L: float | None = None, dim: int | None = None,
+                k: int | None = None, j: int | None = None, n: int | None = None,
+                schedule: tuple[int, ...] | None = None,
+                density: DensityGrid | None = None) -> None:
+    """The estimators' argument checks; each runs when its argument is given.
+
+    With a window (L and dim) k must lie in 1..d-1; without one k must be
+    at least 1, and a density must have room for k-cycles. A schedule is
+    checked for order, then its first n like a single n.
+    """
+    if schedule is not None:
+        if not schedule or any(b <= a for a, b in zip(schedule, schedule[1:])):
+            raise LimitsError("n-schedule must be non-empty and increasing")
+        n = schedule[0]
+    if lam is not None and lam < 0:
         raise LimitsError("intensity must be non-negative")
+    if n is not None and n < 1:
+        raise LimitsError("n must be at least 1")
     if r <= 0:
         raise LimitsError("radius must be positive")
-    if dim < 1:
-        raise LimitsError("dimension must be at least 1")
-    if L <= (3.0 * r) ** dim:
-        raise LimitsError(
-            f"window volume {L} too small for radius {r}: need L > (3r)^d "
-            "so no single simplex can span the window"
-        )
-    if reps < 2:
+    if L is not None:
+        if dim < 1:
+            raise LimitsError("dimension must be at least 1")
+        if L <= (3.0 * r) ** dim:
+            raise LimitsError(
+                f"window volume {L} too small for radius {r}: need L > (3r)^d "
+                "so no single simplex can span the window"
+            )
+    if reps is not None and reps < 2:
         raise LimitsError("need at least 2 replicates for a standard error")
+    if j is not None and j < 0:
+        raise LimitsError("simplex dimension must be non-negative")
+    if k is not None:
+        if L is not None and not 1 <= k <= dim - 1:
+            raise LimitsError(f"k must lie in 1..d-1, got k={k} in d={dim}")
+        if L is None and k < 1:
+            raise LimitsError("k must be at least 1")
+    if density is not None and density.dim < k + 1:
+        raise LimitsError(f"k={k} needs ambient dimension >= {k + 1}")
 
+
+# ---------------------------------------------------------------------------
+# rate estimators
 
 def estimate_betti_rate(lam: float, r: float, L: float, k: int, reps: int,
                         rng: RngStream, boundary_mode: str = "plain",
@@ -292,9 +352,7 @@ def estimate_betti_rate(lam: float, r: float, L: float, k: int, reps: int,
     boundary_mode "torus" replaces the Euclidean metric with the flat
     torus on the observation window, removing boundary bias.
     """
-    _check_window(lam, r, L, dim, reps)
-    if not 1 <= k <= dim - 1:
-        raise LimitsError(f"k must lie in 1..d-1, got k={k} in d={dim}")
+    _check_args(lam=lam, r=r, L=L, dim=dim, reps=reps, k=k)
     task = (lam, r, L, k, dim, boundary_mode, rng)
     values = _map_replicates("betti_rate", task, reps, workers)
     mean, stderr = _mean_stderr(values)
@@ -306,9 +364,7 @@ def estimate_simplex_rate(lam: float, r: float, L: float, j: int, reps: int,
                           rng: RngStream, boundary_mode: str = "plain",
                           dim: int = 2, workers: int = 1) -> EstimateRecord:
     """Mean of S_j(lam, r; L) / L, the per-volume j-simplex count."""
-    _check_window(lam, r, L, dim, reps)
-    if j < 0:
-        raise LimitsError("simplex dimension must be non-negative")
+    _check_args(lam=lam, r=r, L=L, dim=dim, reps=reps, j=j)
     task = (lam, r, L, j, dim, boundary_mode, rng)
     values = _map_replicates("simplex_rate", task, reps, workers)
     mean, stderr = _mean_stderr(values)
@@ -320,7 +376,7 @@ def estimate_simplex_rate(lam: float, r: float, L: float, j: int, reps: int,
 # the limit curve and the thermodynamic integral
 
 @dataclass(frozen=True)
-class LimitCurve:
+class LimitCurve(_JsonRecord):
     """Tabulated s -> beta_hat_k(1, s) with linear interpolation.
 
     beta_hat_k(lam, r) for arbitrary intensity is lam * value(lam^(1/d) r);
@@ -366,50 +422,6 @@ class LimitCurve:
     def stderr(self, s: float) -> float:
         return math.sqrt(sum((w * self.stderrs[i]) ** 2 for i, w in self.weights(s)))
 
-    def to_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "dim": self.dim,
-            "L": self.L,
-            "reps": self.reps,
-            "seed": self.master_seed,
-            "boundary_mode": self.boundary_mode,
-            "s_grid": list(self.s_grid),
-            "values": list(self.values),
-            "stderrs": list(self.stderrs),
-            "provenance": [rec.to_dict() for rec in self.provenance],
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "LimitCurve":
-        provenance = tuple(
-            EstimateRecord(
-                quantity=rec["quantity"],
-                k_or_j=rec["k"],
-                lam=rec["lambda"],
-                r=rec["r"],
-                L_or_n=rec["L_or_n"],
-                mean=rec["mean"],
-                stderr=rec["stderr"],
-                reps=rec["reps"],
-                master_seed=rec["seed"],
-                boundary_mode=rec["boundary_mode"],
-            )
-            for rec in doc.get("provenance", [])
-        )
-        return cls(
-            k=doc["k"],
-            dim=doc["dim"],
-            L=doc["L"],
-            reps=doc["reps"],
-            master_seed=doc["seed"],
-            boundary_mode=doc["boundary_mode"],
-            s_grid=tuple(doc["s_grid"]),
-            values=tuple(doc["values"]),
-            stderrs=tuple(doc["stderrs"]),
-            provenance=provenance,
-        )
-
 
 def build_limit_curve(k: int, s_grid, L: float, reps: int, rng: RngStream,
                       boundary_mode: str = "torus", dim: int = 2,
@@ -452,15 +464,16 @@ def load_or_build_curve(cache_dir, k: int, s_grid, L: float, reps: int,
                         dim: int = 2, workers: int = 1) -> LimitCurve:
     """Fetch the curve from the cache directory, building it on a miss.
 
-    A cached file with a different s-grid is rebuilt and overwritten (the
-    key identifies seed and estimator settings, not the grid).
+    A cached file with a different s-grid, or one that is not a well-formed
+    curve document, is rebuilt and overwritten (the key identifies seed and
+    estimator settings, not the grid).
     """
     path = curve_cache_path(cache_dir, dim, k, L, reps, rng, boundary_mode)
     grid = tuple(float(s) for s in s_grid)
     if path.exists():
         try:
             curve = LimitCurve.from_dict(json.loads(path.read_text()))
-        except (KeyError, ValueError):
+        except (KeyError, TypeError, ValueError):
             curve = None
         if curve is not None and curve.s_grid == grid:
             return curve
@@ -485,8 +498,7 @@ def thermodynamic_integral(density: DensityGrid, r: float, k: int,
     the curve's per-grid-point errors through the accumulated linear
     weights (grid values are independent estimates).
     """
-    if r <= 0:
-        raise LimitsError("radius must be positive")
+    _check_args(r=r)
     if curve.k != k:
         raise LimitsError(f"curve tabulates k={curve.k}, requested k={k}")
     if curve.dim != density.dim:
@@ -508,7 +520,7 @@ def thermodynamic_integral(density: DensityGrid, r: float, k: int,
 # scaling identity
 
 @dataclass(frozen=True)
-class ScalingReport:
+class ScalingReport(_JsonRecord):
     """Two-sided estimate of the intensity-radius scaling identity."""
 
     lam: float
@@ -521,20 +533,6 @@ class ScalingReport:
     delta: float
     combined_stderr: float
     passed: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "lambda": self.lam,
-            "theta": self.theta,
-            "r": self.r,
-            "lhs": self.lhs.to_dict(),
-            "rhs": self.rhs.to_dict(),
-            "rhs_scaled_mean": self.rhs_scaled_mean,
-            "rhs_scaled_stderr": self.rhs_scaled_stderr,
-            "delta": self.delta,
-            "combined_stderr": self.combined_stderr,
-            "passed": self.passed,
-        }
 
 
 def scaling_check(lam: float, theta: float, r: float, L: float, k: int,
@@ -572,19 +570,6 @@ def scaling_check(lam: float, theta: float, r: float, L: float, k: int,
 # ---------------------------------------------------------------------------
 # binomial / Poissonized expectations and the convergence experiment
 
-def _check_expectation(density: DensityGrid, n: int, r: float, k: int, reps: int) -> None:
-    if n < 1:
-        raise LimitsError("n must be at least 1")
-    if r <= 0:
-        raise LimitsError("radius must be positive")
-    if k < 1:
-        raise LimitsError("k must be at least 1")
-    if reps < 2:
-        raise LimitsError("need at least 2 replicates for a standard error")
-    if density.dim < k + 1:
-        raise LimitsError(f"k={k} needs ambient dimension >= {k + 1}")
-
-
 def estimate_binomial_expectation(density: DensityGrid, n: int, r: float,
                                   k: int, reps: int, rng: RngStream,
                                   workers: int = 1) -> EstimateRecord:
@@ -593,7 +578,7 @@ def estimate_binomial_expectation(density: DensityGrid, n: int, r: float,
     Implemented on the rescaled cloud n^(1/d) * X_n at radius r, which
     carries the same complex.
     """
-    _check_expectation(density, n, r, k, reps)
+    _check_args(n=n, r=r, k=k, reps=reps, density=density)
     task = (density, n, r, k, rng)
     values = _map_replicates("binomial", task, reps, workers)
     mean, stderr = _mean_stderr(values)
@@ -605,7 +590,7 @@ def estimate_poissonized_expectation(density: DensityGrid, n: int, r: float,
                                      k: int, reps: int, rng: RngStream,
                                      workers: int = 1) -> EstimateRecord:
     """Same as the binomial estimate with the count Poissonized."""
-    _check_expectation(density, n, r, k, reps)
+    _check_args(n=n, r=r, k=k, reps=reps, density=density)
     task = (density, n, r, k, rng)
     values = _map_replicates("poissonized", task, reps, workers)
     mean, stderr = _mean_stderr(values)
@@ -614,8 +599,10 @@ def estimate_poissonized_expectation(density: DensityGrid, n: int, r: float,
 
 
 @dataclass(frozen=True)
-class ConvergenceTable:
+class ConvergenceTable(_JsonRecord):
     """Per-n expectation estimates against the thermodynamic target."""
+
+    _derived = ("gaps",)
 
     n_schedule: tuple[int, ...]
     records: tuple[EstimateRecord, ...]
@@ -629,35 +616,19 @@ class ConvergenceTable:
     def plot_rows(self) -> list[tuple[float, float]]:
         return [(float(n), gap) for n, gap in zip(self.n_schedule, self.gaps)]
 
-    def to_dict(self) -> dict:
-        return {
-            "n_schedule": list(self.n_schedule),
-            "rows": [rec.to_dict() for rec in self.records],
-            "target": self.target,
-            "target_stderr": self.target_stderr,
-            "gaps": list(self.gaps),
-        }
-
 
 def convergence_table(density: DensityGrid, n_schedule, r: float, k: int,
                       reps: int, rng: RngStream, target: float,
-                      target_stderr: float, sampler: str = "binomial",
-                      workers: int = 1) -> ConvergenceTable:
-    """Runs the expectation estimator over the n-schedule."""
-    schedule = [int(n) for n in n_schedule]
-    if not schedule or any(b <= a for a, b in zip(schedule, schedule[1:])):
-        raise LimitsError("n-schedule must be non-empty and increasing")
-    estimator = {
-        "binomial": estimate_binomial_expectation,
-        "poissonized": estimate_poissonized_expectation,
-    }.get(sampler)
-    if estimator is None:
-        raise LimitsError(f"unknown sampler {sampler!r}")
+                      target_stderr: float, workers: int = 1) -> ConvergenceTable:
+    """Runs the binomial expectation estimator over the n-schedule."""
+    schedule = tuple(int(n) for n in n_schedule)
+    _check_args(schedule=schedule, r=r, k=k, reps=reps, density=density)
     records = tuple(
-        estimator(density, n, r, k, reps, rng.substream(idx), workers=workers)
+        estimate_binomial_expectation(density, n, r, k, reps, rng.substream(idx),
+                                      workers=workers)
         for idx, n in enumerate(schedule)
     )
-    return ConvergenceTable(n_schedule=tuple(schedule), records=records,
+    return ConvergenceTable(n_schedule=schedule, records=records,
                             target=target, target_stderr=target_stderr)
 
 
@@ -665,7 +636,9 @@ def convergence_table(density: DensityGrid, n_schedule, r: float, k: int,
 # Poissonization gap
 
 @dataclass(frozen=True)
-class GapRow:
+class GapRow(_JsonRecord):
+    _derived = ("scaled", "scaled_stderr")
+
     n: int
     binomial_mean: float
     poissonized_mean: float
@@ -682,7 +655,7 @@ class GapRow:
 
 
 @dataclass(frozen=True)
-class GapTable:
+class GapTable(_JsonRecord):
     """|E beta_k(binomial) - E beta_k(Poissonized)| / n over an n-schedule.
 
     Both expectations share the replicate's point sequence, so the gap
@@ -722,36 +695,14 @@ class GapTable:
     def plot_rows(self) -> list[tuple[float, float, float]]:
         return [(float(row.n), row.gap, row.gap_stderr) for row in self.rows]
 
-    def to_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "r": self.r,
-            "reps": self.reps,
-            "seed": self.master_seed,
-            "rows": [
-                {
-                    "n": row.n,
-                    "binomial_mean": row.binomial_mean,
-                    "poissonized_mean": row.poissonized_mean,
-                    "gap": row.gap,
-                    "gap_stderr": row.gap_stderr,
-                    "scaled": row.scaled,
-                    "scaled_stderr": row.scaled_stderr,
-                }
-                for row in self.rows
-            ],
-        }
-
 
 def poissonization_gap(density: DensityGrid, n_schedule, r: float, k: int,
                        reps: int, rng: RngStream, workers: int = 1) -> GapTable:
     """Coupled binomial/Poissonized expectation gap over the n-schedule."""
-    schedule = [int(n) for n in n_schedule]
-    if not schedule or any(b <= a for a, b in zip(schedule, schedule[1:])):
-        raise LimitsError("n-schedule must be non-empty and increasing")
+    schedule = tuple(int(n) for n in n_schedule)
+    _check_args(schedule=schedule, r=r, k=k, reps=reps, density=density)
     rows = []
     for idx, n in enumerate(schedule):
-        _check_expectation(density, n, r, k, reps)
         pairs = _map_replicates("gap", (density, n, r, k, rng.substream(idx)),
                                 reps, workers)
         b_vals = [b for b, _ in pairs]
@@ -773,8 +724,10 @@ def poissonization_gap(density: DensityGrid, n_schedule, r: float, k: int,
 # boundary strips
 
 @dataclass(frozen=True)
-class StripReport:
+class StripReport(_JsonRecord):
     """Per-realization check of the box-partition Betti inequality."""
+
+    _derived = ("holds_all", "violations", "max_slack")
 
     lam: float
     r: float
@@ -798,15 +751,6 @@ class StripReport:
     def max_slack(self) -> int:
         return max(b - d for d, b in zip(self.diffs, self.bounds))
 
-    def to_dict(self) -> dict:
-        return {
-            "lambda": self.lam, "r": self.r, "L": self.L, "boxes": self.boxes,
-            "k": self.k, "reps": self.reps, "seed": self.master_seed,
-            "holds_all": self.holds_all, "violations": self.violations,
-            "max_slack": self.max_slack,
-            "diffs": list(self.diffs), "bounds": list(self.bounds),
-        }
-
 
 def boundary_strip_check(lam: float, r: float, L: float, sub_box_count: int,
                          k: int, rng: RngStream, reps: int = 100,
@@ -818,9 +762,7 @@ def boundary_strip_check(lam: float, r: float, L: float, sub_box_count: int,
     the r-slabs around the internal partition faces, so the dimension-k
     and k+1 strip simplex counts bound the Betti difference.
     """
-    _check_window(lam, r, L, dim, reps)
-    if not 1 <= k <= dim - 1:
-        raise LimitsError(f"k must lie in 1..d-1, got k={k} in d={dim}")
+    _check_args(lam=lam, r=r, L=L, dim=dim, reps=reps, k=k)
     m = round(sub_box_count ** (1.0 / dim))
     if m < 1 or m ** dim != sub_box_count:
         raise LimitsError(
@@ -842,7 +784,7 @@ def boundary_strip_check(lam: float, r: float, L: float, sub_box_count: int,
 # intensity perturbation
 
 @dataclass(frozen=True)
-class PerturbReport:
+class PerturbReport(_JsonRecord):
     """Coupled estimate of |E beta_k(P(f)) - E beta_k(P(g))| vs the L1 distance."""
 
     r: float
@@ -855,14 +797,6 @@ class PerturbReport:
     ratio: float
     nested_bound_ok: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "r": self.r, "k": self.k, "reps": self.reps, "seed": self.master_seed,
-            "gap": self.gap, "gap_stderr": self.gap_stderr,
-            "l1_distance": self.l1_distance, "ratio": self.ratio,
-            "nested_bound_ok": self.nested_bound_ok,
-        }
-
 
 def intensity_perturbation_check(f: IntensityGrid, g: IntensityGrid, r: float,
                                  k: int, reps: int, rng: RngStream,
@@ -874,12 +808,7 @@ def intensity_perturbation_check(f: IntensityGrid, g: IntensityGrid, r: float,
     perturbations give nested complexes (checked against the difference
     bound realization by realization).
     """
-    if r <= 0:
-        raise LimitsError("radius must be positive")
-    if k < 1:
-        raise LimitsError("k must be at least 1")
-    if reps < 2:
-        raise LimitsError("need at least 2 replicates for a standard error")
+    _check_args(r=r, k=k, reps=reps)
     base = f.minimum(g)
     extra_f = f.excess_over(g)
     extra_g = g.excess_over(f)

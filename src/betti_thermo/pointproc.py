@@ -39,10 +39,6 @@ class RngStream:
     master_seed: int
     path: tuple[int, ...] = ()
 
-    @property
-    def stream_index(self) -> int:
-        return self.path[-1] if self.path else 0
-
     def substream(self, index: int) -> "RngStream":
         return RngStream(self.master_seed, self.path + (int(index),))
 

@@ -153,13 +153,6 @@ class TestNeighborGrid:
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
         assert list(zip(a[0], a[1])) == sorted(zip(a[0], a[1]))
 
-    def test_buckets_partition_vertices(self):
-        gen = np.random.default_rng(10)
-        pts = gen.random((70, 2)) * 5.0
-        grid = NeighborGrid(pts, 0.8)
-        seen = sorted(i for members in grid.buckets.values() for i in members)
-        assert seen == list(range(70))
-
     def test_radius_above_cell_size_rejected(self):
         with pytest.raises(CechError):
             NeighborGrid(np.zeros((3, 2)), 0.5).pairs_within(0.8)

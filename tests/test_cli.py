@@ -12,7 +12,13 @@ import sys
 import pytest
 
 from betti_thermo.cech import build_cech
-from betti_thermo.cli import CliError, emit_plot_data, main
+from betti_thermo.cli import (
+    CliError,
+    build_parser,
+    emit_plot_data,
+    main,
+    resolve_config,
+)
 from betti_thermo.homology import betti_numbers
 from betti_thermo.limits import (
     CSV_HEADER,
@@ -293,6 +299,39 @@ class TestConfig:
         path.write_text('{"command": "rate", "radius": 1.0}')
         assert main(["--config", str(path)]) == 1
         assert "unknown config keys" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"command": "checks", "only": "bogus"},
+         "config key 'only': invalid choice 'bogus'"),
+        ({"command": "rate", "reps": 2.7}, "config key 'reps': invalid int value '2.7'"),
+        ({"command": "rate", "lambda": "lots"},
+         "config key 'lambda': invalid float value 'lots'"),
+        ({"command": "rate", "boundary": "klein"},
+         "config key 'boundary': invalid choice 'klein'"),
+        ({"command": "rate", "seed": True}, "config key 'seed': invalid int value 'True'"),
+        ({"command": "gap", "n_schedule": [20, 40.5]},
+         "config key 'n_schedule': invalid int value '20,40.5'"),
+        ({"command": ["rate"]}, "unknown command ['rate']"),
+    ], ids=["only", "reps", "lambda", "boundary", "seed", "n_schedule", "command"])
+    def test_bad_config_value_rejected(self, tmp_path, capsys, doc, message):
+        # config values get the flags' type and choice checks before any work
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**doc, "out": str(tmp_path / "x")}))
+        assert main(["--config", str(path)]) == 1
+        assert message in capsys.readouterr().err
+        assert not list(tmp_path.glob("x.*"))
+
+    def test_config_values_parse_like_flags(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"n_schedule": [20, 40], "L": 50, "reps": 6,
+                                    "lambda": 0.5, "j": None, "boundary": "torus"}))
+        from_config = resolve_config(build_parser().parse_args(
+            ["gap", "--config", str(path)]))
+        from_flags = resolve_config(build_parser().parse_args(
+            ["gap", "--n-schedule", "20,40", "--L", "50", "--reps", "6",
+             "--lambda", "0.5", "--boundary", "torus"]))
+        assert from_config == from_flags
+        assert from_config.n_schedule == (20, 40) and from_config.L == 50.0
 
     def test_unknown_command_in_config(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"

@@ -22,6 +22,9 @@ from betti_thermo.limits import (
     GapTable,
     LimitCurve,
     LimitsError,
+    PerturbReport,
+    ScalingReport,
+    StripReport,
     boundary_strip_check,
     build_limit_curve,
     convergence_table,
@@ -173,6 +176,24 @@ class TestCurveCache:
         stored = LimitCurve.from_dict(json.loads(path.read_text()))
         assert stored == wider
 
+    @pytest.mark.parametrize("corrupt", [
+        lambda doc: [],
+        lambda doc: {**doc, "s_grid": 5},
+        lambda doc: {key: v for key, v in doc.items() if key != "values"},
+        lambda doc: {**doc, "stderrs": [0.0]},
+        lambda doc: {**doc, "provenance": [5]},
+        lambda doc: {**doc, "s_grid": [0.0, None]},
+    ], ids=["list", "scalar_grid", "missing_key", "short_column", "bad_provenance",
+            "null_grid_point"])
+    def test_malformed_entry_rebuilds(self, tmp_path, corrupt):
+        args = dict(k=1, s_grid=[0.0, 0.6], L=50.0, reps=8, rng=RngStream(65),
+                    boundary_mode="torus", dim=2)
+        built = load_or_build_curve(tmp_path, **args)
+        path = curve_cache_path(tmp_path, 2, 1, 50.0, 8, RngStream(65), "torus")
+        path.write_text(json.dumps(corrupt(built.to_dict())))
+        assert load_or_build_curve(tmp_path, **args) == built
+        assert LimitCurve.from_dict(json.loads(path.read_text())) == built
+
     def test_distinct_stream_paths_get_distinct_files(self, tmp_path):
         a = curve_cache_path(tmp_path, 2, 1, 50.0, 8, RngStream(66, (0,)), "torus")
         b = curve_cache_path(tmp_path, 2, 1, 50.0, 8, RngStream(66, (1,)), "torus")
@@ -275,11 +296,6 @@ class TestConvergenceTable:
         with pytest.raises(LimitsError):
             convergence_table(unit_uniform(), [100, 50], 1.0, 1, 10,
                               RngStream(76), target=0.0, target_stderr=0.0)
-
-    def test_unknown_sampler(self):
-        with pytest.raises(LimitsError):
-            convergence_table(unit_uniform(), [50], 1.0, 1, 10, RngStream(77),
-                              target=0.0, target_stderr=0.0, sampler="magic")
 
 
 class TestPoissonizationGap:
@@ -397,6 +413,80 @@ class TestIntensityPerturbation:
         a = intensity_perturbation_check(f, g, 1.0, 1, 8, RngStream(90))
         b = intensity_perturbation_check(f, g, 1.0, 1, 8, RngStream(90), workers=2)
         assert a == b
+
+
+def _record(quantity="betti_rate", lam=1.0):
+    return EstimateRecord(quantity, 1, lam, 1.0, 400.0, 0.03, 0.001, 10, 5, "torus")
+
+
+RECORD_KEYS = {"quantity", "k", "lambda", "r", "L_or_n", "mean", "stderr", "reps",
+               "seed", "boundary_mode"}
+
+
+class TestJsonSchema:
+    """The exact keys of every report's JSON form; the artifacts depend on them."""
+
+    @pytest.mark.parametrize("report, keys, nested", [
+        (_record(), RECORD_KEYS, {}),
+        (LimitCurve(k=1, dim=2, L=16.0, reps=2, master_seed=3, boundary_mode="torus",
+                    s_grid=(0.0, 0.5), values=(0.0, 0.1), stderrs=(0.0, 0.01),
+                    provenance=(_record(),)),
+         {"k", "dim", "L", "reps", "seed", "boundary_mode", "s_grid", "values",
+          "stderrs", "provenance"},
+         {"provenance": RECORD_KEYS}),
+        (ScalingReport(lam=1.0, theta=2.0, r=1.0, lhs=_record(), rhs=_record(lam=2.0),
+                       rhs_scaled_mean=0.015, rhs_scaled_stderr=0.0005, delta=0.015,
+                       combined_stderr=0.001, passed=False),
+         {"lambda", "theta", "r", "lhs", "rhs", "rhs_scaled_mean", "rhs_scaled_stderr",
+          "delta", "combined_stderr", "passed"},
+         {"lhs": RECORD_KEYS, "rhs": RECORD_KEYS}),
+        (ConvergenceTable(n_schedule=(100,), records=(_record("expectation_per_n", None),),
+                          target=0.02, target_stderr=0.001),
+         {"n_schedule", "rows", "target", "target_stderr", "gaps"},
+         {"rows": RECORD_KEYS}),
+        (GapTable(rows=(GapRow(n=100, binomial_mean=0.03, poissonized_mean=0.029,
+                               gap=0.001, gap_stderr=0.0005),),
+                  k=1, r=1.0, reps=10, master_seed=5),
+         {"rows", "k", "r", "reps", "seed"},
+         {"rows": {"n", "binomial_mean", "poissonized_mean", "gap", "gap_stderr",
+                   "scaled", "scaled_stderr"}}),
+        (StripReport(lam=1.0, r=1.0, L=64.0, boxes=4, k=1, reps=2, master_seed=5,
+                     diffs=(0, 1), bounds=(2, 3)),
+         {"lambda", "r", "L", "boxes", "k", "reps", "seed", "holds_all", "violations",
+          "max_slack", "diffs", "bounds"},
+         {}),
+        (PerturbReport(r=1.0, k=1, reps=10, master_seed=5, gap=0.5, gap_stderr=0.1,
+                       l1_distance=2.5, ratio=0.2, nested_bound_ok=True),
+         {"r", "k", "reps", "seed", "gap", "gap_stderr", "l1_distance", "ratio",
+          "nested_bound_ok"},
+         {}),
+    ], ids=["EstimateRecord", "LimitCurve", "ScalingReport", "ConvergenceTable",
+            "GapTable", "StripReport", "PerturbReport"])
+    def test_keys(self, report, keys, nested):
+        doc = json.loads(json.dumps(report.to_dict()))  # plain types only
+        assert set(doc) == keys
+        for key, inner in nested.items():
+            items = doc[key] if isinstance(doc[key], list) else [doc[key]]
+            assert items and all(set(item) == inner for item in items)
+
+    def test_derived_values(self):
+        strip = StripReport(lam=1.0, r=1.0, L=64.0, boxes=4, k=1, reps=2,
+                            master_seed=5, diffs=(0, 4), bounds=(2, 3)).to_dict()
+        assert (strip["holds_all"], strip["violations"], strip["max_slack"]) == (False, 1, 2)
+        table = ConvergenceTable(n_schedule=(100,), records=(_record(),),
+                                 target=0.02, target_stderr=0.0).to_dict()
+        assert table["gaps"] == [pytest.approx(0.01)]
+        assert table["rows"][0]["k"] == 1 and table["rows"][0]["seed"] == 5
+        row = GapRow(n=100, binomial_mean=0.0, poissonized_mean=0.0, gap=0.001,
+                     gap_stderr=0.0005).to_dict()
+        assert (row["scaled"], row["scaled_stderr"]) == (pytest.approx(0.01),
+                                                         pytest.approx(0.005))
+
+    def test_curve_round_trip_with_provenance(self):
+        curve = build_limit_curve(1, [0.0, 0.6], 30.0, 3, RngStream(92), dim=2)
+        assert len(curve.provenance) == 2
+        doc = json.loads(json.dumps(curve.to_dict()))
+        assert LimitCurve.from_dict(doc) == curve
 
 
 class TestCsv:
