@@ -3,12 +3,13 @@
 A k-simplex enters the Cech complex C(X, r) exactly when the smallest
 enclosing ball of its k+1 vertices has radius at most r/2; the Rips
 complex keeps every clique of the r-neighbor graph. Construction is
-neighbor-grid edge enumeration followed by clique expansion by highest
-vertex index, with the miniball filter applied per candidate (batched
-for triangles). An optional period turns the metric into the flat torus
-R^d / period*Z^d; candidate simplices are then unwrapped to the nearest
-image around their first vertex, which reproduces torus balls exactly
-as long as period > 3r.
+neighbor-grid edge enumeration followed by level-wise clique expansion
+by highest vertex index; the miniball filter runs once per level on all
+its candidates, in closed form (triangles by edge lengths, higher
+simplices by circumcenter and facet lookup). An optional period turns
+the metric into the flat torus R^d / period*Z^d; candidate simplices are
+then unwrapped to the nearest image around their first vertex, which
+reproduces torus balls exactly as long as period > 3r.
 """
 
 from __future__ import annotations
@@ -225,7 +226,9 @@ def min_enclosing_ball_radius(points) -> float:
 
     Welzl's recursive algorithm with move-to-front reordering; exact for
     the support set up to roundoff. A 1-D input array is read as points
-    on a line. Empty input is rejected.
+    on a line. Empty input is rejected. The complex builders do not call
+    it: they filter whole levels in closed form, and the tests use this
+    function as the independent oracle for that filter.
     """
     pts = np.asarray(points, dtype=float)
     if pts.size == 0:
@@ -296,13 +299,6 @@ def _batch_triangle_r2(pa: np.ndarray, pb: np.ndarray, pc: np.ndarray) -> np.nda
     return np.where(2.0 * lmax >= lsum, 0.25 * lmax, circ)
 
 
-def _simplex_points(pts: np.ndarray, simplex: tuple, period: float | None) -> np.ndarray:
-    sub = pts[list(simplex)]
-    if period is not None:
-        sub = sub[0] + _min_image(sub - sub[0], period)
-    return sub
-
-
 def build_cech(cloud: PointCloud, r: float, max_dim: int,
                period: float | None = None) -> SimplicialComplex:
     """Cech complex of the cloud at radius r, up to max_dim."""
@@ -348,33 +344,25 @@ def _build(cloud: PointCloud, r: float, max_dim: int, period: float | None,
         for a, b in levels[1]:
             adj[a] |= 1 << b
             adj[b] |= 1 << a
-        tris = []
-        for a, b in levels[1]:
-            m = adj[a] & adj[b] & ~((1 << (b + 1)) - 1)
-            while m:
-                low = m & -m
-                m ^= low
-                tris.append((a, b, low.bit_length() - 1))
-        if tris and filtered:
-            arr = np.asarray(tris, dtype=np.int64)
-            pa = pts[arr[:, 0]]
-            pb = pts[arr[:, 1]]
-            pc = pts[arr[:, 2]]
-            if period is not None:
-                pb = pa + _min_image(pb - pa, period)
-                pc = pa + _min_image(pc - pa, period)
-            keep = _batch_triangle_r2(pa, pb, pc) <= r2_cut
-            tris = [t for t, k in zip(tris, keep.tolist()) if k]
-        if tris:
-            levels.append(tris)
-            if top >= 3:
-                for j in range(3, top + 1):
-                    levels.append([])
-                for u, v, w in tris:
-                    cand = adj[u] & adj[v] & adj[w] & ~((1 << (w + 1)) - 1)
-                    if cand:
-                        _extend((u, v, w), cand, 3, levels, adj, pts, period,
-                                r2_cut if filtered else None, top)
+        # level j extends each accepted (j-1)-simplex by every common
+        # neighbour above its last vertex, so each level comes out in
+        # lexicographic order; cands gives that set, as a bitmask, for
+        # each row of prev
+        prev = np.column_stack((eu, ev))
+        cands = (adj[a] & adj[b] & ~((1 << (b + 1)) - 1) for a, b in levels[1])
+        for j in range(2, top + 1):
+            parent, ext, deeper = _expand(cands, adj, carry=j < top)
+            if not parent:
+                break
+            rows = np.column_stack((prev[parent], ext))
+            if filtered:
+                keep = _cech_keep(rows, prev, pts, period, r2_cut)
+                rows = rows[keep]
+                deeper = [c for c, k in zip(deeper, keep.tolist()) if k]
+            if not len(rows):
+                break
+            levels.append(list(zip(*rows.T.tolist())))
+            prev, cands = rows, deeper
     while len(levels) > 1 and not levels[-1]:
         levels.pop()
 
@@ -386,26 +374,89 @@ def _build(cloud: PointCloud, r: float, max_dim: int, period: float | None,
     )
 
 
-def _extend(simplex: tuple, cand: int, level: int, levels: list, adj: list,
-            pts: np.ndarray, period: float | None, r2_cut: float | None,
-            top: int) -> None:
-    # cand holds the vertices above max(simplex) adjacent to all of simplex
-    while cand:
-        low = cand & -cand
-        cand ^= low
-        x = low.bit_length() - 1
-        new = simplex + (x,)
-        if r2_cut is not None:
-            sub = _simplex_points(pts, new, period)
-            _, r2 = _miniball(sub)
-            if r2 > r2_cut:
-                continue
-        levels[level].append(new)
-        if level < top:
-            deeper = cand & adj[x]
-            if deeper:
-                _extend(new, deeper, level + 1, levels, adj, pts, period,
-                        r2_cut, top)
+def _expand(cands, adj: list, carry: bool):
+    """Candidates one level up, as (parent index, new vertex) lists.
+
+    cands[i] is the bitmask of vertices above the last vertex of simplex
+    i adjacent to all of it. With carry, also returns each candidate's
+    own mask: the parent's vertices above the new one, adjacent to it.
+    """
+    parent, ext, deeper = [], [], []
+    for i, cand in enumerate(cands):
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            x = low.bit_length() - 1
+            parent.append(i)
+            ext.append(x)
+            if carry:
+                deeper.append(cand & adj[x])
+    return parent, ext, deeper
+
+
+def _cech_keep(rows: np.ndarray, prev: np.ndarray, pts: np.ndarray,
+               period: float | None, r2_cut: float) -> np.ndarray:
+    """Miniball filter over one level of candidate simplices (vectorized).
+
+    rows are j-simplices whose facet rows[:, :-1] is in the accepted
+    level prev. Triangles use the Heron-style radius. Above that, by
+    Welzl's support-set argument, the miniball is the circumball when the
+    circumcenter lies in the simplex and the largest facet miniball
+    otherwise; affinely dependent vertices and j > d count as "outside".
+    So a candidate passes when its other facets are all in prev and, if
+    its circumcenter lies inside, its circumradius is within the cut.
+    """
+    j = rows.shape[1] - 1
+    keep = np.ones(len(rows), dtype=bool)
+    if j >= 3:
+        keys = _row_keys(prev)
+        for i in range(j):
+            facet = _row_keys(np.delete(rows, i, axis=1))
+            pos = np.minimum(np.searchsorted(keys, facet), len(keys) - 1)
+            keep &= keys[pos] == facet
+        if j > pts.shape[1]:
+            return keep
+        rows = rows[keep]
+    base = pts[rows[:, 0]]
+    verts = [pts[rows[:, i]] for i in range(1, j + 1)]
+    if period is not None:
+        verts = [base + _min_image(v - base, period) for v in verts]
+    if j == 2:
+        return _batch_triangle_r2(base, verts[0], verts[1]) <= r2_cut
+    inside, r2 = _batch_circumball(np.stack([v - base for v in verts], axis=1))
+    keep[keep] = ~inside | (r2 <= r2_cut)
+    return keep
+
+
+def _row_keys(arr: np.ndarray) -> np.ndarray:
+    """One opaque key per row of a non-negative int array; keys of rows
+    compare like the rows in lexicographic order (big-endian bytes)."""
+    arr = np.ascontiguousarray(arr, dtype=">i8")
+    return arr.view(np.dtype((np.void, 8 * arr.shape[1]))).ravel()
+
+
+def _batch_circumball(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Whether each simplex holds its circumcenter, and its squared
+    circumradius.
+
+    A is (m, j, d): the edge vectors q_i - q_0 of each simplex, j <= d.
+    The circumcenter q_0 + A^T alpha solves the Gram system
+    (A A^T) alpha = |A_i|^2 / 2; its barycentric coordinates are
+    (1 - sum alpha, alpha), and it lies in the simplex when they are all
+    non-negative. A singular Gram matrix counts as outside.
+    """
+    G = A @ A.transpose(0, 2, 1)
+    b = 0.5 * np.einsum("mjd,mjd->mj", A, A)
+    singular = np.zeros(len(A), dtype=bool)
+    try:
+        alpha = np.linalg.solve(G, b[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        singular = np.linalg.slogdet(G)[0] == 0
+        G[singular] = np.eye(A.shape[1])
+        alpha = np.linalg.solve(G, b[..., None])[..., 0]
+    offset = np.einsum("mj,mjd->md", alpha, A)
+    inside = ~singular & (alpha >= 0).all(axis=1) & (alpha.sum(axis=1) <= 1.0)
+    return inside, (offset * offset).sum(axis=1)
 
 
 def simplex_count(complex: SimplicialComplex, j: int) -> int:

@@ -283,8 +283,12 @@ def _replicate(packed):
 
 
 def _map_replicates(kind: str, task, reps: int, workers: int) -> list:
+    # every estimator runs its replicates here, so this one check rejects
+    # a bad worker count before any cloud is sampled
+    if workers < 1:
+        raise LimitsError(f"workers must be at least 1, got {workers}")
     packed = [(kind, task, i) for i in range(reps)]
-    if workers <= 1:
+    if workers == 1:
         return [_replicate(p) for p in packed]
     chunk = max(1, math.ceil(reps / (4 * workers)))
     with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -452,10 +456,13 @@ def build_limit_curve(k: int, s_grid, L: float, reps: int, rng: RngStream,
 
 def curve_cache_path(cache_dir, dim: int, k: int, L: float, reps: int,
                      rng: RngStream, boundary_mode: str) -> Path:
+    """Cache file of a limit curve. The name carries the numpy version,
+    since sampled streams are reproducible only within one version."""
     seed_tag = str(rng.master_seed)
     if rng.path:
         seed_tag += "p" + "-".join(str(p) for p in rng.path)
-    name = f"curve_d{dim}_k{k}_L{_fmt(L)}_reps{reps}_seed{seed_tag}_{boundary_mode}.json"
+    name = (f"curve_d{dim}_k{k}_L{_fmt(L)}_reps{reps}_seed{seed_tag}_{boundary_mode}"
+            f"_numpy{np.__version__}.json")
     return Path(cache_dir) / name
 
 

@@ -11,6 +11,7 @@ from math import sqrt
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from betti_thermo.cech import (
     CechError,
@@ -23,7 +24,7 @@ from betti_thermo.cech import (
     simplices_touching,
     vertex_simplex_count,
 )
-from betti_thermo.pointproc import PointCloud, RngStream, Window
+from betti_thermo.pointproc import PointCloud, RngStream, Window, superpose
 
 
 def miniball_radius_oracle(pts: np.ndarray) -> float:
@@ -197,17 +198,33 @@ class TestBuildCech:
             for s in cx.simplices_of(j):
                 assert min_enclosing_ball_radius(pts[list(s)]) <= r / 2 + MINIBALL_TOL
 
-    def test_no_qualifying_simplex_missed(self):
-        # brute force all triples against the builder's triangle list
-        gen = np.random.default_rng(14)
-        pts = gen.random((18, 2))
-        r = 0.5
-        cx = build_cech(PointCloud(pts), r, 2)
-        want = {
-            t for t in itertools.combinations(range(18), 3)
-            if min_enclosing_ball_radius(pts[list(t)]) <= r / 2 + MINIBALL_TOL
-        }
-        assert set(cx.simplices_of(2)) == want
+    @pytest.mark.parametrize("d, j, n, r, period, seed", [
+        (2, 2, 18, 0.5, None, 14),
+        (3, 3, 14, 0.8, None, 14),
+        (3, 3, 14, 0.32, 1.0, 15),
+        (2, 3, 14, 0.5, None, 15),
+    ], ids=["d2_triangles", "d3_tetrahedra", "d3_torus_tetrahedra", "d2_tetrahedra"])
+    def test_no_qualifying_simplex_missed(self, d, j, n, r, period, seed):
+        # brute force all (j+1)-subsets against the builder's j-simplices;
+        # the torus cloud sits in a cluster across the corner of the cell,
+        # so most subsets wrap, and each is unwrapped around its first vertex
+        gen = np.random.default_rng(seed)
+        if period is None:
+            pts = gen.random((n, d))
+        else:
+            pts = np.mod(gen.random((n, d)) * 1.25 * r - 0.625 * r, period)
+        cx = build_cech(PointCloud(pts), r, j, period=period)
+        want = set()
+        for t in itertools.combinations(range(n), j + 1):
+            sub = pts[list(t)]
+            if period is not None:
+                delta = sub - sub[0]
+                sub = sub[0] + delta - period * np.round(delta / period)
+            if min_enclosing_ball_radius(sub) <= r / 2 + MINIBALL_TOL:
+                want.add(t)
+        rips = set(build_rips(PointCloud(pts), r, j, period=period).simplices_of(j))
+        assert want and want != rips
+        assert set(cx.simplices_of(j)) == want
 
     def test_downward_closure(self):
         gen = np.random.default_rng(15)
@@ -247,6 +264,119 @@ class TestBuildCech:
         assert build_cech(PointCloud.empty(2), 1.0, 2).simplex_counts() == [0]
         one = build_cech(PointCloud(np.array([[0.5, 0.5]])), 1.0, 2)
         assert one.simplex_counts() == [1]
+
+
+def rotation(a: float, b: float, c: float) -> np.ndarray:
+    """3-d rotation from Euler angles (z, then y, then z)."""
+    def rz(t):
+        return np.array([[np.cos(t), -np.sin(t), 0.0], [np.sin(t), np.cos(t), 0.0],
+                         [0.0, 0.0, 1.0]])
+    ry = np.array([[np.cos(b), 0.0, np.sin(b)], [0.0, 1.0, 0.0],
+                   [-np.sin(b), 0.0, np.cos(b)]])
+    return rz(a) @ ry @ rz(c)
+
+
+def assert_cech_matches_brute_force(cloud: PointCloud, r: float):
+    """build_cech against every vertex subset under the Welzl oracle."""
+    pts = cloud.points
+    n = len(pts)
+    cx = build_cech(cloud, r, n - 1)
+    for j in range(n):
+        want = {
+            t for t in itertools.combinations(range(n), j + 1)
+            if min_enclosing_ball_radius(pts[list(t)]) <= r / 2 + MINIBALL_TOL
+        }
+        assert set(cx.simplices_of(j)) == want, f"dimension {j}"
+
+
+angle = st.floats(0.0, 2.0 * np.pi)
+degenerate = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+class TestDegenerateGeometry:
+    """Near-degenerate inputs for the closed-form miniball filter, each
+    checked against brute-force enumeration with the Welzl oracle."""
+
+    @degenerate
+    @given(st.floats(0.2, 5.0), st.floats(-1e-13, 1e-13), angle, angle, angle,
+           st.tuples(*[st.floats(-3.0, 3.0)] * 3))
+    def test_regular_tetrahedron_at_threshold(self, r, eps, a, b, c, shift):
+        # circumcenter at the centroid; miniball radius r/2 + eps
+        corners = np.array([[1.0, 1.0, 1.0], [1.0, -1.0, -1.0],
+                            [-1.0, 1.0, -1.0], [-1.0, -1.0, 1.0]])
+        pts = corners * ((r / 2 + eps) / sqrt(3.0)) @ rotation(a, b, c).T + shift
+        assert_cech_matches_brute_force(PointCloud(pts), r)
+
+    @degenerate
+    @given(st.tuples(*[st.floats(0.5, 2.0)] * 3), st.floats(0.0, 1.0),
+           angle, angle, angle)
+    def test_right_corner_tetrahedron(self, legs, u, a, b, c):
+        # vertices 0, a e1, b e2, c e3: the circumcenter, the far corner
+        # of the half-size box, lies outside, so the miniball is the
+        # largest facet's; r/2 is drawn between that and the circumradius
+        pts = np.vstack([np.zeros(3), np.diag(legs)]) @ rotation(a, b, c).T
+        facet = max(min_enclosing_ball_radius(np.delete(pts, i, axis=0))
+                    for i in range(4))
+        circum = 0.5 * float(np.linalg.norm(legs))
+        assert_cech_matches_brute_force(PointCloud(pts),
+                                        2.0 * (facet + u * (circum - facet)))
+
+    @degenerate
+    @given(st.floats(0.2, 5.0), st.sampled_from([-1e-3, -1e-13, 0.0, 1e-13]),
+           angle, angle, st.floats(0.1, np.pi / 2))
+    def test_circumcenter_on_a_face(self, radius, rel, t1, t2, polar):
+        # three points on the equator, the second a diameter away from the
+        # first, so the face has a right angle at the third, and an apex on
+        # the sphere: the circumcenter is the midpoint of the hypotenuse,
+        # on two faces of the tetrahedron
+        equator = [t1, t1 + np.pi, t2]
+        pts = radius * np.array(
+            [[np.cos(t), np.sin(t), 0.0] for t in equator]
+            + [[np.sin(polar), 0.0, np.cos(polar)]])
+        assert_cech_matches_brute_force(PointCloud(pts), 2.0 * radius * (1.0 + rel))
+
+    @degenerate
+    @given(st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+                    min_size=4, max_size=6),
+           st.floats(0.5, 3.0), st.booleans(), angle, angle, angle)
+    def test_coplanar_points_in_space(self, xy, r, rotate, a, b, c):
+        pts = np.array([[x, y, 0.0] for x, y in xy])
+        if rotate:
+            pts = pts @ rotation(a, b, c).T
+        assert_cech_matches_brute_force(PointCloud(pts), r)
+
+    @degenerate
+    @given(st.lists(angle, min_size=4, max_size=6), st.integers(2, 3),
+           st.floats(0.2, 3.0), st.sampled_from([-1e-3, -1e-13, 0.0, 1e-13, 1e-3]),
+           st.floats(0.0, 1.5), st.floats(-3.0, 3.0))
+    def test_cocircular_and_cospherical(self, thetas, d, radius, rel, tilt, shift):
+        # d=2: points on one circle. d=3: on one sphere, at latitudes
+        # -tilt, 0 and tilt; tilt 0 puts them on one circle in space
+        if d == 2:
+            rows = [[np.cos(t), np.sin(t)] for t in thetas]
+        else:
+            lats = [tilt * (i % 3 - 1) for i in range(len(thetas))]
+            rows = [[np.cos(t) * np.cos(lat), np.sin(t) * np.cos(lat), np.sin(lat)]
+                    for t, lat in zip(thetas, lats)]
+        pts = radius * np.array(rows) + shift
+        assert_cech_matches_brute_force(PointCloud(pts), 2.0 * radius * (1.0 + rel))
+
+    @degenerate
+    @given(st.lists(st.tuples(*[st.floats(0.0, 1.0)] * 3), min_size=3, max_size=5,
+                    unique=True),
+           st.lists(st.integers(0, 4), min_size=1, max_size=3),
+           st.booleans(), st.floats(0.3, 2.0))
+    def test_duplicates_after_superpose(self, base, copies, nudge, r):
+        # exact copies are dropped by PointCloud; one-ulp copies stay and
+        # give Gram matrices with a near-zero row
+        a = PointCloud(np.array(base))
+        extra = a.points[[i % len(base) for i in copies]]
+        if nudge:
+            extra = np.nextafter(extra, np.inf)
+        cloud = superpose(a, PointCloud(extra))
+        if not nudge:
+            assert len(cloud) == len(base)
+        assert_cech_matches_brute_force(cloud, r)
 
 
 class TestRips:

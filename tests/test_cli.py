@@ -162,6 +162,13 @@ class TestRateCommand:
         assert code == 1
         assert "radius" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_workers_below_one_rejected(self, tmp_path, capsys, workers):
+        code = main(["rate", "--workers", workers, "--out", str(tmp_path / "x")])
+        assert code == 1
+        assert f"workers must be at least 1, got {workers}" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     def test_worker_count_does_not_change_artifact(self, tmp_path):
         a, b = str(tmp_path / "w1"), str(tmp_path / "w2")
         args = ["rate", "--lambda", "0.5", "--r", "1", "--L", "25",

@@ -13,6 +13,7 @@ import math
 import numpy as np
 import pytest
 
+from betti_thermo import limits
 from betti_thermo.limits import (
     CSV_HEADER,
     ConvergenceTable,
@@ -101,6 +102,16 @@ class TestRateEstimators:
     def test_reps_minimum(self):
         with pytest.raises(LimitsError):
             estimate_betti_rate(1.0, 1.0, 100.0, 1, 1, RngStream(59), dim=2)
+
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_workers_below_one_rejected_before_sampling(self, monkeypatch, workers):
+        def sample(*args, **kwargs):
+            raise AssertionError("sampled before the worker count was checked")
+
+        monkeypatch.setattr(limits, "sample_poisson_homogeneous", sample)
+        with pytest.raises(LimitsError, match=f"workers must be at least 1, got {workers}$"):
+            estimate_betti_rate(1.0, 1.0, 100.0, 1, 10, RngStream(59), dim=2,
+                                workers=workers)
 
     def test_reproducible_and_worker_independent(self):
         a = estimate_betti_rate(1.0, 1.0, 80.0, 1, 12, RngStream(60),
@@ -193,6 +204,17 @@ class TestCurveCache:
         path.write_text(json.dumps(corrupt(built.to_dict())))
         assert load_or_build_curve(tmp_path, **args) == built
         assert LimitCurve.from_dict(json.loads(path.read_text())) == built
+
+    def test_other_numpy_version_misses(self, tmp_path, monkeypatch):
+        args = dict(k=1, s_grid=[0.0, 0.6], L=50.0, reps=8, rng=RngStream(64),
+                    boundary_mode="torus", dim=2)
+        load_or_build_curve(tmp_path, **args)
+        ours = curve_cache_path(tmp_path, 2, 1, 50.0, 8, RngStream(64), "torus")
+        monkeypatch.setattr(np, "__version__", "0.0.0")
+        theirs = curve_cache_path(tmp_path, 2, 1, 50.0, 8, RngStream(64), "torus")
+        assert theirs != ours and not theirs.exists()
+        load_or_build_curve(tmp_path, **args)
+        assert sorted(tmp_path.iterdir()) == sorted([ours, theirs])
 
     def test_distinct_stream_paths_get_distinct_files(self, tmp_path):
         a = curve_cache_path(tmp_path, 2, 1, 50.0, 8, RngStream(66, (0,)), "torus")
