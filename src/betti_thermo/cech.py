@@ -2,11 +2,14 @@
 
 A k-simplex enters the Cech complex C(X, r) exactly when the smallest
 enclosing ball of its k+1 vertices has radius at most r/2; the Rips
-complex keeps every clique of the r-neighbor graph. Construction is
+complex keeps every clique of the r-neighbor graph. A complex stores
+each dimension as one sorted int array of vertex rows. Construction is
 neighbor-grid edge enumeration followed by level-wise clique expansion
-by highest vertex index; the miniball filter runs once per level on all
-its candidates, in closed form (triangles by edge lengths, higher
-simplices by circumcenter and facet lookup). An optional period turns
+over CSR upper-neighbour lists: each accepted simplex is extended by the
+neighbours above its last vertex, and edge membership is checked by
+np.searchsorted on integer edge keys. The miniball filter runs once per
+level on all its candidates, in closed form (triangles by edge lengths,
+higher simplices by circumcenter and facet lookup). An optional period turns
 the metric into the flat torus R^d / period*Z^d; candidate simplices are
 then unwrapped to the nearest image around their first vertex, which
 reproduces torus balls exactly as long as period > 3r.
@@ -32,25 +35,26 @@ class CechError(ValueError):
     """Invalid complex-construction arguments."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimplicialComplex:
     """Finite abstract simplicial complex on integer vertex labels.
 
-    simplices[j] holds the j-simplices as strictly increasing vertex
-    tuples in lexicographic order. max_dim is the enumeration cutoff
-    requested at build time; it may exceed the highest nonempty
-    dimension. Builders guarantee downward closure.
+    simplices[j] is an int64 (S_j, j+1) array: one j-simplex per row,
+    strictly increasing vertex indices, rows in lexicographic order.
+    max_dim is the enumeration cutoff requested at build time; it may
+    exceed the highest nonempty dimension. Builders guarantee downward
+    closure. Two complexes are equal when their fields and arrays are.
     """
 
     dim_ambient: int
     max_dim: int
-    simplices: tuple[tuple[tuple[int, ...], ...], ...]
+    simplices: tuple[np.ndarray, ...]
     vertex_count: int
 
-    def simplices_of(self, j: int) -> tuple[tuple[int, ...], ...]:
+    def simplices_of(self, j: int) -> np.ndarray:
         if 0 <= j < len(self.simplices):
             return self.simplices[j]
-        return ()
+        return np.empty((0, max(j + 1, 0)), dtype=np.int64)
 
     def simplex_counts(self) -> list[int]:
         return [len(level) for level in self.simplices]
@@ -58,7 +62,7 @@ class SimplicialComplex:
     def top_dim(self) -> int:
         """Highest dimension with at least one simplex (-1 if empty)."""
         for j in range(len(self.simplices) - 1, -1, -1):
-            if self.simplices[j]:
+            if len(self.simplices[j]):
                 return j
         return -1
 
@@ -67,12 +71,22 @@ class SimplicialComplex:
             (-1) ** j * len(level) for j, level in enumerate(self.simplices)
         )
 
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SimplicialComplex):
+            return NotImplemented
+        return (
+            (self.dim_ambient, self.max_dim, self.vertex_count)
+            == (other.dim_ambient, other.max_dim, other.vertex_count)
+            and len(self.simplices) == len(other.simplices)
+            and all(np.array_equal(a, b)
+                    for a, b in zip(self.simplices, other.simplices))
+        )
+
     def dumps(self) -> str:
         """One simplex per line, space-separated indices, dimension-sorted."""
         lines = []
         for level in self.simplices:
-            for simplex in level:
-                lines.append(" ".join(map(str, simplex)))
+            lines.extend(" ".join(map(str, row)) for row in level.tolist())
         return "\n".join(lines) + ("\n" if lines else "")
 
     def dump(self, path) -> None:
@@ -174,14 +188,18 @@ class NeighborGrid:
             iu, jv = np.triu_indices(n, k=1)
         else:
             iu, jv = self._candidate_pairs()
-        delta = self.points[iu] - self.points[jv]
-        if self._wrap:
-            delta = _min_image(delta, self.period)
-        keep = (delta * delta).sum(axis=1) <= (r + 2 * MINIBALL_TOL) ** 2
-        lo = np.minimum(iu[keep], jv[keep])
-        hi = np.maximum(iu[keep], jv[keep])
-        order = np.lexsort((hi, lo))
-        return lo[order], hi[order]
+        # coordinate by coordinate, as in _batch_triangle_r2: same floats
+        # as a row sum, without numpy's slow reduction over a short axis
+        dist2 = 0.0
+        for col in self.points.T:
+            delta = col[iu] - col[jv]
+            if self._wrap:
+                delta = _min_image(delta, self.period)
+            dist2 = dist2 + delta * delta
+        keep = dist2 <= (r + 2 * MINIBALL_TOL) ** 2
+        iu, jv = iu[keep], jv[keep]
+        keys = np.sort(np.minimum(iu, jv) * n + np.maximum(iu, jv))
+        return keys // n, keys % n
 
     def _candidate_pairs(self) -> tuple[np.ndarray, np.ndarray]:
         n = len(self.points)
@@ -283,20 +301,36 @@ def _circumball(support: list, d: int) -> tuple[np.ndarray, float]:
 def _batch_triangle_r2(pa: np.ndarray, pb: np.ndarray, pc: np.ndarray) -> np.ndarray:
     """Squared miniball radii of point triples (vectorized).
 
-    If the angle opposite the longest edge is >= 90 deg the miniball is
-    that edge's half ball, else the circumball; Heron-style formula on
-    squared edge lengths.
+    If some angle is >= 90 deg the miniball is the half ball of the
+    longest edge, else the circumball (Heron-style formula on squared
+    edge lengths). An angle counts as >= 90 deg when the squared lengths
+    say so (2 lmax >= their sum) or the dot product of the two edges at
+    some vertex is <= 0. Near a right angle with one very short edge the
+    first test can miss it, and the second can call a flat triangle
+    acute, whose Heron denominator cancels; in both cases the triangle is
+    right to rounding and the half ball is its miniball.
     """
-    lab = ((pb - pa) ** 2).sum(axis=1)
-    lac = ((pc - pa) ** 2).sum(axis=1)
-    lbc = ((pc - pb) ** 2).sum(axis=1)
+    # coordinate by coordinate: row sums over a short axis are slow in
+    # numpy, and adding the d terms in order gives the same floats
+    lab = lac = lbc = dot_a = dot_b = dot_c = 0.0
+    for c in range(pa.shape[1]):
+        ab = pb[:, c] - pa[:, c]
+        ac = pc[:, c] - pa[:, c]
+        bc = pc[:, c] - pb[:, c]
+        lab = lab + ab * ab
+        lac = lac + ac * ac
+        lbc = lbc + bc * bc
+        dot_a = dot_a + ab * ac
+        dot_b = dot_b - ab * bc
+        dot_c = dot_c + ac * bc
     lmax = np.maximum(np.maximum(lab, lac), lbc)
-    lsum = lab + lac + lbc
+    not_acute = (2.0 * lmax >= lab + lac + lbc) | (
+        np.minimum(np.minimum(dot_a, dot_b), dot_c) <= 0.0)
     denom = 2.0 * (lab * lac + lab * lbc + lac * lbc) - (
         lab * lab + lac * lac + lbc * lbc
     )
     circ = (lab * lac * lbc) / np.maximum(denom, 1e-300)
-    return np.where(2.0 * lmax >= lsum, 0.25 * lmax, circ)
+    return np.where(not_acute, 0.25 * lmax, circ)
 
 
 def build_cech(cloud: PointCloud, r: float, max_dim: int,
@@ -332,66 +366,72 @@ def _build(cloud: PointCloud, r: float, max_dim: int, period: float | None,
     pts = cloud.points
     n = len(pts)
     r2_cut = (0.5 * r + MINIBALL_TOL) ** 2
-    levels: list[list] = [[(i,) for i in range(n)]]
+    levels = [np.arange(n, dtype=np.int64)[:, None]]
     top = min(max_dim, n - 1) if n else 0
 
     if top >= 1 and n >= 2:
         grid = NeighborGrid(pts, cell_size=r, period=period)
         eu, ev = grid.pairs_within(r)
-        levels.append(list(zip(eu.tolist(), ev.tolist())))
-    if len(levels) > 1 and levels[1] and top >= 2:
-        adj = [0] * n
-        for a, b in levels[1]:
-            adj[a] |= 1 << b
-            adj[b] |= 1 << a
-        # level j extends each accepted (j-1)-simplex by every common
-        # neighbour above its last vertex, so each level comes out in
-        # lexicographic order; cands gives that set, as a bitmask, for
-        # each row of prev
         prev = np.column_stack((eu, ev))
-        cands = (adj[a] & adj[b] & ~((1 << (b + 1)) - 1) for a, b in levels[1])
+        levels.append(prev)
+        # CSR upper-neighbour lists: the edges are sorted by (u, v), so
+        # vertex a's neighbours above it are ev[starts[a]:starts[a + 1]]
+        starts = np.searchsorted(eu, np.arange(n + 1))
+        edge_keys = eu * n + ev
         for j in range(2, top + 1):
-            parent, ext, deeper = _expand(cands, adj, carry=j < top)
-            if not parent:
+            if not len(prev):
                 break
-            rows = np.column_stack((prev[parent], ext))
-            if filtered:
-                keep = _cech_keep(rows, prev, pts, period, r2_cut)
-                rows = rows[keep]
-                deeper = [c for c, k in zip(deeper, keep.tolist()) if k]
+            # level j extends each accepted (j-1)-simplex by every upper
+            # neighbour of its last vertex that is adjacent to all of it,
+            # so each level comes out in lexicographic order
+            last = prev[:, -1]
+            parent, pos = _ragged_pairs(np.arange(len(prev)), starts[last],
+                                        starts[last + 1] - starts[last])
+            new = ev[pos]
+            clique = np.ones(len(new), dtype=bool)
+            for i in range(j - 1):
+                clique &= sorted_lookup(edge_keys, prev[parent, i] * n + new)[1]
+            rows = np.column_stack((prev[parent[clique]], new[clique]))
+            if filtered and len(rows):
+                rows = rows[_cech_keep(rows, prev, pts, period, r2_cut)]
             if not len(rows):
                 break
-            levels.append(list(zip(*rows.T.tolist())))
-            prev, cands = rows, deeper
-    while len(levels) > 1 and not levels[-1]:
+            levels.append(rows)
+            prev = rows
+    while len(levels) > 1 and not len(levels[-1]):
         levels.pop()
 
     return SimplicialComplex(
         dim_ambient=int(pts.shape[1]) if pts.ndim == 2 else 0,
         max_dim=max_dim,
-        simplices=tuple(tuple(level) for level in levels),
+        simplices=tuple(levels),
         vertex_count=n,
     )
 
 
-def _expand(cands, adj: list, carry: bool):
-    """Candidates one level up, as (parent index, new vertex) lists.
+def sorted_lookup(sorted_keys: np.ndarray, keys: np.ndarray):
+    """Position of each key in a sorted key array, and whether it is there
+    (positions of absent keys are meaningless)."""
+    if not len(sorted_keys):
+        return np.zeros(len(keys), dtype=np.int64), np.zeros(len(keys), dtype=bool)
+    pos = np.minimum(np.searchsorted(sorted_keys, keys), len(sorted_keys) - 1)
+    return pos, sorted_keys[pos] == keys
 
-    cands[i] is the bitmask of vertices above the last vertex of simplex
-    i adjacent to all of it. With carry, also returns each candidate's
-    own mask: the parent's vertices above the new one, adjacent to it.
+
+def lex_keys(rows: np.ndarray, base: int) -> np.ndarray:
+    """One key per row of a non-negative int array with entries below base;
+    keys compare like the rows in lexicographic order.
+
+    The keys are the rows read as base-`base` int64 numbers, or, when
+    base**width does not fit in an int64, opaque byte keys (_row_keys).
     """
-    parent, ext, deeper = [], [], []
-    for i, cand in enumerate(cands):
-        while cand:
-            low = cand & -cand
-            cand ^= low
-            x = low.bit_length() - 1
-            parent.append(i)
-            ext.append(x)
-            if carry:
-                deeper.append(cand & adj[x])
-    return parent, ext, deeper
+    width = rows.shape[1]
+    if base ** width >= 2 ** 63:
+        return _row_keys(rows)
+    keys = np.zeros(len(rows), dtype=np.int64)
+    for c in range(width):
+        keys = keys * base + rows[:, c]
+    return keys
 
 
 def _cech_keep(rows: np.ndarray, prev: np.ndarray, pts: np.ndarray,
@@ -474,14 +514,14 @@ def vertex_simplex_count(complex: SimplicialComplex, v: int, j: int) -> int:
     """
     if not 0 <= v < complex.vertex_count:
         raise CechError(f"vertex index {v} out of range")
-    return sum(1 for s in complex.simplices_of(j) if v in s)
+    return int(np.count_nonzero(complex.simplices_of(j) == v))
 
 
 def simplices_touching(complex: SimplicialComplex, cloud: PointCloud,
                        regions, j: int) -> int:
     """Number of j-simplices with at least one vertex in the region union."""
     level = complex.simplices_of(j)
-    if not level:
+    if not len(level):
         return 0
     mask = np.zeros(len(cloud), dtype=bool)
     for region in regions:
@@ -490,5 +530,4 @@ def simplices_touching(complex: SimplicialComplex, cloud: PointCloud,
         mask |= region.contains(cloud.points)
     if not mask.any():
         return 0
-    arr = np.asarray(level, dtype=np.int64)
-    return int(mask[arr].any(axis=1).sum())
+    return int(mask[level].any(axis=1).sum())

@@ -1,18 +1,31 @@
 """Betti numbers of finite simplicial complexes over the two-element field.
 
-beta_k = S_k - rank(d_k) - rank(d_{k+1}), with ranks computed by sparse
-column elimination on bit-packed boundary matrices. Also: a union-find
-component counter used as an independent beta_0 oracle, the exact
-Euler-Poincare cross-check, and the Betti-difference bound for nested
-complexes (the inequality |beta_k(K1) - beta_k(K2)| bounded by the
-simplices of K2 \\ K1 in dimensions k and k+1).
+beta_k = S_k - rank(d_k) - rank(d_{k+1}). Boundary matrices are int
+arrays of facet indices, found by np.searchsorted on lexicographic
+simplex keys. Ranks: a matrix whose columns all hold two rows (d_1) is a
+graph's incidence matrix, of rank the size of a spanning forest
+(union-find). Otherwise each row or column with a single entry is peeled
+off as one pivot (rank = 1 + rank of the minor without that row and
+column), and the core that is left is eliminated with bit-packed
+columns. d_2 skips the rows of a spanning forest of the 1-skeleton
+(clearing, after Chen & Kerber, "Persistent homology computation with a
+twist", EuroCG 2011): since d_1 d_2 = 0, peeling the forest's leaves
+writes each forest row as a sum of non-forest rows. Also: a union-find
+component counter used as a beta_0 oracle, the exact Euler-Poincare
+cross-check, and the Betti-difference bound for nested complexes (the
+inequality |beta_k(K1) - beta_k(K2)| bounded by the simplices of
+K2 \\ K1 in dimensions k and k+1).
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import chain
 
-from betti_thermo.cech import NeighborGrid, SimplicialComplex
+import numpy as np
+
+from betti_thermo.cech import NeighborGrid, SimplicialComplex, lex_keys, sorted_lookup
 from betti_thermo.pointproc import PointCloud
 
 
@@ -20,13 +33,20 @@ class HomologyError(ValueError):
     """Invalid homology computation request."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoundaryMatrix:
-    """Sparse GF(2) boundary matrix: one sorted row-index tuple per column."""
+    """Sparse GF(2) boundary matrix.
+
+    columns holds the distinct row indices of each column: an int
+    (cols, j+1) array from boundary_matrix (rows sorted within a column),
+    or any sequence of sized row-index sequences. rank_gf2 skips the rows
+    listed in cleared, which must lie in the span of the other rows.
+    """
 
     rows: int
     cols: int
-    columns: tuple[tuple[int, ...], ...]
+    columns: Sequence
+    cleared: Sequence[int] = ()
 
 
 @dataclass(frozen=True)
@@ -50,17 +70,45 @@ def boundary_matrix(complex: SimplicialComplex, j: int) -> BoundaryMatrix:
     """Boundary map from j-chains to (j-1)-chains.
 
     Column c lists the indices of the j+1 facets of the c-th j-simplex,
-    referring to the complex's own (j-1)-simplex ordering.
+    referring to the complex's own (j-1)-simplex ordering. For j = 2 the
+    rows of a spanning forest of the 1-skeleton are marked cleared.
     """
     if not 1 <= j <= complex.max_dim:
         raise HomologyError(f"boundary dimension {j} outside 1..{complex.max_dim}")
     faces = complex.simplices_of(j - 1)
-    index = {s: i for i, s in enumerate(faces)}
-    columns = []
-    for s in complex.simplices_of(j):
-        facets = sorted(index[s[:i] + s[i + 1:]] for i in range(len(s)))
-        columns.append(tuple(facets))
-    return BoundaryMatrix(rows=len(faces), cols=len(columns), columns=tuple(columns))
+    simplices = complex.simplices_of(j)
+    base = complex.vertex_count
+    face_keys = lex_keys(faces, base)
+    columns = np.empty((len(simplices), j + 1), dtype=np.int64)
+    # dropping a later vertex gives a lexicographically smaller facet, so
+    # dropping the last vertex first lists each column's rows in order
+    for c in range(j + 1):
+        facet = lex_keys(np.delete(simplices, j - c, axis=1), base)
+        pos, found = sorted_lookup(face_keys, facet)
+        if not found.all():
+            raise HomologyError(f"a {j}-simplex has a facet missing from the complex")
+        columns[:, c] = pos
+    cleared = ()
+    if j == 2:
+        cleared = _spanning_forest(base, faces[:, 0], faces[:, 1])
+    return BoundaryMatrix(rows=len(faces), cols=len(simplices), columns=columns,
+                          cleared=cleared)
+
+
+def _spanning_forest(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Indices of the edges (u[e], v[e]) that union-find, taking the edges
+    in order, adds to a spanning forest of the graph on n vertices."""
+    parent = list(range(n))
+    forest = []
+    for e, a, b in zip(range(len(u)), u.tolist(), v.tolist()):
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        if a != b:
+            parent[max(a, b)] = min(a, b)
+            forest.append(e)
+    return np.array(forest, dtype=np.int64)
 
 
 def _rank_bit_columns(columns) -> int:
@@ -79,15 +127,69 @@ def _rank_bit_columns(columns) -> int:
     return rank
 
 
+def _entries(matrix: BoundaryMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """Column and row index of every nonzero entry, ordered by column."""
+    columns = matrix.columns
+    if isinstance(columns, np.ndarray):
+        lengths = np.full(len(columns), columns.shape[1])
+        rows = columns.ravel()
+    else:
+        lengths = [len(col) for col in columns]
+        rows = np.fromiter(chain.from_iterable(columns), dtype=np.int64,
+                           count=sum(lengths))
+    return np.repeat(np.arange(len(columns)), lengths), np.asarray(rows, dtype=np.int64)
+
+
+def _peel(col_of: np.ndarray, row_of: np.ndarray, rows: int, cols: int):
+    """Pivot on singleton rows and columns until none is left.
+
+    A row (or column) with a single entry makes that entry a pivot, and
+    rank = 1 + rank of the minor without its row and column. Returns the
+    entries of the core that is left and the number of pivots taken.
+    """
+    rank = 0
+    taken = True
+    while taken:
+        taken = False
+        for by_row in (True, False):
+            major, minor = (row_of, col_of) if by_row else (col_of, row_of)
+            single = np.bincount(major)[major] == 1
+            pivot = np.zeros(cols if by_row else rows, dtype=bool)
+            pivot[minor[single]] = True
+            hits = int(np.count_nonzero(pivot))
+            if hits:
+                keep = ~pivot[minor]
+                col_of, row_of = col_of[keep], row_of[keep]
+                rank += hits
+                taken = True
+    return col_of, row_of, rank
+
+
 def rank_gf2(matrix: BoundaryMatrix) -> int:
-    """Rank over GF(2) by column elimination with bit-packed columns."""
-    cols = []
-    for rows in matrix.columns:
-        bits = 0
-        for i in rows:
-            bits |= 1 << i
-        cols.append(bits)
-    return _rank_bit_columns(cols)
+    """Rank over GF(2), skipping the matrix's cleared rows.
+
+    Columns that all hold two rows form a graph's incidence matrix, whose
+    rank is the size of a spanning forest. Otherwise singleton rows and
+    columns are peeled off and the core that is left is eliminated with
+    bit-packed columns.
+    """
+    col_of, row_of = _entries(matrix)
+    if len(matrix.cleared):
+        dropped = np.zeros(matrix.rows, dtype=bool)
+        dropped[np.asarray(matrix.cleared, dtype=np.int64)] = True
+        keep = ~dropped[row_of]
+        col_of, row_of = col_of[keep], row_of[keep]
+    if len(col_of) and np.all(np.bincount(col_of, minlength=matrix.cols) == 2):
+        return len(_spanning_forest(matrix.rows, row_of[0::2], row_of[1::2]))
+    col_of, row_of, rank = _peel(col_of, row_of, matrix.rows, matrix.cols)
+    if not len(col_of):
+        return rank
+    # renumber the core's rows densely, keeping their order
+    _, row_of = np.unique(row_of, return_inverse=True)
+    bits = [0] * matrix.cols
+    for c, r in zip(col_of.tolist(), row_of.tolist()):
+        bits[c] |= 1 << r
+    return rank + _rank_bit_columns(bits)
 
 
 def betti_numbers(complex: SimplicialComplex, max_k: int) -> BettiVector:
@@ -106,7 +208,7 @@ def betti_numbers(complex: SimplicialComplex, max_k: int) -> BettiVector:
         )
     ranks = [0] * (max_k + 2)
     for j in range(1, max_k + 2):
-        if complex.simplices_of(j):
+        if len(complex.simplices_of(j)):
             ranks[j] = rank_gf2(boundary_matrix(complex, j))
     values = []
     for k in range(max_k + 1):
@@ -127,23 +229,9 @@ def connected_components(cloud: PointCloud, r: float,
     n = len(cloud)
     if n == 0:
         return 0
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     grid = NeighborGrid(cloud.points, cell_size=r, period=period)
     u, v = grid.pairs_within(r)
-    count = n
-    for a, b in zip(u.tolist(), v.tolist()):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-            count -= 1
-    return count
+    return n - len(_spanning_forest(n, u, v))
 
 
 def euler_check(complex: SimplicialComplex, betti: BettiVector) -> bool:
@@ -157,10 +245,6 @@ def euler_check(complex: SimplicialComplex, betti: BettiVector) -> bool:
     return chi_simplices == chi_betti
 
 
-def _level_sets(complex: SimplicialComplex) -> list[set]:
-    return [set(level) for level in complex.simplices]
-
-
 def betti_diff_bound_check(k1: SimplicialComplex, k2: SimplicialComplex,
                            k: int) -> bool:
     """Betti-difference bound for nested complexes.
@@ -172,11 +256,13 @@ def betti_diff_bound_check(k1: SimplicialComplex, k2: SimplicialComplex,
     """
     if k < 1:
         raise HomologyError("the difference bound is stated for k >= 1")
-    sets2 = _level_sets(k2)
+    base = max(k1.vertex_count, k2.vertex_count)
     for j, level in enumerate(k1.simplices):
-        if not level:
+        if not len(level):
             continue
-        if j >= len(sets2) or not set(level) <= sets2[j]:
+        _, found = sorted_lookup(lex_keys(k2.simplices_of(j), base),
+                                 lex_keys(level, base))
+        if not found.all():
             raise HomologyError("first complex is not contained in the second")
     b1 = betti_numbers(k1, k)[k]
     b2 = betti_numbers(k2, k)[k]

@@ -282,11 +282,15 @@ def _replicate(packed):
     return _REPLICATE_KINDS[kind](task, i)
 
 
+def _check_workers(workers: int) -> None:
+    if workers < 1:
+        raise LimitsError(f"workers must be at least 1, got {workers}")
+
+
 def _map_replicates(kind: str, task, reps: int, workers: int) -> list:
     # every estimator runs its replicates here, so this one check rejects
     # a bad worker count before any cloud is sampled
-    if workers < 1:
-        raise LimitsError(f"workers must be at least 1, got {workers}")
+    _check_workers(workers)
     packed = [(kind, task, i) for i in range(reps)]
     if workers == 1:
         return [_replicate(p) for p in packed]
@@ -475,6 +479,8 @@ def load_or_build_curve(cache_dir, k: int, s_grid, L: float, reps: int,
     curve document, is rebuilt and overwritten (the key identifies seed and
     estimator settings, not the grid).
     """
+    # checked before the cache lookup, so a hit cannot mask a bad count
+    _check_workers(workers)
     path = curve_cache_path(cache_dir, dim, k, L, reps, rng, boundary_mode)
     grid = tuple(float(s) for s in s_grid)
     if path.exists():

@@ -19,12 +19,23 @@ from betti_thermo.cech import (
     NeighborGrid,
     build_cech,
     build_rips,
+    lex_keys,
     min_enclosing_ball_radius,
     simplex_count,
     simplices_touching,
     vertex_simplex_count,
 )
 from betti_thermo.pointproc import PointCloud, RngStream, Window, superpose
+
+
+def simplex_set(cx, j: int) -> set:
+    """The j-simplices of the complex as a set of vertex tuples."""
+    return set(map(tuple, cx.simplices_of(j).tolist()))
+
+
+def as_rows(simplices, j: int) -> np.ndarray:
+    """Vertex tuples as the complex's lexicographically sorted array."""
+    return np.array(sorted(simplices), dtype=np.int64).reshape(-1, j + 1)
 
 
 def miniball_radius_oracle(pts: np.ndarray) -> float:
@@ -187,7 +198,7 @@ class TestBuildCech:
             for j in range(i + 1, 40)
             if np.linalg.norm(pts[i] - pts[j]) <= r + 2 * MINIBALL_TOL
         }
-        assert set(cx.simplices_of(1)) == want
+        assert np.array_equal(cx.simplices_of(1), as_rows(want, 1))
 
     def test_every_simplex_fits_in_ball(self):
         gen = np.random.default_rng(13)
@@ -222,15 +233,15 @@ class TestBuildCech:
                 sub = sub[0] + delta - period * np.round(delta / period)
             if min_enclosing_ball_radius(sub) <= r / 2 + MINIBALL_TOL:
                 want.add(t)
-        rips = set(build_rips(PointCloud(pts), r, j, period=period).simplices_of(j))
+        rips = simplex_set(build_rips(PointCloud(pts), r, j, period=period), j)
         assert want and want != rips
-        assert set(cx.simplices_of(j)) == want
+        assert np.array_equal(cx.simplices_of(j), as_rows(want, j))
 
     def test_downward_closure(self):
         gen = np.random.default_rng(15)
         pts = gen.random((20, 3))
         cx = build_cech(PointCloud(pts), 0.6, 4)
-        levels = [set(cx.simplices_of(j)) for j in range(len(cx.simplices))]
+        levels = [simplex_set(cx, j) for j in range(len(cx.simplices))]
         for j in range(1, len(levels)):
             for s in levels[j]:
                 for facet in itertools.combinations(s, j):
@@ -242,14 +253,14 @@ class TestBuildCech:
         small = build_cech(PointCloud(pts), 0.3, 3)
         big = build_cech(PointCloud(pts), 0.45, 3)
         for j in range(len(small.simplices)):
-            assert set(small.simplices_of(j)) <= set(big.simplices_of(j))
+            assert simplex_set(small, j) <= simplex_set(big, j)
 
     def test_one_dimensional_cech_equals_rips(self):
         gen = np.random.default_rng(17)
         pts = gen.random((30, 1)) * 4.0
         cech = build_cech(PointCloud(pts), 0.5, 3)
         rips = build_rips(PointCloud(pts), 0.5, 3)
-        assert cech.simplices == rips.simplices
+        assert cech == rips
 
     def test_invalid_arguments(self):
         cloud = equilateral()
@@ -286,7 +297,7 @@ def assert_cech_matches_brute_force(cloud: PointCloud, r: float):
             t for t in itertools.combinations(range(n), j + 1)
             if min_enclosing_ball_radius(pts[list(t)]) <= r / 2 + MINIBALL_TOL
         }
-        assert set(cx.simplices_of(j)) == want, f"dimension {j}"
+        assert np.array_equal(cx.simplices_of(j), as_rows(want, j)), f"dimension {j}"
 
 
 angle = st.floats(0.0, 2.0 * np.pi)
@@ -379,6 +390,31 @@ class TestDegenerateGeometry:
         assert_cech_matches_brute_force(cloud, r)
 
 
+    def test_near_right_triangle_with_a_tiny_edge(self):
+        # a cospherical triple with one edge of 1e-7: the angle at the
+        # first point is 90 deg plus about 1e-10 rad, so the miniball is
+        # the half ball of the longest edge (1.74743), which fits r/2 =
+        # 1.74825; summed squared edge lengths once missed the right angle
+        # and the cancelling Heron formula gave 1.78121
+        R, t = 1.75, 5.96e-8
+        pts = R * np.array([[1.0, 0.0, 0.0],
+                            [np.cos(t), 0.0, np.sin(t)],
+                            [np.cos(3.25) * np.cos(t), np.sin(3.25) * np.cos(t),
+                             -np.sin(t)]])
+        half_r = 1.74825
+        assert min_enclosing_ball_radius(pts) == pytest.approx(1.74743, abs=1e-5)
+        assert build_cech(PointCloud(pts), 2 * half_r, 2).simplex_counts() == [3, 3, 1]
+        assert_cech_matches_brute_force(PointCloud(pts), 2 * half_r)
+
+    def test_flat_triangle_with_a_tiny_edge(self):
+        # triangle 1-2-3 is acute by dot products, but right to rounding:
+        # its Heron denominator cancels to 0, so it must take the half
+        # ball of its unit edge, radius 1/2 = r/2
+        pts = np.array([[0.0, 0.0], [0.0, 2.220446049250313e-16],
+                        [1.4280704898415768e-44, 0.0], [-1.0, 0.0]])
+        assert_cech_matches_brute_force(PointCloud(pts), 1.0)
+
+
 class TestRips:
     def test_triangle_present_at_clique_radius(self):
         # pairwise distances 1 <= 1.1, so Rips keeps the triangle that
@@ -399,7 +435,7 @@ class TestRips:
             cech = build_cech(PointCloud(pts), r, 3)
             rips = build_rips(PointCloud(pts), r, 3)
             for j in range(len(cech.simplices)):
-                assert set(cech.simplices_of(j)) <= set(rips.simplices_of(j))
+                assert simplex_set(cech, j) <= simplex_set(rips, j)
 
 
 class TestTorus:
@@ -412,20 +448,55 @@ class TestTorus:
         shift = gen.random(2) * period
         base = build_cech(PointCloud(pts), 1.0, 2, period=period)
         moved = build_cech(PointCloud(np.mod(pts + shift, period)), 1.0, 2, period=period)
-        assert base.simplices == moved.simplices
+        assert base == moved
 
     def test_interior_cloud_matches_plain_metric(self):
         gen = np.random.default_rng(20)
         pts = gen.random((30, 2)) + 2.0  # well inside [0, 5)^2
         torus = build_cech(PointCloud(pts), 0.8, 2, period=5.0)
         plain = build_cech(PointCloud(pts), 0.8, 2)
-        assert torus.simplices == plain.simplices
+        assert torus == plain
 
     def test_wraparound_edge(self):
         pts = np.array([[0.05, 1.0], [3.95, 1.0]])
         cx = build_cech(PointCloud(pts), 0.5, 1, period=4.0)
-        assert cx.simplices_of(1) == ((0, 1),)
-        assert build_cech(PointCloud(pts), 0.5, 1).simplices_of(1) == ()
+        assert cx.simplices_of(1).tolist() == [[0, 1]]
+        assert len(build_cech(PointCloud(pts), 0.5, 1).simplices_of(1)) == 0
+
+    @pytest.mark.parametrize("d, period, n, seed", [
+        (2, 3.0 + 1e-9, 22, 40),
+        (2, 3.05, 22, 41),
+        (2, 3.1, 22, 42),
+        (3, 3.02, 26, 43),
+        (3, 3.1, 26, 44),
+    ])
+    def test_period_just_above_three_r(self, d, period, n, seed):
+        # r = 1 and 3r < period <= 3.1r: the grid has 3 cells per axis, so
+        # most simplices wrap. Brute force: a simplex fits in a torus ball
+        # of radius r/2 iff some lift of its vertices has a miniball that
+        # small; every vertex of such a lift lies within r of the first,
+        # and, as period > 2r, only one of the 3^d images of a point can
+        gen = np.random.default_rng(seed)
+        pts = gen.random((n, d)) * period
+        cx = build_cech(PointCloud(pts), 1.0, d, period=period)
+        images = period * np.array(list(itertools.product((-1, 0, 1), repeat=d)))
+
+        def lift(first, other):
+            cand = pts[other] + images
+            near = ((cand - pts[first]) ** 2).sum(axis=1) <= (1.0 + 2 * MINIBALL_TOL) ** 2
+            return cand[near][0] if near.any() else None
+
+        for j in range(1, d + 1):
+            want = set()
+            for t in itertools.combinations(range(n), j + 1):
+                lifted = [lift(t[0], v) for v in t[1:]]
+                if any(q is None for q in lifted):
+                    continue
+                sub = np.vstack([pts[t[0]]] + lifted)
+                if min_enclosing_ball_radius(sub) <= 0.5 + MINIBALL_TOL:
+                    want.add(t)
+            assert want, f"dimension {j}"
+            assert np.array_equal(cx.simplices_of(j), as_rows(want, j)), f"dimension {j}"
 
     def test_wraparound_triangle(self):
         # equilateral-ish triangle straddling the seam
@@ -468,8 +539,20 @@ class TestCounts:
         strip = Window(np.array([0.4, -1.0]), np.array([0.6, 2.0]))
         inside = {i for i in range(len(cloud)) if strip.contains(pts[i:i + 1])[0]}
         for j in range(3):
-            want = sum(1 for s in cx.simplices_of(j) if inside & set(s))
+            want = sum(1 for s in cx.simplices_of(j).tolist() if inside & set(s))
             assert simplices_touching(cx, cloud, [strip], j) == want
+
+
+class TestKeys:
+    @pytest.mark.parametrize("base", [50, 2 ** 40], ids=["int", "bytes"])
+    def test_keys_order_rows_lexicographically(self, base):
+        # 2**40 cubed overflows an int64, so those keys are byte strings
+        gen = np.random.default_rng(25)
+        rows = gen.integers(0, 50, size=(300, 3)) * (base // 50)
+        keys = lex_keys(rows, base)
+        order = np.lexsort(rows.T[::-1])
+        assert np.array_equal(np.sort(keys), keys[order])
+        assert len(np.unique(keys)) == len(np.unique(rows, axis=0))
 
 
 class TestDump:

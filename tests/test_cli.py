@@ -195,6 +195,16 @@ class TestCurveCommand:
         assert ((tmp_path / "c.curve.json").read_bytes()
                 == (tmp_path / "c2.curve.json").read_bytes())
 
+    def test_workers_below_one_rejected_on_cache_hit(self, tmp_path, capsys):
+        args = ["curve", "--k", "1", "--L", "16", "--reps", "2", "--s-max", "0.2",
+                "--s-step", "0.2", "--seed", "4"]
+        assert main(args + ["--out", str(tmp_path / "first")]) == 0
+        capsys.readouterr()
+        code = main(args + ["--workers", "0", "--out", str(tmp_path / "second")])
+        assert code == 1
+        assert "workers must be at least 1, got 0" in capsys.readouterr().err
+        assert not list(tmp_path.glob("second*"))
+
     def test_ragged_endpoint_included(self, tmp_path):
         out = str(tmp_path / "r")
         assert main(["curve", "--L", "16", "--reps", "2", "--s-max", "0.25",
