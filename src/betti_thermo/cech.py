@@ -302,12 +302,11 @@ def _batch_triangle_r2(pa: np.ndarray, pb: np.ndarray, pc: np.ndarray) -> np.nda
     """Squared miniball radii of point triples (vectorized).
 
     If some angle is >= 90 deg the miniball is the half ball of the
-    longest edge, else the circumball (Heron-style formula on squared
-    edge lengths). An angle counts as >= 90 deg when the squared lengths
-    say so (2 lmax >= their sum) or the dot product of the two edges at
-    some vertex is <= 0. Near a right angle with one very short edge the
-    first test can miss it, and the second can call a flat triangle
-    acute, whose Heron denominator cancels; in both cases the triangle is
+    longest edge, else the circumball. An angle counts as >= 90 deg when
+    the squared lengths say so (2 lmax >= their sum) or the dot product of
+    the two edges at some vertex is <= 0. Near a right angle with one very
+    short edge the first test can miss it, and the second can call a flat
+    triangle acute whose area rounds to 0; in both cases the triangle is
     right to rounding and the half ball is its miniball.
     """
     # coordinate by coordinate: row sums over a short axis are slow in
@@ -324,12 +323,18 @@ def _batch_triangle_r2(pa: np.ndarray, pb: np.ndarray, pc: np.ndarray) -> np.nda
         dot_b = dot_b - ab * bc
         dot_c = dot_c + ac * bc
     lmax = np.maximum(np.maximum(lab, lac), lbc)
-    not_acute = (2.0 * lmax >= lab + lac + lbc) | (
-        np.minimum(np.minimum(dot_a, dot_b), dot_c) <= 0.0)
-    denom = 2.0 * (lab * lac + lab * lbc + lac * lbc) - (
-        lab * lab + lac * lac + lbc * lbc
-    )
-    circ = (lab * lac * lbc) / np.maximum(denom, 1e-300)
+    # the smallest dot product, (sum of squared lengths - 2 lmax) / 2, is
+    # the one at the vertex facing the longest edge
+    dot = np.minimum(np.minimum(dot_a, dot_b), dot_c)
+    not_acute = (2.0 * lmax >= lab + lac + lbc) | (dot <= 0.0)
+    # circumradius^2 = lab lac lbc / (4 |u x v|^2) with u, v the edges at
+    # that vertex: |u x v|^2 = |u|^2 |v|^2 - (u.v)^2 = lab lac lbc / lmax
+    # - dot^2, and its angle is 60-90 deg in an acute triangle, so nothing
+    # cancels. Heron's formula on the squared lengths cancels for a needle
+    # (one very short edge): it was 1% off on one at the r/2 threshold
+    prod = lab * lac * lbc
+    denom = 4.0 * (prod / np.maximum(lmax, 1e-300) - dot * dot)
+    circ = prod / np.maximum(denom, 1e-300)
     return np.where(not_acute, 0.25 * lmax, circ)
 
 
@@ -439,12 +444,13 @@ def _cech_keep(rows: np.ndarray, prev: np.ndarray, pts: np.ndarray,
     """Miniball filter over one level of candidate simplices (vectorized).
 
     rows are j-simplices whose facet rows[:, :-1] is in the accepted
-    level prev. Triangles use the Heron-style radius. Above that, by
-    Welzl's support-set argument, the miniball is the circumball when the
-    circumcenter lies in the simplex and the largest facet miniball
-    otherwise; affinely dependent vertices and j > d count as "outside".
-    So a candidate passes when its other facets are all in prev and, if
-    its circumcenter lies inside, its circumradius is within the cut.
+    level prev. Triangles use the radius from _batch_triangle_r2. Above
+    that, by Welzl's support-set argument, the miniball is the circumball
+    when the circumcenter lies in the simplex and the largest facet
+    miniball otherwise; affinely dependent vertices and j > d count as
+    "outside". So a candidate passes when its other facets are all in
+    prev and, if its circumcenter lies inside, its circumradius is within
+    the cut.
     """
     j = rows.shape[1] - 1
     keep = np.ones(len(rows), dtype=bool)

@@ -34,6 +34,7 @@ from betti_thermo.limits import (
     poissonization_gap,
     scaling_check,
     thermodynamic_integral,
+    worker_pool,
     write_records_csv,
     write_text_atomic,
 )
@@ -474,8 +475,13 @@ _COMMANDS = {
 
 
 def run(config: ExperimentConfig) -> int:
-    """Dispatch a resolved config; returns the process exit status."""
-    return _COMMANDS[config.command][0](config)
+    """Dispatch a resolved config; returns the process exit status.
+
+    Every estimator call of the command shares one worker pool, forked at
+    the first replicate map that asks for workers and shut down on return.
+    """
+    with worker_pool():
+        return _COMMANDS[config.command][0](config)
 
 
 def main(argv=None) -> int:

@@ -40,13 +40,16 @@ class BoundaryMatrix:
     columns holds the distinct row indices of each column: an int
     (cols, j+1) array from boundary_matrix (rows sorted within a column),
     or any sequence of sized row-index sequences. rank_gf2 skips the rows
-    listed in cleared, which must lie in the span of the other rows.
+    listed in cleared, which must lie in the span of the other rows. basis,
+    when not None, lists columns known to form a basis of the column
+    space, so the rank is its length.
     """
 
     rows: int
     cols: int
     columns: Sequence
     cleared: Sequence[int] = ()
+    basis: Sequence[int] | None = None
 
 
 @dataclass(frozen=True)
@@ -66,12 +69,17 @@ class BettiVector:
         return len(self.values)
 
 
-def boundary_matrix(complex: SimplicialComplex, j: int) -> BoundaryMatrix:
+def boundary_matrix(complex: SimplicialComplex, j: int,
+                    cleared: Sequence[int] | None = None) -> BoundaryMatrix:
     """Boundary map from j-chains to (j-1)-chains.
 
     Column c lists the indices of the j+1 facets of the c-th j-simplex,
-    referring to the complex's own (j-1)-simplex ordering. For j = 2 the
-    rows of a spanning forest of the 1-skeleton are marked cleared.
+    referring to the complex's own (j-1)-simplex ordering. For j = 1 the
+    edges of a spanning forest of the 1-skeleton are the column basis.
+    cleared names rows to skip in the rank; the basis of d_{j-1} qualifies,
+    since d_{j-1} d_j = 0 writes each of its rows as a sum of the others.
+    By default j = 2 clears a spanning forest (found again here) and no
+    other j clears anything.
     """
     if not 1 <= j <= complex.max_dim:
         raise HomologyError(f"boundary dimension {j} outside 1..{complex.max_dim}")
@@ -88,11 +96,13 @@ def boundary_matrix(complex: SimplicialComplex, j: int) -> BoundaryMatrix:
         if not found.all():
             raise HomologyError(f"a {j}-simplex has a facet missing from the complex")
         columns[:, c] = pos
-    cleared = ()
-    if j == 2:
-        cleared = _spanning_forest(base, faces[:, 0], faces[:, 1])
+    basis = None
+    if j == 1:
+        basis = _spanning_forest(len(faces), columns[:, 0], columns[:, 1])
+    if cleared is None:
+        cleared = _spanning_forest(base, faces[:, 0], faces[:, 1]) if j == 2 else ()
     return BoundaryMatrix(rows=len(faces), cols=len(simplices), columns=columns,
-                          cleared=cleared)
+                          cleared=cleared, basis=basis)
 
 
 def _spanning_forest(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -171,8 +181,10 @@ def rank_gf2(matrix: BoundaryMatrix) -> int:
     Columns that all hold two rows form a graph's incidence matrix, whose
     rank is the size of a spanning forest. Otherwise singleton rows and
     columns are peeled off and the core that is left is eliminated with
-    bit-packed columns.
+    bit-packed columns. A known column basis gives the rank directly.
     """
+    if matrix.basis is not None:
+        return len(matrix.basis)
     col_of, row_of = _entries(matrix)
     if len(matrix.cleared):
         dropped = np.zeros(matrix.rows, dtype=bool)
@@ -207,9 +219,14 @@ def betti_numbers(complex: SimplicialComplex, max_k: int) -> BettiVector:
             f"beta_{max_k} needs max_dim >= {max_k + 1}"
         )
     ranks = [0] * (max_k + 2)
+    basis = None
     for j in range(1, max_k + 2):
         if len(complex.simplices_of(j)):
-            ranks[j] = rank_gf2(boundary_matrix(complex, j))
+            # d_j's basis clears rows of d_{j+1}: the spanning forest of d_1
+            # is found once and serves both
+            matrix = boundary_matrix(complex, j, cleared=basis)
+            ranks[j] = rank_gf2(matrix)
+            basis = matrix.basis
     values = []
     for k in range(max_k + 1):
         s_k = len(complex.simplices_of(k))

@@ -9,7 +9,12 @@ convergence, Poissonization gap, boundary-strip inequality, and the
 intensity-perturbation coupling.
 
 Replicates draw from per-index RNG substreams, so every estimator is
-bit-for-bit reproducible for any worker count.
+bit-for-bit reproducible for any worker count. With workers > 1 they run on
+a process pool that lives for one worker_pool() scope: the experiments
+(limit curve, convergence table, Poissonization gap, scaling check) and
+the CLI open one around all their estimator calls, so the workers are
+forked once per experiment instead of once per call. A bare estimator call
+opens its own scope.
 """
 
 from __future__ import annotations
@@ -19,8 +24,10 @@ import json
 import math
 import os
 import tempfile
+import threading
 import typing
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
@@ -287,6 +294,56 @@ def _check_workers(workers: int) -> None:
         raise LimitsError(f"workers must be at least 1, got {workers}")
 
 
+class _PoolScope:
+    """The process pool of one worker_pool() scope, started on first use."""
+
+    def __init__(self):
+        self._executor = None
+        self._workers = 0
+
+    def executor(self, workers: int) -> ProcessPoolExecutor:
+        # a call asking for another worker count replaces the pool
+        if self._executor is not None and self._workers != workers:
+            self.close(cancel=False)
+        if self._executor is None:
+            self._executor = ProcessPoolExecutor(max_workers=workers)
+            self._workers = workers
+        return self._executor
+
+    def close(self, cancel: bool) -> None:
+        if self._executor is not None:
+            self._executor.shutdown(wait=True, cancel_futures=cancel)
+            self._executor = None
+
+
+# the scope open in each thread, if any
+_thread = threading.local()
+
+
+@contextmanager
+def worker_pool():
+    """Scope in which every replicate map shares one process pool.
+
+    The first map with workers > 1 forks the pool; later maps reuse it, and
+    leaving the outermost scope shuts it down (cancelling pending work when
+    the scope exits with an exception). Nested scopes join the open one. No
+    pool outlives its scope: forked workers keep the module state of the
+    moment they were forked, so a pool kept across scopes would run stale
+    code.
+    """
+    if getattr(_thread, "scope", None) is not None:
+        yield _thread.scope
+        return
+    _thread.scope = scope = _PoolScope()
+    failed = True
+    try:
+        yield scope
+        failed = False
+    finally:
+        _thread.scope = None
+        scope.close(cancel=failed)
+
+
 def _map_replicates(kind: str, task, reps: int, workers: int) -> list:
     # every estimator runs its replicates here, so this one check rejects
     # a bad worker count before any cloud is sampled
@@ -295,8 +352,8 @@ def _map_replicates(kind: str, task, reps: int, workers: int) -> list:
     if workers == 1:
         return [_replicate(p) for p in packed]
     chunk = max(1, math.ceil(reps / (4 * workers)))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_replicate, packed, chunksize=chunk))
+    with worker_pool() as scope:
+        return list(scope.executor(workers).map(_replicate, packed, chunksize=chunk))
 
 
 def _mean_stderr(values) -> tuple[float, float]:
@@ -441,17 +498,18 @@ def build_limit_curve(k: int, s_grid, L: float, reps: int, rng: RngStream,
     values = []
     stderrs = []
     provenance = []
-    for idx, s in enumerate(grid):
-        if s == 0.0:
-            rec = EstimateRecord("betti_rate", k, 1.0, 0.0, L, 0.0, 0.0, reps,
-                                 rng.master_seed, boundary_mode)
-        else:
-            rec = estimate_betti_rate(1.0, s, L, k, reps, rng.substream(idx),
-                                      boundary_mode=boundary_mode, dim=dim,
-                                      workers=workers)
-        values.append(rec.mean)
-        stderrs.append(rec.stderr)
-        provenance.append(rec)
+    with worker_pool():
+        for idx, s in enumerate(grid):
+            if s == 0.0:
+                rec = EstimateRecord("betti_rate", k, 1.0, 0.0, L, 0.0, 0.0, reps,
+                                     rng.master_seed, boundary_mode)
+            else:
+                rec = estimate_betti_rate(1.0, s, L, k, reps, rng.substream(idx),
+                                          boundary_mode=boundary_mode, dim=dim,
+                                          workers=workers)
+            values.append(rec.mean)
+            stderrs.append(rec.stderr)
+            provenance.append(rec)
     return LimitCurve(k=k, dim=dim, L=L, reps=reps, master_seed=rng.master_seed,
                       boundary_mode=boundary_mode, s_grid=tuple(grid),
                       values=tuple(values), stderrs=tuple(stderrs),
@@ -559,15 +617,16 @@ def scaling_check(lam: float, theta: float, r: float, L: float, k: int,
     """
     if theta <= 0:
         raise LimitsError("theta must be positive")
-    lhs = estimate_betti_rate(lam, r, L, k, reps, rng.substream(0),
-                              boundary_mode=boundary_mode, dim=dim, workers=workers)
-    if theta == 1.0:
-        rhs = lhs
-    else:
-        rhs = estimate_betti_rate(lam * theta, r / theta ** (1.0 / dim), L, k,
-                                  reps, rng.substream(1),
-                                  boundary_mode=boundary_mode, dim=dim,
-                                  workers=workers)
+    with worker_pool():
+        lhs = estimate_betti_rate(lam, r, L, k, reps, rng.substream(0),
+                                  boundary_mode=boundary_mode, dim=dim, workers=workers)
+        if theta == 1.0:
+            rhs = lhs
+        else:
+            rhs = estimate_betti_rate(lam * theta, r / theta ** (1.0 / dim), L, k,
+                                      reps, rng.substream(1),
+                                      boundary_mode=boundary_mode, dim=dim,
+                                      workers=workers)
     scaled_mean = rhs.mean / theta
     scaled_se = rhs.stderr / theta
     delta = abs(lhs.mean - scaled_mean)
@@ -636,11 +695,12 @@ def convergence_table(density: DensityGrid, n_schedule, r: float, k: int,
     """Runs the binomial expectation estimator over the n-schedule."""
     schedule = tuple(int(n) for n in n_schedule)
     _check_args(schedule=schedule, r=r, k=k, reps=reps, density=density)
-    records = tuple(
-        estimate_binomial_expectation(density, n, r, k, reps, rng.substream(idx),
-                                      workers=workers)
-        for idx, n in enumerate(schedule)
-    )
+    with worker_pool():
+        records = tuple(
+            estimate_binomial_expectation(density, n, r, k, reps, rng.substream(idx),
+                                          workers=workers)
+            for idx, n in enumerate(schedule)
+        )
     return ConvergenceTable(n_schedule=schedule, records=records,
                             target=target, target_stderr=target_stderr)
 
@@ -715,9 +775,11 @@ def poissonization_gap(density: DensityGrid, n_schedule, r: float, k: int,
     schedule = tuple(int(n) for n in n_schedule)
     _check_args(schedule=schedule, r=r, k=k, reps=reps, density=density)
     rows = []
-    for idx, n in enumerate(schedule):
-        pairs = _map_replicates("gap", (density, n, r, k, rng.substream(idx)),
-                                reps, workers)
+    with worker_pool():
+        results = [_map_replicates("gap", (density, n, r, k, rng.substream(idx)),
+                                   reps, workers)
+                   for idx, n in enumerate(schedule)]
+    for n, pairs in zip(schedule, results):
         b_vals = [b for b, _ in pairs]
         p_vals = [p for _, p in pairs]
         deltas = [b - p for b, p in pairs]

@@ -11,7 +11,7 @@ from math import sqrt
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from betti_thermo.cech import (
     CechError,
@@ -389,6 +389,29 @@ class TestDegenerateGeometry:
             assert len(cloud) == len(base)
         assert_cech_matches_brute_force(cloud, r)
 
+    @degenerate
+    @given(st.floats(0.2, 5.0), st.sampled_from([-1e-3, -1e-13, 0.0, 1e-13, 1e-3]),
+           st.floats(-0.2, 1.2), st.sampled_from([0.0, 1e-300, 1e-13, 1e-7, 1e-3]),
+           st.integers(2, 3), angle, angle, angle, st.floats(-3.0, 3.0))
+    # needles right to rounding at an end point, which Heron's formula on
+    # the squared lengths dropped (its denominator cancels); the second
+    # also fails |u x v| taken where the edges are almost parallel
+    @example(r=0.7578649179988983, rel=-1e-3, t=0.0, height=1e-7, d=3,
+             a=0.0, b=0.0, c=1.1875, shift=1.0)
+    @example(r=1.0, rel=1e-13, t=1.0, height=1e-7, d=2, a=3.0, b=0.0, c=0.0,
+             shift=0.0)
+    def test_near_collinear_triple_at_threshold(self, r, rel, t, height, d,
+                                                a, b, c, shift):
+        # two points r(1 + rel) apart and a third at fraction t along their
+        # segment, lifted height * r off it: an obtuse or flat triangle, or
+        # a needle with a right angle to rounding at t = 0 or 1; for t in
+        # [0, 1] the miniball is the half ball of the longest edge, r/2 at
+        # rel 0, while the circumradius blows up as height -> 0
+        span = r * (1.0 + rel)
+        pts = np.array([[0.0, 0.0, 0.0], [span, 0.0, 0.0],
+                        [t * span, height * r, 0.0]])
+        rot = rotation(a, b, c) if d == 3 else rotation(a, 0.0, 0.0)[:2, :2]
+        assert_cech_matches_brute_force(PointCloud(pts[:, :d] @ rot.T + shift), r)
 
     def test_near_right_triangle_with_a_tiny_edge(self):
         # a cospherical triple with one edge of 1e-7: the angle at the

@@ -6,11 +6,13 @@ same seed.
 """
 
 import json
+import multiprocessing
 import subprocess
 import sys
 
 import pytest
 
+from betti_thermo import limits
 from betti_thermo.cech import build_cech
 from betti_thermo.cli import (
     CliError,
@@ -282,6 +284,61 @@ class TestChecksCommand:
                      "--seed", "7", "--out", str(tmp_path / "s")])
         assert code == 0
         assert capsys.readouterr().out.startswith("scaling: pass")
+
+
+class TestWorkerPool:
+    """A command forks its workers once, when its first replicate map asks
+    for them, and none are left when main returns."""
+
+    CONVERGE = ["converge", "--n-schedule", "20,40", "--reps", "4", "--r", "0.6",
+                "--s-max", "0.8", "--curve-L", "16", "--curve-reps", "3",
+                "--seed", "3"]
+    GAP = ["gap", "--n-schedule", "20,40,60", "--reps", "4", "--r", "0.6",
+           "--seed", "5"]
+    CHECKS = ["checks", "--L", "64", "--reps", "3", "--seed", "4"]
+    CURVE = ["curve", "--k", "1", "--L", "16", "--reps", "3", "--s-max", "0.6",
+             "--s-step", "0.2", "--seed", "2"]
+
+    @pytest.mark.parametrize("argv", [CONVERGE, CHECKS], ids=["converge", "checks"])
+    def test_one_pool_per_command(self, tmp_path, pool_starts, argv):
+        main(argv + ["--workers", "2", "--out", str(tmp_path / "w2")])
+        assert pool_starts == [2]
+        assert not multiprocessing.active_children()
+
+    def test_serial_command_forks_nothing(self, tmp_path, pool_starts):
+        main(self.CHECKS + ["--out", str(tmp_path / "w1")])
+        assert pool_starts == []
+
+    def test_curve_cache_hit_forks_nothing(self, tmp_path, pool_starts):
+        assert main(self.CURVE + ["--out", str(tmp_path / "miss")]) == 0
+        assert main(self.CURVE + ["--workers", "2", "--out", str(tmp_path / "hit")]) == 0
+        assert pool_starts == []
+
+    def test_replicate_error_in_worker(self, tmp_path, capsys, monkeypatch):
+        def fail(task, i):
+            raise limits.LimitsError(f"replicate {i} failed")
+
+        monkeypatch.setitem(limits._REPLICATE_KINDS, "betti_rate", fail)
+        code = main(self.CURVE + ["--workers", "2", "--out", str(tmp_path / "x")])
+        assert code == 1
+        assert "replicate 0 failed" in capsys.readouterr().err
+        assert not multiprocessing.active_children()
+        assert not list(tmp_path.glob("x*"))
+
+    @pytest.mark.parametrize("argv", [CONVERGE, GAP, CHECKS],
+                             ids=["converge", "gap", "checks"])
+    def test_artifacts_match_across_worker_counts(self, tmp_path, capsys,
+                                                  monkeypatch, argv):
+        # each run builds its own curve, in its own cache
+        outputs = []
+        for workers in ("1", "2"):
+            run = tmp_path / f"w{workers}"
+            monkeypatch.setenv("BETTI_THERMO_CACHE", str(run / "cache"))
+            main(argv + ["--workers", workers, "--out", str(run / "out")])
+            files = {p.relative_to(run).as_posix(): p.read_bytes()
+                     for p in run.rglob("*") if p.is_file()}
+            outputs.append((files, capsys.readouterr().out))
+        assert outputs[0][0] and outputs[0] == outputs[1]
 
 
 class TestConfig:

@@ -9,6 +9,7 @@ propagation) is checked exactly on synthetic curves.
 
 import json
 import math
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -40,6 +41,7 @@ from betti_thermo.limits import (
     records_csv,
     scaling_check,
     thermodynamic_integral,
+    worker_pool,
 )
 from betti_thermo.pointproc import DensityGrid, IntensityGrid, RngStream, Window
 
@@ -435,6 +437,67 @@ class TestIntensityPerturbation:
         a = intensity_perturbation_check(f, g, 1.0, 1, 8, RngStream(90))
         b = intensity_perturbation_check(f, g, 1.0, 1, 8, RngStream(90), workers=2)
         assert a == b
+
+
+class TestWorkerPool:
+    """One process pool per experiment: forked at the first replicate map
+    with workers > 1, reused by the later ones, gone when the scope ends."""
+
+    def test_curve_forks_one_pool(self, pool_starts):
+        a = build_limit_curve(1, [0.0, 0.4, 0.8, 1.2], 16.0, 3, RngStream(64))
+        b = build_limit_curve(1, [0.0, 0.4, 0.8, 1.2], 16.0, 3, RngStream(64),
+                              workers=2)
+        assert pool_starts == [2]
+        assert a == b
+        assert not multiprocessing.active_children()
+
+    def test_experiments_fork_one_pool_each(self, pool_starts):
+        density = unit_uniform()
+        convergence_table(density, [20, 40, 60], 0.6, 1, 3, RngStream(65),
+                          0.0, 0.0, workers=2)
+        poissonization_gap(density, [20, 40], 0.6, 1, 3, RngStream(66), workers=2)
+        scaling_check(1.0, 2.0, 1.0, 64.0, 1, 3, RngStream(67), workers=2)
+        assert pool_starts == [2, 2, 2]
+        assert not multiprocessing.active_children()
+
+    def test_scope_shares_one_pool_across_calls(self, pool_starts):
+        with worker_pool() as outer:
+            with worker_pool() as inner:
+                assert inner is outer
+            estimate_simplex_rate(1.0, 0.5, 16.0, 1, 4, RngStream(68), workers=2)
+            estimate_betti_rate(1.0, 1.0, 16.0, 1, 4, RngStream(68), workers=2)
+            assert pool_starts == [2]
+            assert len(multiprocessing.active_children()) == 2
+            # another worker count replaces the pool
+            estimate_simplex_rate(1.0, 0.5, 16.0, 1, 4, RngStream(68), workers=3)
+            assert pool_starts == [2, 3]
+            assert len(multiprocessing.active_children()) == 3
+        assert not multiprocessing.active_children()
+
+    def test_serial_forks_nothing(self, pool_starts):
+        build_limit_curve(1, [0.0, 0.5, 1.0], 16.0, 3, RngStream(69))
+        with worker_pool():
+            estimate_betti_rate(1.0, 1.0, 16.0, 1, 3, RngStream(69))
+        assert pool_starts == []
+
+    def test_later_scope_forks_current_code(self, monkeypatch):
+        # a pool kept across scopes would still run the replicate code of
+        # the moment its workers were forked
+        rate = estimate_simplex_rate(1.0, 0.5, 16.0, 0, 4, RngStream(70), workers=2)
+        assert rate.mean != 7.0
+        monkeypatch.setitem(limits._REPLICATE_KINDS, "simplex_rate",
+                            lambda task, i: 7.0)
+        rate = estimate_simplex_rate(1.0, 0.5, 16.0, 0, 4, RngStream(70), workers=2)
+        assert rate.mean == 7.0
+
+    def test_replicate_error_shuts_pool_down(self, monkeypatch):
+        def fail(task, i):
+            raise LimitsError(f"replicate {i} failed")
+
+        monkeypatch.setitem(limits._REPLICATE_KINDS, "betti_rate", fail)
+        with pytest.raises(LimitsError, match="replicate 0 failed"):
+            build_limit_curve(1, [0.5, 1.0], 16.0, 8, RngStream(71), workers=2)
+        assert not multiprocessing.active_children()
 
 
 def _record(quantity="betti_rate", lam=1.0):
