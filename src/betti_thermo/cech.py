@@ -2,17 +2,18 @@
 
 A k-simplex enters the Cech complex C(X, r) exactly when the smallest
 enclosing ball of its k+1 vertices has radius at most r/2; the Rips
-complex keeps every clique of the r-neighbor graph. A complex stores
-each dimension as one sorted int array of vertex rows. Construction is
-neighbor-grid edge enumeration followed by level-wise clique expansion
-over CSR upper-neighbour lists: each accepted simplex is extended by the
-neighbours above its last vertex, and edge membership is checked by
-np.searchsorted on integer edge keys. The miniball filter runs once per
-level on all its candidates, in closed form (triangles by edge lengths,
-higher simplices by circumcenter and facet lookup). An optional period turns
-the metric into the flat torus R^d / period*Z^d; candidate simplices are
-then unwrapped to the nearest image around their first vertex, which
-reproduces torus balls exactly as long as period > 3r.
+complex keeps every clique of the r-neighbor graph. Both are downward
+closed. A complex stores each dimension as one sorted int array of vertex
+rows. Construction is neighbor-grid edge enumeration followed by
+level-wise expansion over CSR upper-neighbour lists: each accepted simplex
+is extended by the neighbours above its last vertex, and a candidate
+enters only if all its facets are in the level below (np.searchsorted on
+lexicographic simplex keys), which for Rips is the clique test. The Cech
+miniball filter then runs once per level on the survivors, in closed
+form (triangles by edge lengths, higher simplices by circumcenter). An
+optional period turns the metric into the flat torus R^d / period*Z^d;
+candidate simplices are then unwrapped to the nearest image around their
+first vertex, which reproduces torus balls exactly as long as period > 3r.
 """
 
 from __future__ import annotations
@@ -382,23 +383,26 @@ def _build(cloud: PointCloud, r: float, max_dim: int, period: float | None,
         # CSR upper-neighbour lists: the edges are sorted by (u, v), so
         # vertex a's neighbours above it are ev[starts[a]:starts[a + 1]]
         starts = np.searchsorted(eu, np.arange(n + 1))
-        edge_keys = eu * n + ev
         for j in range(2, top + 1):
             if not len(prev):
                 break
             # level j extends each accepted (j-1)-simplex by every upper
-            # neighbour of its last vertex that is adjacent to all of it,
-            # so each level comes out in lexicographic order
+            # neighbour of its last vertex, so each level comes out in
+            # lexicographic order
             last = prev[:, -1]
             parent, pos = _ragged_pairs(np.arange(len(prev)), starts[last],
                                         starts[last + 1] - starts[last])
-            new = ev[pos]
-            clique = np.ones(len(new), dtype=bool)
-            for i in range(j - 1):
-                clique &= sorted_lookup(edge_keys, prev[parent, i] * n + new)[1]
-            rows = np.column_stack((prev[parent[clique]], new[clique]))
+            rows = np.column_stack((prev[parent], ev[pos]))
+            # a candidate enters when its facets are all in level j-1: that
+            # makes it a clique for Rips and is the Cech facet condition.
+            # The parent (drop the new vertex) is in by construction, and at
+            # j = 2 so is the edge it was grown along (drop the first vertex)
+            prev_keys = lex_keys(prev, n)
+            for i in range(1 if j == 2 else 0, j):
+                facet = lex_keys(np.delete(rows, i, axis=1), n)
+                rows = rows[sorted_lookup(prev_keys, facet)[1]]
             if filtered and len(rows):
-                rows = rows[_cech_keep(rows, prev, pts, period, r2_cut)]
+                rows = rows[_cech_keep(rows, pts, period, r2_cut)]
             if not len(rows):
                 break
             levels.append(rows)
@@ -439,30 +443,22 @@ def lex_keys(rows: np.ndarray, base: int) -> np.ndarray:
     return keys
 
 
-def _cech_keep(rows: np.ndarray, prev: np.ndarray, pts: np.ndarray,
-               period: float | None, r2_cut: float) -> np.ndarray:
+def _cech_keep(rows: np.ndarray, pts: np.ndarray, period: float | None,
+               r2_cut: float) -> np.ndarray:
     """Miniball filter over one level of candidate simplices (vectorized).
 
-    rows are j-simplices whose facet rows[:, :-1] is in the accepted
-    level prev. Triangles use the radius from _batch_triangle_r2. Above
-    that, by Welzl's support-set argument, the miniball is the circumball
-    when the circumcenter lies in the simplex and the largest facet
-    miniball otherwise; affinely dependent vertices and j > d count as
-    "outside". So a candidate passes when its other facets are all in
-    prev and, if its circumcenter lies inside, its circumradius is within
-    the cut.
+    rows are j-simplices whose facets are all in the complex. Triangles
+    use the radius from _batch_triangle_r2. Above that, by Welzl's
+    support-set argument, the miniball is the circumball when the
+    circumcenter lies in the simplex and the largest facet miniball
+    otherwise, which is within the cut since the facets are in. Affinely
+    dependent vertices count as "outside", so for j > d every candidate
+    passes; otherwise a candidate fails only when its circumcenter lies
+    inside and its circumradius exceeds the cut.
     """
     j = rows.shape[1] - 1
-    keep = np.ones(len(rows), dtype=bool)
-    if j >= 3:
-        keys = _row_keys(prev)
-        for i in range(j):
-            facet = _row_keys(np.delete(rows, i, axis=1))
-            pos = np.minimum(np.searchsorted(keys, facet), len(keys) - 1)
-            keep &= keys[pos] == facet
-        if j > pts.shape[1]:
-            return keep
-        rows = rows[keep]
+    if j > pts.shape[1]:
+        return np.ones(len(rows), dtype=bool)
     base = pts[rows[:, 0]]
     verts = [pts[rows[:, i]] for i in range(1, j + 1)]
     if period is not None:
@@ -470,8 +466,7 @@ def _cech_keep(rows: np.ndarray, prev: np.ndarray, pts: np.ndarray,
     if j == 2:
         return _batch_triangle_r2(base, verts[0], verts[1]) <= r2_cut
     inside, r2 = _batch_circumball(np.stack([v - base for v in verts], axis=1))
-    keep[keep] = ~inside | (r2 <= r2_cut)
-    return keep
+    return ~inside | (r2 <= r2_cut)
 
 
 def _row_keys(arr: np.ndarray) -> np.ndarray:
@@ -489,20 +484,24 @@ def _batch_circumball(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     The circumcenter q_0 + A^T alpha solves the Gram system
     (A A^T) alpha = |A_i|^2 / 2; its barycentric coordinates are
     (1 - sum alpha, alpha), and it lies in the simplex when they are all
-    non-negative. A singular Gram matrix counts as outside.
+    non-negative. A singular Gram matrix counts as outside. A nearly
+    singular one may give huge, inf or nan coordinates, which fail the
+    test; the solve runs with numpy's floating-point warnings off for them.
     """
     G = A @ A.transpose(0, 2, 1)
     b = 0.5 * np.einsum("mjd,mjd->mj", A, A)
     singular = np.zeros(len(A), dtype=bool)
-    try:
-        alpha = np.linalg.solve(G, b[..., None])[..., 0]
-    except np.linalg.LinAlgError:
-        singular = np.linalg.slogdet(G)[0] == 0
-        G[singular] = np.eye(A.shape[1])
-        alpha = np.linalg.solve(G, b[..., None])[..., 0]
-    offset = np.einsum("mj,mjd->md", alpha, A)
-    inside = ~singular & (alpha >= 0).all(axis=1) & (alpha.sum(axis=1) <= 1.0)
-    return inside, (offset * offset).sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        try:
+            alpha = np.linalg.solve(G, b[..., None])[..., 0]
+        except np.linalg.LinAlgError:
+            singular = np.linalg.slogdet(G)[0] == 0
+            G[singular] = np.eye(A.shape[1])
+            alpha = np.linalg.solve(G, b[..., None])[..., 0]
+        offset = np.einsum("mj,mjd->md", alpha, A)
+        inside = ~singular & (alpha >= 0).all(axis=1) & (alpha.sum(axis=1) <= 1.0)
+        r2 = (offset * offset).sum(axis=1)
+    return inside, r2
 
 
 def simplex_count(complex: SimplicialComplex, j: int) -> int:

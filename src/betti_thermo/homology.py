@@ -2,15 +2,16 @@
 
 beta_k = S_k - rank(d_k) - rank(d_{k+1}). Boundary matrices are int
 arrays of facet indices, found by np.searchsorted on lexicographic
-simplex keys. Ranks: a matrix whose columns all hold two rows (d_1) is a
-graph's incidence matrix, of rank the size of a spanning forest
-(union-find). Otherwise each row or column with a single entry is peeled
-off as one pivot (rank = 1 + rank of the minor without that row and
-column), and the core that is left is eliminated with bit-packed
-columns. d_2 skips the rows of a spanning forest of the 1-skeleton
-(clearing, after Chen & Kerber, "Persistent homology computation with a
-twist", EuroCG 2011): since d_1 d_2 = 0, peeling the forest's leaves
-writes each forest row as a sum of non-forest rows. Also: a union-find
+simplex keys. Ranks: d_1 is a graph's incidence matrix, and the edges of
+a spanning forest (union-find), found when d_1 is built, are its column
+basis. Every other rank peels each row or column with a single entry off
+as one pivot (rank = 1 + rank of the minor without that row and
+column), and eliminates the core that is left with bit-packed columns.
+In betti_numbers d_2 skips the rows of d_1's spanning forest (clearing,
+after Chen & Kerber, "Persistent homology computation with a twist",
+EuroCG 2011): since d_1 d_2 = 0, peeling the forest's leaves writes each
+forest row as a sum of non-forest rows. A d_2 built on its own clears
+nothing unless it is given the forest. Also: a union-find
 component counter used as a beta_0 oracle, the exact Euler-Poincare
 cross-check, and the Betti-difference bound for nested complexes (the
 inequality |beta_k(K1) - beta_k(K2)| bounded by the simplices of
@@ -70,7 +71,7 @@ class BettiVector:
 
 
 def boundary_matrix(complex: SimplicialComplex, j: int,
-                    cleared: Sequence[int] | None = None) -> BoundaryMatrix:
+                    cleared: Sequence[int] = ()) -> BoundaryMatrix:
     """Boundary map from j-chains to (j-1)-chains.
 
     Column c lists the indices of the j+1 facets of the c-th j-simplex,
@@ -78,8 +79,9 @@ def boundary_matrix(complex: SimplicialComplex, j: int,
     edges of a spanning forest of the 1-skeleton are the column basis.
     cleared names rows to skip in the rank; the basis of d_{j-1} qualifies,
     since d_{j-1} d_j = 0 writes each of its rows as a sum of the others.
-    By default j = 2 clears a spanning forest (found again here) and no
-    other j clears anything.
+    betti_numbers passes d_1's forest when it builds d_2. By default
+    nothing is cleared, which leaves the rank unchanged: clearing only
+    shrinks the work.
     """
     if not 1 <= j <= complex.max_dim:
         raise HomologyError(f"boundary dimension {j} outside 1..{complex.max_dim}")
@@ -99,8 +101,6 @@ def boundary_matrix(complex: SimplicialComplex, j: int,
     basis = None
     if j == 1:
         basis = _spanning_forest(len(faces), columns[:, 0], columns[:, 1])
-    if cleared is None:
-        cleared = _spanning_forest(base, faces[:, 0], faces[:, 1]) if j == 2 else ()
     return BoundaryMatrix(rows=len(faces), cols=len(simplices), columns=columns,
                           cleared=cleared, basis=basis)
 
@@ -178,10 +178,9 @@ def _peel(col_of: np.ndarray, row_of: np.ndarray, rows: int, cols: int):
 def rank_gf2(matrix: BoundaryMatrix) -> int:
     """Rank over GF(2), skipping the matrix's cleared rows.
 
-    Columns that all hold two rows form a graph's incidence matrix, whose
-    rank is the size of a spanning forest. Otherwise singleton rows and
-    columns are peeled off and the core that is left is eliminated with
-    bit-packed columns. A known column basis gives the rank directly.
+    A known column basis gives the rank directly. Otherwise singleton rows
+    and columns are peeled off and the core that is left is eliminated
+    with bit-packed columns.
     """
     if matrix.basis is not None:
         return len(matrix.basis)
@@ -191,8 +190,6 @@ def rank_gf2(matrix: BoundaryMatrix) -> int:
         dropped[np.asarray(matrix.cleared, dtype=np.int64)] = True
         keep = ~dropped[row_of]
         col_of, row_of = col_of[keep], row_of[keep]
-    if len(col_of) and np.all(np.bincount(col_of, minlength=matrix.cols) == 2):
-        return len(_spanning_forest(matrix.rows, row_of[0::2], row_of[1::2]))
     col_of, row_of, rank = _peel(col_of, row_of, matrix.rows, matrix.cols)
     if not len(col_of):
         return rank
@@ -219,14 +216,14 @@ def betti_numbers(complex: SimplicialComplex, max_k: int) -> BettiVector:
             f"beta_{max_k} needs max_dim >= {max_k + 1}"
         )
     ranks = [0] * (max_k + 2)
-    basis = None
+    cleared = ()
     for j in range(1, max_k + 2):
         if len(complex.simplices_of(j)):
             # d_j's basis clears rows of d_{j+1}: the spanning forest of d_1
             # is found once and serves both
-            matrix = boundary_matrix(complex, j, cleared=basis)
+            matrix = boundary_matrix(complex, j, cleared=cleared)
             ranks[j] = rank_gf2(matrix)
-            basis = matrix.basis
+            cleared = () if matrix.basis is None else matrix.basis
     values = []
     for k in range(max_k + 1):
         s_k = len(complex.simplices_of(k))

@@ -205,15 +205,6 @@ def _rep_binomial(task, i: int):
     return _betti_k(cloud, r, k, None) / n
 
 
-def _rep_poissonized(task, i: int):
-    density, n, r, k, stream = task
-    gen = stream.substream(i).generator()
-    count = int(gen.poisson(n))
-    pts = density.sample(count, gen)
-    cloud = scale_points(PointCloud(pts), n ** (1.0 / density.dim))
-    return _betti_k(cloud, r, k, None) / n
-
-
 def _rep_gap(task, i: int):
     # shared point sequence: binomial keeps the first n draws, the
     # Poissonized process the first N ~ Poisson(n); common random numbers
@@ -277,7 +268,6 @@ _REPLICATE_KINDS = {
     "betti_rate": _rep_betti_rate,
     "simplex_rate": _rep_simplex_rate,
     "binomial": _rep_binomial,
-    "poissonized": _rep_poissonized,
     "gap": _rep_gap,
     "strip": _rep_strip,
     "perturb": _rep_perturb,
@@ -653,18 +643,6 @@ def estimate_binomial_expectation(density: DensityGrid, n: int, r: float,
     _check_args(n=n, r=r, k=k, reps=reps, density=density)
     task = (density, n, r, k, rng)
     values = _map_replicates("binomial", task, reps, workers)
-    mean, stderr = _mean_stderr(values)
-    return EstimateRecord("expectation_per_n", k, None, r, n, mean,
-                          stderr, reps, rng.master_seed, "plain")
-
-
-def estimate_poissonized_expectation(density: DensityGrid, n: int, r: float,
-                                     k: int, reps: int, rng: RngStream,
-                                     workers: int = 1) -> EstimateRecord:
-    """Same as the binomial estimate with the count Poissonized."""
-    _check_args(n=n, r=r, k=k, reps=reps, density=density)
-    task = (density, n, r, k, rng)
-    values = _map_replicates("poissonized", task, reps, workers)
     mean, stderr = _mean_stderr(values)
     return EstimateRecord("expectation_per_n", k, None, r, n, mean,
                           stderr, reps, rng.master_seed, "plain")

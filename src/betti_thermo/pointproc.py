@@ -1,5 +1,5 @@
-"""Samplers for binomial, Poisson and Poissonized point processes on boxes
-and piecewise-constant densities, plus the scaling / superposition couplings."""
+"""Samplers for binomial and Poisson point processes on boxes and
+piecewise-constant densities, plus the scaling / superposition couplings."""
 
 from __future__ import annotations
 
@@ -271,12 +271,6 @@ class IntensityGrid(_Grid):
     def total_mass(self) -> float:
         return float(self.cell_masses().sum())
 
-    @classmethod
-    def from_density(cls, density: DensityGrid, scale: float) -> "IntensityGrid":
-        if scale < 0:
-            raise DensityError("intensity scale must be non-negative")
-        return cls(density.box, density.cells_per_axis, density.values * scale)
-
     def _same_grid(self, other: "IntensityGrid") -> None:
         if (self.cells_per_axis != other.cells_per_axis
                 or not np.array_equal(self.box.lower, other.box.lower)
@@ -320,16 +314,6 @@ def sample_poisson_homogeneous(lam: float, window: Window, rng: RngStream) -> Po
     n = int(gen.poisson(lam * window.volume()))
     pts = window.lower + gen.random((n, window.dim)) * window.sides
     return PointCloud(pts, seed=rng.master_seed)
-
-
-def poissonize(density: DensityGrid, n: int, rng: RngStream) -> PointCloud:
-    """Poissonized binomial process: N ~ Poisson(n) i.i.d. draws from the
-    density, i.e. a Poisson process with intensity n * density."""
-    if n < 1:
-        raise SamplerError("n must be at least 1")
-    gen = rng.generator()
-    count = int(gen.poisson(n))
-    return PointCloud(density.sample(count, gen), seed=rng.master_seed)
 
 
 def sample_poisson_intensity(intensity: IntensityGrid, rng: RngStream) -> PointCloud:

@@ -350,6 +350,10 @@ class TestDegenerateGeometry:
     @given(st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
                     min_size=4, max_size=6),
            st.floats(0.5, 3.0), st.booleans(), angle, angle, angle)
+    # a subnormal coordinate makes the tetrahedron's Gram matrix nearly
+    # singular: the solve returns inf/nan, and the filter must not warn
+    @example(xy=[(2.2250738585e-313, 0.0), (0.0, 0.25), (0.0, 0.0), (0.5, -0.5)],
+             r=1.0, rotate=False, a=0.0, b=0.0, c=0.0)
     def test_coplanar_points_in_space(self, xy, r, rotate, a, b, c):
         pts = np.array([[x, y, 0.0] for x, y in xy])
         if rotate:
@@ -449,6 +453,34 @@ class TestRips:
     def test_distant_points_isolated(self):
         cloud = PointCloud(np.array([[0.0, 0.0], [1.5, 0.0]]))
         assert build_rips(cloud, 1.0, 2).simplex_counts() == [2]
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("torus", [False, True], ids=["plain", "torus"])
+    def test_cliques_match_brute_force(self, d, torus):
+        # every vertex subset whose pairwise (minimum-image) distances are
+        # all within r; on the torus the cluster straddles the cell corner,
+        # so most subsets wrap
+        gen = np.random.default_rng(60 + 10 * d + torus)
+        r, n, top = 0.5, 14, 4
+        period = 3.2 * r if torus else None
+        found = [0] * (top + 1)
+        for spread in (1.0, 1.5, 2.5):
+            pts = gen.random((n, d)) * spread * r
+            if torus:
+                pts = np.mod(pts - 0.5 * spread * r, period)
+            delta = pts[:, None, :] - pts[None, :, :]
+            if torus:
+                delta = delta - period * np.round(delta / period)
+            near = np.sqrt((delta ** 2).sum(axis=2)) <= r + 2 * MINIBALL_TOL
+            cx = build_rips(PointCloud(pts), r, top, period=period)
+            for j in range(top + 1):
+                want = {t for t in itertools.combinations(range(n), j + 1)
+                        if all(near[a, b] for a, b in itertools.combinations(t, 2))}
+                assert np.array_equal(cx.simplices_of(j), as_rows(want, j)), \
+                    f"spread {spread}, dimension {j}"
+                found[j] += len(want)
+        # every level is reached, and not every pair is an edge
+        assert all(found) and found[1] < 3 * n * (n - 1) // 2
 
     def test_cech_contained_in_rips(self):
         gen = np.random.default_rng(18)
@@ -567,6 +599,40 @@ class TestCounts:
 
 
 class TestKeys:
+    def test_byte_keys_give_the_same_complexes(self, monkeypatch):
+        # the builder and the boundary matrices take byte keys only when
+        # n**(j+1) reaches 2**63; forcing that branch must change nothing
+        from betti_thermo import cech, homology
+        from betti_thermo.homology import betti_numbers
+
+        gen = np.random.default_rng(26)
+        cases = []
+        for d in (2, 3, 4):
+            for period in (None, 1.4):
+                cases.append((PointCloud(gen.random((40, d)) * 1.4), 0.45, period))
+
+        def run():
+            out = []
+            for cloud, r, period in cases:
+                cx = build_cech(cloud, r, 4, period=period)
+                out.append((cx, build_rips(cloud, r, 4, period=period),
+                            tuple(betti_numbers(cx, 3))))
+            return out
+
+        want = run()
+        calls = []
+
+        def byte_keys(rows, base):
+            calls.append(rows.shape[1])
+            return cech._row_keys(rows)
+
+        monkeypatch.setattr(cech, "lex_keys", byte_keys)
+        monkeypatch.setattr(homology, "lex_keys", byte_keys)
+        got = run()
+        assert {2, 3, 4} <= set(calls)
+        assert got == want
+        assert any(len(cx.simplices_of(3)) for cx, _, _ in want)
+
     @pytest.mark.parametrize("base", [50, 2 ** 40], ids=["int", "bytes"])
     def test_keys_order_rows_lexicographically(self, base):
         # 2**40 cubed overflows an int64, so those keys are byte strings

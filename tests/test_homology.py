@@ -250,13 +250,16 @@ class TestRankEngine:
         gen = np.random.default_rng(40)
         for trial in range(10):
             cx = build_cech(PointCloud(gen.random((30, 2)) * 2.0), 0.7, 2)
-            bd = boundary_matrix(cx, 2)
+            bd = boundary_matrix(cx, 2, cleared=boundary_matrix(cx, 1).basis)
             edges = cx.simplices_of(1)
             forest = edges[np.asarray(bd.cleared, dtype=np.int64)].tolist()
             assert len(forest) == len(cx.simplices_of(0)) - betti_numbers(cx, 1)[0]
             assert union_find_forest(len(cx.simplices_of(0)), forest,
                                      range(len(forest))) == list(range(len(forest)))
             assert rank_gf2(bd) == dense_rank_gf2(bd)
+            # built on its own, d_2 clears nothing and has the same rank
+            alone = boundary_matrix(cx, 2)
+            assert len(alone.cleared) == 0 and rank_gf2(alone) == rank_gf2(bd)
 
     def test_peeling_keeps_a_core(self):
         # d_2 of the boundary of a tetrahedron: every edge row has two

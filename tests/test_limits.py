@@ -33,7 +33,6 @@ from betti_thermo.limits import (
     curve_cache_path,
     estimate_betti_rate,
     estimate_binomial_expectation,
-    estimate_poissonized_expectation,
     estimate_simplex_rate,
     intensity_perturbation_check,
     load_or_build_curve,
@@ -287,16 +286,10 @@ class TestExpectations:
         assert rec.mean == 0.0 and rec.stderr == 0.0
 
     def test_record_tags(self):
-        rec = estimate_poissonized_expectation(unit_uniform(), 30, 1.0, 1, 5, RngStream(71))
+        rec = estimate_binomial_expectation(unit_uniform(), 30, 1.0, 1, 5, RngStream(71))
         assert rec.quantity == "expectation_per_n"
         assert rec.L_or_n == 30
         assert rec.lam is None
-
-    def test_binomial_and_poissonized_close_at_moderate_n(self):
-        binom = estimate_binomial_expectation(unit_uniform(), 400, 1.0, 1, 60, RngStream(72))
-        poiss = estimate_poissonized_expectation(unit_uniform(), 400, 1.0, 1, 60, RngStream(73))
-        combined = math.sqrt(binom.stderr ** 2 + poiss.stderr ** 2)
-        assert abs(binom.mean - poiss.mean) < 4 * combined
 
     def test_worker_independence(self):
         a = estimate_binomial_expectation(unit_uniform(), 100, 1.0, 1, 10, RngStream(74))

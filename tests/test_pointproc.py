@@ -14,7 +14,6 @@ from betti_thermo.pointproc import (
     RngStream,
     SamplerError,
     Window,
-    poissonize,
     sample_binomial,
     sample_poisson_homogeneous,
     sample_poisson_intensity,
@@ -141,18 +140,6 @@ class TestPoisson:
     def test_zero_intensity(self):
         cloud = sample_poisson_homogeneous(0.0, Window.unit(3), RngStream(1))
         assert len(cloud) == 0 and cloud.dim == 3
-
-    def test_poissonized_count_moments(self):
-        # N ~ Poisson(n): mean n and variance n
-        grid = DensityGrid.uniform(Window.unit(2))
-        n = 100
-        counts = np.array(
-            [len(poissonize(grid, n, RngStream(19, (i,)))) for i in range(400)],
-            dtype=float,
-        )
-        assert abs(counts.mean() - n) < 3 * np.sqrt(n / len(counts))
-        var_se = np.sqrt((2 * n**2 + n) / len(counts))
-        assert abs(counts.var(ddof=1) - n) < 3 * var_se
 
     def test_intensity_grid_per_cell_counts(self):
         # oracle: cell counts are independent Poisson(value * cell volume)
