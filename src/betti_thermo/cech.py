@@ -4,23 +4,26 @@ A k-simplex enters the Cech complex C(X, r) exactly when the smallest
 enclosing ball of its k+1 vertices has radius at most r/2; the Rips
 complex keeps every clique of the r-neighbor graph. Both are downward
 closed. A complex stores each dimension as one sorted int array of vertex
-rows. Construction is neighbor-grid edge enumeration followed by
-level-wise expansion over CSR upper-neighbour lists: each accepted simplex
-is extended by the neighbours above its last vertex, and a candidate
-enters only if all its facets are in the level below (np.searchsorted on
-lexicographic simplex keys), which for Rips is the clique test. The Cech
-miniball filter then runs once per level on the survivors, in closed
-form (triangles by edge lengths, higher simplices by circumcenter). An
-optional period turns the metric into the flat torus R^d / period*Z^d;
-candidate simplices are then unwrapped to the nearest image around their
-first vertex, which reproduces torus balls exactly as long as period > 3r.
+rows. Construction is neighbor-grid edge enumeration (a dense cell-start
+table, so all half-offsets of all points are looked up in one pass)
+followed by level-wise expansion over CSR upper-neighbour lists: each
+accepted simplex is extended by the neighbours above its last vertex,
+and a candidate enters only if all its facets are in the level below
+(np.searchsorted on lexicographic simplex keys), which for Rips is the
+clique test. The Cech miniball filter then runs once per level on the
+survivors, in closed form (triangles by edge lengths, higher simplices
+by circumcenter). An optional period turns the metric into the flat
+torus R^d / period*Z^d; candidate simplices are then unwrapped to the
+nearest image around their first vertex, which reproduces torus balls
+exactly as long as period > 3r.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
-from math import sqrt
+from math import floor, prod, sqrt
 from pathlib import Path
 
 import numpy as np
@@ -112,24 +115,41 @@ def _ragged_pairs(left: np.ndarray, start: np.ndarray, length: np.ndarray):
     return ii, jj
 
 
-def _half_offsets(d: int) -> list[tuple[int, ...]]:
+@functools.lru_cache(maxsize=None)
+def _half_offsets(d: int) -> np.ndarray:
     # one representative per {o, -o} pair: first nonzero entry is +1
     out = []
     for off in itertools.product((-1, 0, 1), repeat=d):
         first = next((x for x in off if x != 0), 0)
         if first == 1:
             out.append(off)
-    return out
+    offsets = np.array(out, dtype=np.int64).reshape(-1, d)
+    offsets.flags.writeable = False
+    return offsets
+
+
+# below this many points every pair is a candidate: a grid costs more
+_BRUTE_POINTS = 64
+# cells are widened until the padded cell table has at most this many
+# cells per point (or the fewest cells the adjacency rule allows)
+_CELLS_PER_POINT = 4
 
 
 class NeighborGrid:
     """Uniform spatial hash over a point set.
 
-    Cells have side >= cell_size, so every pair at distance <= cell_size
-    is found inside a 3^d cell neighborhood. With a period the grid
-    indexes the flat torus and cell adjacency wraps around; a torus
-    needing fewer than 3 cells per axis falls back to brute-force pair
-    scans (wrapped offsets would alias).
+    Cells are at least cell_size wide on every axis, so every pair at
+    distance <= cell_size is found inside a 3^d cell neighborhood. The
+    cells of a sparse cloud are widened, the axis with the most cells
+    first, until the cell table holds O(n) cells. The table is dense: it
+    stores the first sorted position and the point count of every cell of
+    the grid padded by one cell on each side, so each half-offset of each
+    point is one table lookup. Without a period the padding cells are
+    empty. With a period the grid indexes the flat torus and the padding
+    cells repeat the cells across the seam, so adjacency wraps around; a
+    torus needing fewer than 3 cells per axis, and a cloud of fewer than
+    _BRUTE_POINTS points, fall back to scanning every pair (wrapped
+    offsets would alias, and a tiny grid costs more than the scan).
     """
 
     def __init__(self, points: np.ndarray, cell_size: float,
@@ -139,6 +159,8 @@ class NeighborGrid:
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 2:
             raise CechError("points must be an (n, d) array")
+        if not np.isfinite(pts).all():
+            raise CechError("points must be finite")
         n, d = pts.shape
         self.cell_size = float(cell_size)
         self.period = None if period is None else float(period)
@@ -146,32 +168,47 @@ class NeighborGrid:
         if self._wrap:
             pts = np.mod(pts, self.period)
         self.points = pts
-        self._brute = n < 2
+        self._brute = n < _BRUTE_POINTS
+        # cells are a little wider than cell_size, so that rounding in the
+        # cell coordinates cannot put a pair within reach two cells apart
+        width = self.cell_size * (1 + 1e-6) + 4 * MINIBALL_TOL
         if self._wrap:
-            ncells = int(self.period / self.cell_size)
-            if ncells < 3:
-                self._brute = True
-            extents = np.full(d, max(ncells, 1), dtype=np.int64)
-            width = self.period / max(ncells, 1)
-            origin = np.zeros(d)
-        else:
-            origin = pts.min(axis=0) if n else np.zeros(d)
-            width = self.cell_size
-            top = np.floor((pts - origin) / width).astype(np.int64) if n else np.zeros((0, d), np.int64)
-            extents = (top.max(axis=0) + 1) if n else np.ones(d, dtype=np.int64)
-        self._extents = extents
+            cells = [int(self.period / width)] * d
+            self._brute = self._brute or cells[0] < 3
         if self._brute:
             return
-        coords = np.floor((pts - origin) / width).astype(np.int64)
+        if not self._wrap:
+            origin = pts.min(axis=0)
+            span = (pts.max(axis=0) - origin).tolist()
+            cells = [int(min(s / width, _CELLS_PER_POINT * n)) + 1 for s in span]
+        # widen the axis with the most cells until the table is O(n); a
+        # torus keeps 3 cells per axis, where offsets stop aliasing
+        fewest = 3 if self._wrap else 1
+        budget = max(_CELLS_PER_POINT * n, (fewest + 2) ** d)
+        while prod(c + 2 for c in cells) > budget:
+            a = max(range(d), key=cells.__getitem__)
+            cells[a] = max(cells[a] // 2, fewest)
         if self._wrap:
-            coords %= extents
+            sides = np.array([self.period / c for c in cells])
+            coords = np.floor(pts / sides).astype(np.int64) % np.array(cells)
         else:
-            coords = np.minimum(coords, extents - 1)
-        flat = np.ravel_multi_index(tuple(coords.T), tuple(extents))
-        order = np.argsort(flat, kind="stable")
+            sides = np.maximum([s / c for s, c in zip(span, cells)], width)
+            coords = np.floor((pts - origin) / sides).astype(np.int64)
+            coords = np.minimum(coords, np.array(cells) - 1)
+        shape = [c + 2 for c in cells]
+        strides = np.cumprod([1] + shape[:0:-1])[::-1]
+        flat = (coords + 1) @ strides
+        order = np.argsort(flat)
+        count = np.bincount(flat, minlength=prod(shape))
+        start = np.cumsum(count) - count
+        if self._wrap:
+            start = _wrap_pad(start.reshape(shape))
+            count = _wrap_pad(count.reshape(shape))
         self._order = order
-        self._coords = coords[order]
-        self._cells, self._starts = np.unique(flat[order], return_index=True)
+        self._cell = flat[order]
+        self._start = start
+        self._count = count
+        self._steps = _half_offsets(d) @ strides
 
     def pairs_within(self, r: float) -> tuple[np.ndarray, np.ndarray]:
         """All unordered pairs at distance <= r + 2*MINIBALL_TOL.
@@ -203,41 +240,30 @@ class NeighborGrid:
         return keys // n, keys % n
 
     def _candidate_pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        n = len(self.points)
-        starts = self._starts
-        bounds = np.append(starts, n)
-        pos = np.arange(n, dtype=np.int64)
-        cell_of_pos = np.searchsorted(starts, pos, side="right") - 1
-        run_end = bounds[cell_of_pos + 1]
-        us = []
-        vs = []
-        # same cell: sorted position p pairs with p+1 .. run_end-1
-        left, right = _ragged_pairs(pos, pos + 1, run_end - pos - 1)
-        us.append(left)
-        vs.append(right)
-        for off in _half_offsets(self.points.shape[1]):
-            nb = self._coords + np.asarray(off, dtype=np.int64)
-            if self._wrap:
-                nb %= self._extents
-                src = pos
-            else:
-                ok = np.all((nb >= 0) & (nb < self._extents), axis=1)
-                src = pos[ok]
-                nb = nb[ok]
-            if not len(src):
-                continue
-            flat_nb = np.ravel_multi_index(tuple(nb.T), tuple(self._extents))
-            ci = np.searchsorted(self._cells, flat_nb)
-            ci_c = np.minimum(ci, len(self._cells) - 1)
-            hit = self._cells[ci_c] == flat_nb
-            src = src[hit]
-            ci = ci_c[hit]
-            left, right = _ragged_pairs(src, starts[ci], bounds[ci + 1] - starts[ci])
-            us.append(left)
-            vs.append(right)
-        upos = np.concatenate(us)
-        vpos = np.concatenate(vs)
+        # sorted position p pairs with the later positions of its own cell
+        # and with every position of the cells at its half-offsets
+        cell = self._cell
+        pos = np.arange(len(cell), dtype=np.int64)
+        nb = (cell[:, None] + self._steps).ravel()
+        left = np.concatenate((pos, np.repeat(pos, len(self._steps))))
+        start = np.concatenate((pos + 1, self._start[nb]))
+        length = np.concatenate((self._start[cell] + self._count[cell] - pos - 1,
+                                 self._count[nb]))
+        upos, vpos = _ragged_pairs(left, start, length)
         return self._order[upos], self._order[vpos]
+
+
+def _wrap_pad(table: np.ndarray) -> np.ndarray:
+    """Fill the padding cells of a padded cell table, in place, with the
+    cells across the seam on every axis (flat torus adjacency), and
+    return the table flattened."""
+    for a in range(table.ndim):
+        lead = [slice(None)] * table.ndim
+        lead[a] = 0
+        table[tuple(lead)] = table.take(-2, axis=a)
+        lead[a] = -1
+        table[tuple(lead)] = table.take(1, axis=a)
+    return table.ravel()
 
 
 def min_enclosing_ball_radius(points) -> float:

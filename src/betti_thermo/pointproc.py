@@ -1,5 +1,11 @@
 """Samplers for binomial and Poisson point processes on boxes and
-piecewise-constant densities, plus the scaling / superposition couplings."""
+piecewise-constant densities, plus the scaling / superposition couplings.
+
+Every sampler returns a PointCloud: finite coordinates, exact duplicate
+rows dropped. Duplicates are screened by sorting the first column, since
+equal rows have equal first coordinates; only clouds with a tie there go
+through the row-wise np.unique.
+"""
 
 from __future__ import annotations
 
@@ -96,9 +102,15 @@ class Window:
 
 
 def _dedup_rows(pts: np.ndarray) -> np.ndarray:
-    # exact coordinate duplicates removed, first occurrence kept
+    # exact coordinate duplicates removed, first occurrence kept. Equal
+    # rows have equal first coordinates, so a sorted first column without
+    # ties proves there are none; only ties pay for the row-wise unique
     if len(pts) < 2:
         return pts
+    if pts.shape[1]:
+        first_col = np.sort(pts[:, 0])
+        if not (first_col[1:] == first_col[:-1]).any():
+            return pts
     _, first = np.unique(pts, axis=0, return_index=True)
     if len(first) == len(pts):
         return pts
@@ -110,8 +122,9 @@ class PointCloud:
     """A finite point set in R^d (one realization of a point process).
 
     Exact duplicate coordinates are removed on construction so the cloud is
-    a simple counting measure; ``seed`` records the master seed of the
-    stream that generated it (None for synthetic inputs).
+    a simple counting measure, and non-finite coordinates are rejected;
+    ``seed`` records the master seed of the stream that generated it (None
+    for synthetic inputs).
     """
 
     points: np.ndarray
@@ -121,6 +134,10 @@ class PointCloud:
         pts = np.asarray(self.points, dtype=float)
         if pts.ndim != 2:
             raise SamplerError("points must be an (n, d) array")
+        if not np.isfinite(pts).all():
+            row = int(np.argmin(np.isfinite(pts).all(axis=1)))
+            raise SamplerError(
+                f"points must be finite: row {row} is {pts[row].tolist()}")
         pts = _dedup_rows(np.ascontiguousarray(pts))
         pts.flags.writeable = False
         object.__setattr__(self, "points", pts)

@@ -118,52 +118,102 @@ class TestMiniball:
 
 class TestNeighborGrid:
     def brute_pairs(self, pts, r, period=None):
-        n = len(pts)
         out = set()
-        for i in range(n):
-            for j in range(i + 1, n):
-                delta = pts[i] - pts[j]
-                if period is not None:
-                    delta = delta - period * np.round(delta / period)
-                if float(delta @ delta) <= (r + 2 * MINIBALL_TOL) ** 2:
-                    out.add((i, j))
+        for i in range(len(pts) - 1):
+            delta = pts[i] - pts[i + 1:]
+            if period is not None:
+                delta = delta - period * np.round(delta / period)
+            near = (delta * delta).sum(axis=1) <= (r + 2 * MINIBALL_TOL) ** 2
+            out.update((i, i + 1 + int(j)) for j in np.flatnonzero(near))
         return out
 
+    def assert_pairs(self, pts, r, period=None):
+        u, v = NeighborGrid(pts, cell_size=r, period=period).pairs_within(r)
+        pairs = list(zip(u.tolist(), v.tolist()))
+        assert pairs == sorted(set(pairs)) and all(a < b for a, b in pairs)
+        assert set(pairs) == self.brute_pairs(pts, r, period)
+
     def test_pairs_match_brute_force_plain(self):
+        # up to 300 points, spread from dense to very sparse, so some
+        # grids have to widen their cells to keep the cell table O(n)
         gen = np.random.default_rng(7)
-        for trial in range(40):
-            d = int(gen.integers(1, 4))
-            n = int(gen.integers(2, 60))
-            pts = gen.random((n, d)) * 3.0
+        for trial in range(48):
+            d = int(gen.integers(1, 5))
+            n = int(gen.integers(2, 301))
             r = float(gen.uniform(0.05, 1.0))
-            u, v = NeighborGrid(pts, cell_size=r).pairs_within(r)
-            assert set(zip(u.tolist(), v.tolist())) == self.brute_pairs(pts, r)
+            spread = r * 10 ** float(gen.uniform(0.0, 3.0))
+            self.assert_pairs(gen.random((n, d)) * spread, r)
 
     def test_pairs_match_brute_force_torus(self):
         gen = np.random.default_rng(8)
-        for trial in range(40):
-            d = int(gen.integers(1, 4))
-            n = int(gen.integers(2, 60))
-            period = float(gen.uniform(2.0, 6.0))
-            pts = gen.random((n, d)) * period
-            r = float(gen.uniform(0.05, period / 3.2))
-            u, v = NeighborGrid(pts, cell_size=r, period=period).pairs_within(r)
-            assert set(zip(u.tolist(), v.tolist())) == self.brute_pairs(pts, r, period)
+        for trial in range(48):
+            d = int(gen.integers(1, 5))
+            n = int(gen.integers(2, 301))
+            r = float(gen.uniform(0.05, 1.0))
+            period = r * float(gen.uniform(3.01, 300.0))
+            self.assert_pairs(gen.random((n, d)) * period, r, period)
 
     def test_torus_small_grid_falls_back(self):
         # period / r < 3 cells: brute-force path, same answer
-        pts = np.array([[0.1, 0.1], [1.9, 1.9], [1.0, 1.0]])
-        grid = NeighborGrid(pts, cell_size=0.9, period=2.0)
-        u, v = grid.pairs_within(0.9)
-        assert set(zip(u.tolist(), v.tolist())) == self.brute_pairs(pts, 0.9, 2.0)
+        pts = np.random.default_rng(10).random((80, 2)) * 2.0
+        self.assert_pairs(pts, 0.9, 2.0)
 
     def test_pair_order_deterministic(self):
         gen = np.random.default_rng(9)
-        pts = gen.random((50, 2))
-        a = NeighborGrid(pts, 0.3).pairs_within(0.3)
-        b = NeighborGrid(pts, 0.3).pairs_within(0.3)
+        pts = gen.random((200, 2))
+        a = NeighborGrid(pts, 0.1).pairs_within(0.1)
+        b = NeighborGrid(pts, 0.1).pairs_within(0.1)
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
         assert list(zip(a[0], a[1])) == sorted(zip(a[0], a[1]))
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_zero_span_on_an_axis(self, d):
+        gen = np.random.default_rng(70 + d)
+        for trial in range(6):
+            n = int(gen.integers(64, 200))
+            r = float(gen.uniform(0.1, 1.0))
+            # collinear points along a random direction
+            t = gen.random(n) * 20.0
+            self.assert_pairs(np.outer(t, gen.normal(size=d)), r)
+            # a constant column, here and on the torus
+            pts = gen.random((n, d)) * 6.0
+            pts[:, int(gen.integers(0, d))] = 2.5
+            self.assert_pairs(pts, r)
+            self.assert_pairs(pts, r, period=6.0)
+
+    @pytest.mark.parametrize("r", [0.1, 0.3, 0.7, 1.1])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_lattice_points_exactly_r_apart(self, r, d):
+        # k * r rounds either way, and these pairs sit exactly at the cut
+        k = {1: 100, 2: 12, 3: 6}[d]
+        axes = np.meshgrid(*[np.arange(k) * r] * d, indexing="ij")
+        pts = np.column_stack([a.ravel() for a in axes])
+        self.assert_pairs(pts, r)
+        self.assert_pairs(pts + 3.0, r)
+        self.assert_pairs(pts, r, period=k * r)
+
+    @pytest.mark.parametrize("ratio", [3.0 + 1e-9, 3.000001, 3.01, 3.5, 4.0 - 1e-9, 4.0])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_torus_period_just_above_three_r(self, ratio, d):
+        gen = np.random.default_rng(int(ratio * 1000) + d)
+        r = float(gen.uniform(0.2, 1.0))
+        period = ratio * r
+        n = int(gen.integers(70, 250))
+        self.assert_pairs(gen.random((n, d)) * period, r, period)
+
+    def test_tiny_clouds_scan_every_pair(self):
+        # sizes on both sides of the point count below which every pair
+        # is a candidate, plain and torus
+        gen = np.random.default_rng(80)
+        for n in range(0, 90, 3):
+            d = int(gen.integers(1, 4))
+            pts = gen.random((n, d)) * 4.0
+            self.assert_pairs(pts, 0.7)
+            self.assert_pairs(pts, 0.7, period=4.0)
+
+    def test_non_finite_points_rejected(self):
+        with pytest.raises(CechError, match="finite"):
+            NeighborGrid(np.array([[0.0, 1.0], [np.nan, 0.0]]), 0.5)
 
     def test_radius_above_cell_size_rejected(self):
         with pytest.raises(CechError):

@@ -7,11 +7,14 @@ same seed.
 
 import json
 import multiprocessing
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import betti_thermo
 from betti_thermo import limits
 from betti_thermo.cech import build_cech
 from betti_thermo.cli import (
@@ -452,3 +455,36 @@ class TestPlotData:
         table = GapTable(rows=(), k=1, r=1.0, reps=2, master_seed=0)
         with pytest.raises(CliError):
             emit_plot_data(table, tmp_path / "x.dat")
+
+
+class TestStartupImports:
+    def test_replicates_load_no_scipy(self):
+        # two replicates (the fewest an estimator takes) of every kind in
+        # a fresh interpreter: scipy is not a dependency, and importing
+        # scipy.sparse.csgraph alone costs a CLI command about 0.2 s
+        script = """
+import sys
+import betti_thermo.cli
+from betti_thermo import limits
+from betti_thermo.pointproc import DensityGrid, IntensityGrid, RngStream, Window
+rng = RngStream(5)
+density = DensityGrid.uniform(Window.unit(2))
+box = Window.centered(100.0, 2)
+calm = IntensityGrid(box, (2, 2), [1.0, 1.0, 1.0, 1.0])
+busy = IntensityGrid(box, (2, 2), [1.0, 1.5, 1.0, 1.0])
+limits.estimate_betti_rate(1.0, 1.0, 100.0, 1, 2, rng, "torus")
+limits.estimate_simplex_rate(1.0, 1.0, 100.0, 2, 2, rng)
+limits.estimate_binomial_expectation(density, 200, 1.0, 1, 2, rng)
+limits.poissonization_gap(density, [100], 1.0, 1, 2, rng)
+limits.boundary_strip_check(1.0, 1.0, 100.0, 4, 1, rng, reps=2)
+limits.intensity_perturbation_check(calm, busy, 1.0, 1, 2, rng)
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+        src = str(Path(betti_thermo.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        res = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout == "[]\n"

@@ -7,7 +7,7 @@ import itertools
 import numpy as np
 import pytest
 
-from betti_thermo.cech import build_cech, build_rips
+from betti_thermo.cech import NeighborGrid, build_cech, build_rips
 from betti_thermo.homology import (
     BettiVector,
     HomologyError,
@@ -17,6 +17,7 @@ from betti_thermo.homology import (
     connected_components,
     euler_check,
     rank_gf2,
+    _spanning_forest,
 )
 from betti_thermo.pointproc import PointCloud
 
@@ -299,6 +300,83 @@ class TestRankEngine:
                 pts = np.mod(pts - 0.5, period)
             cx = build_cech(PointCloud(pts), r, d + 1, period=period)
             assert list(betti_numbers(cx, d)) == dense_betti(cx, d)
+
+
+class TestSpanningForest:
+    """The Boruvka forest against the union-find oracles: it has n - beta_0
+    edges, closes no cycle, uses only input edges, and is the forest
+    union-find finds taking the edges in order."""
+
+    def assert_forest(self, n, u, v, components):
+        u = np.asarray(u, dtype=np.int64)
+        v = np.asarray(v, dtype=np.int64)
+        forest = _spanning_forest(n, u, v)
+        assert forest.dtype == np.int64
+        assert len(forest) == n - components
+        assert len(np.unique(forest)) == len(forest)
+        assert ((0 <= forest) & (forest < len(u))).all()
+        edges = list(zip(u[forest].tolist(), v[forest].tolist()))
+        # acyclic: union-find joins two trees at every forest edge
+        assert union_find_forest(n, edges, range(len(edges))) == list(range(len(edges)))
+        in_order = list(zip(u.tolist(), v.tolist()))
+        assert forest.tolist() == union_find_forest(n, in_order, range(len(u)))
+
+    def components(self, n, u, v):
+        edges = list(zip(u, v))
+        return n - len(union_find_forest(n, edges, range(len(edges))))
+
+    def test_geometric_graphs_match_connected_components(self):
+        gen = np.random.default_rng(41)
+        for trial in range(60):
+            d = int(gen.integers(1, 4))
+            n = int(gen.integers(1, 400))
+            r = float(gen.uniform(0.05, 1.0))
+            period = 6.0 if trial % 3 == 0 else None
+            cloud = PointCloud(gen.random((n, d)) * 6.0)
+            u, v = NeighborGrid(cloud.points, r, period).pairs_within(r)
+            self.assert_forest(len(cloud), u, v,
+                               connected_components(cloud, r, period=period))
+
+    def test_random_graphs(self):
+        # edges in any order and orientation, with repeats and loops
+        gen = np.random.default_rng(42)
+        for trial in range(150):
+            n = int(gen.integers(1, 60))
+            m = int(gen.integers(0, 3 * n))
+            u = gen.integers(0, n, size=m).tolist()
+            v = gen.integers(0, n, size=m).tolist()
+            self.assert_forest(n, u, v, self.components(n, u, v))
+
+    def test_no_edges(self):
+        self.assert_forest(0, [], [], 0)
+        self.assert_forest(5, [], [], 5)
+
+    def test_isolated_vertices(self):
+        # a triangle and an edge among ten vertices
+        u, v = [0, 1, 0, 7], [1, 2, 2, 9]
+        self.assert_forest(10, u, v, 7)
+
+    @pytest.mark.parametrize("n", [2, 3, 50, 1000])
+    def test_path_labelled_in_descending_order(self, n):
+        # one long chain for pointer jumping to shorten
+        u = list(range(n - 1, 0, -1))
+        v = list(range(n - 2, -1, -1))
+        self.assert_forest(n, u, v, 1)
+        self.assert_forest(n, v[::-1], u[::-1], 1)
+
+    @pytest.mark.parametrize("centre", [0, 499])
+    def test_star(self, centre):
+        # leaves listed from the largest down, centre first or last label
+        n = 500
+        leaves = [x for x in range(n - 1, -1, -1) if x != centre]
+        self.assert_forest(n, leaves, [centre] * len(leaves), 1)
+        self.assert_forest(n, [centre] * len(leaves), leaves, 1)
+
+    def test_complete_graph(self):
+        n = 40
+        u, v = zip(*itertools.combinations(range(n), 2))
+        self.assert_forest(n, u, v, 1)
+        self.assert_forest(n, v[::-1], u[::-1], 1)
 
 
 class TestBetti:

@@ -58,6 +58,65 @@ class TestPointCloud:
         with pytest.raises(ValueError):
             cloud.points[0, 0] = 9.0
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected_by_row(self, bad):
+        pts = np.array([[0.0, 1.0], [2.0, 3.0], [4.0, bad], [bad, bad]])
+        with pytest.raises(SamplerError, match=r"row 2 is \[4\.0, "):
+            PointCloud(pts)
+
+    def test_identical_nan_rows_rejected(self):
+        # NaN != NaN, so a screen by equality would keep both rows
+        with pytest.raises(SamplerError, match="row 0"):
+            PointCloud(np.full((2, 3), np.nan))
+
+
+def unique_rows_oracle(pts: np.ndarray) -> np.ndarray:
+    """First occurrence of each row, by a set of coordinate tuples (-0.0
+    and 0.0 compare and hash equal, so they count as one point)."""
+    seen = set()
+    keep = []
+    for i, row in enumerate(map(tuple, pts.tolist())):
+        if row not in seen:
+            seen.add(row)
+            keep.append(i)
+    return pts[keep]
+
+
+class TestDuplicateScreen:
+    """The sorted-first-column screen against the exact duplicate path."""
+
+    def test_exact_duplicates_first_kept_in_order(self):
+        pts = np.array([[3.0, 1.0], [1.0, 2.0], [3.0, 1.0], [0.5, 0.5],
+                        [1.0, 2.0], [3.0, 1.0]])
+        got = PointCloud(pts).points
+        assert np.array_equal(got, pts[[0, 1, 3]])
+        assert np.array_equal(got, unique_rows_oracle(pts))
+
+    def test_first_coordinate_ties_keep_distinct_rows(self):
+        pts = np.array([[1.0, 0.0], [1.0, 2.0], [0.0, 5.0], [1.0, -2.0]])
+        assert np.array_equal(PointCloud(pts).points, pts)
+
+    def test_signed_zeros_collapse(self):
+        pts = np.array([[0.0, 1.0], [-0.0, 1.0], [0.5, -0.0], [0.5, 0.0]])
+        got = PointCloud(pts).points
+        assert np.array_equal(got, pts[[0, 2]])
+        assert np.array_equal(got, unique_rows_oracle(pts))
+
+    def test_no_ties_returns_the_points_unchanged(self):
+        pts = np.random.default_rng(11).random((200, 3))
+        assert np.array_equal(PointCloud(pts).points, pts)
+
+    def test_random_ties_match_oracle(self):
+        # coordinates from a small set, so first-coordinate ties, exact
+        # duplicates and signed zeros all occur
+        gen = np.random.default_rng(12)
+        values = np.array([-1.0, -0.0, 0.0, 0.5, 2.0])
+        for trial in range(200):
+            n = int(gen.integers(0, 40))
+            d = int(gen.integers(1, 4))
+            pts = values[gen.integers(0, len(values), size=(n, d))]
+            assert np.array_equal(PointCloud(pts).points, unique_rows_oracle(pts))
+
 
 class TestDensityGrid:
     def test_mass_must_be_one(self):
