@@ -4,13 +4,17 @@ A k-simplex enters the Cech complex C(X, r) exactly when the smallest
 enclosing ball of its k+1 vertices has radius at most r/2; the Rips
 complex keeps every clique of the r-neighbor graph. Both are downward
 closed. A complex stores each dimension as one sorted int array of vertex
-rows. Construction is neighbor-grid edge enumeration (a dense cell-start
-table, so all half-offsets of all points are looked up in one pass)
-followed by level-wise expansion over CSR upper-neighbour lists: each
-accepted simplex is extended by the neighbours above its last vertex,
-and a candidate enters only if all its facets are in the level below
-(np.searchsorted on lexicographic simplex keys), which for Rips is the
-clique test. The Cech miniball filter then runs once per level on the
+rows and one int array of facet indices. Construction is neighbor-grid
+edge enumeration (a dense cell-start table, so all half-offsets of all
+points are looked up in one pass) followed by level-wise expansion over
+CSR upper-neighbour lists: each accepted simplex is extended by the
+neighbours above its last vertex, and a candidate enters only if all its
+facets are in the level below, which for Rips is the clique test. As in
+the simplex tree of Boissonnat & Maria, a simplex is keyed by its parent
+(the facet without its last vertex) and its last vertex, so a
+candidate's facets are np.searchsorted lookups of int64 keys built from
+its parent's facet indices, and the indices found are the complex's
+facets. The Cech miniball filter then runs once per level on the
 survivors, in closed form (triangles by edge lengths, higher simplices
 by circumcenter). An optional period turns the metric into the flat
 torus R^d / period*Z^d; candidate simplices are then unwrapped to the
@@ -45,15 +49,23 @@ class SimplicialComplex:
 
     simplices[j] is an int64 (S_j, j+1) array: one j-simplex per row,
     strictly increasing vertex indices, rows in lexicographic order.
-    max_dim is the enumeration cutoff requested at build time; it may
-    exceed the highest nonempty dimension. Builders guarantee downward
-    closure. Two complexes are equal when their fields and arrays are.
+    facets[j] is an int64 (S_j, j+1) array too: column c holds the index,
+    in simplices[j-1], of the facet without vertex j-c. Column 0 is the
+    parent (the facet without the last vertex), so (parent, last vertex)
+    keys a simplex: parent * vertex_count + last vertex is strictly
+    increasing along each level and below S_{j-1} * vertex_count, an int64
+    for any complex that fits in memory. facets[0] has no columns, and
+    facets[1] is simplices[1] itself. max_dim is the enumeration cutoff requested at
+    build time; it may exceed the highest nonempty dimension. Builders
+    guarantee downward closure. Two complexes are equal when their
+    simplices and other fields are (the facets follow from the simplices).
     """
 
     dim_ambient: int
     max_dim: int
     simplices: tuple[np.ndarray, ...]
     vertex_count: int
+    facets: tuple[np.ndarray, ...]
 
     def simplices_of(self, j: int) -> np.ndarray:
         if 0 <= j < len(self.simplices):
@@ -399,48 +411,55 @@ def _build(cloud: PointCloud, r: float, max_dim: int, period: float | None,
     n = len(pts)
     r2_cut = (0.5 * r + MINIBALL_TOL) ** 2
     levels = [np.arange(n, dtype=np.int64)[:, None]]
+    facets = [np.empty((n, 0), dtype=np.int64)]
     top = min(max_dim, n - 1) if n else 0
 
-    if top >= 1 and n >= 2:
+    if top >= 1:
         grid = NeighborGrid(pts, cell_size=r, period=period)
         eu, ev = grid.pairs_within(r)
-        prev = np.column_stack((eu, ev))
-        levels.append(prev)
+        levels.append(np.column_stack((eu, ev)))
+        facets.append(levels[1])
         # CSR upper-neighbour lists: the edges are sorted by (u, v), so
         # vertex a's neighbours above it are ev[starts[a]:starts[a + 1]]
         starts = np.searchsorted(eu, np.arange(n + 1))
         for j in range(2, top + 1):
-            if not len(prev):
-                break
+            prev, up = levels[-1], facets[-1]
             # level j extends each accepted (j-1)-simplex by every upper
             # neighbour of its last vertex, so each level comes out in
             # lexicographic order
             last = prev[:, -1]
             parent, pos = _ragged_pairs(np.arange(len(prev)), starts[last],
                                         starts[last + 1] - starts[last])
-            rows = np.column_stack((prev[parent], ev[pos]))
-            # a candidate enters when its facets are all in level j-1: that
-            # makes it a clique for Rips and is the Cech facet condition.
-            # The parent (drop the new vertex) is in by construction, and at
-            # j = 2 so is the edge it was grown along (drop the first vertex)
-            prev_keys = lex_keys(prev, n)
-            for i in range(1 if j == 2 else 0, j):
-                facet = lex_keys(np.delete(rows, i, axis=1), n)
-                rows = rows[sorted_lookup(prev_keys, facet)[1]]
+            # a candidate enters when all its facets are in level j-1 (the
+            # Rips clique test, the Cech facet condition). Facet c lacks
+            # vertex j-c: c = 0 is the parent, c = j = 2 the edge grown
+            # along, any other is keyed (parent's facet c-1, new vertex)
+            prev_keys = up[:, 0] * n + last
+            cols = [parent]
+            for c in range(1, 2 if j == 2 else j + 1):
+                at, found = sorted_lookup(prev_keys, up[cols[0], c - 1] * n + ev[pos])
+                cols = [col[found] for col in cols] + [at[found]]
+                pos = pos[found]
+            if j == 2:
+                cols.append(pos)
+            rows = np.column_stack((prev[cols[0]], ev[pos]))
             if filtered and len(rows):
-                rows = rows[_cech_keep(rows, pts, period, r2_cut)]
+                keep = _cech_keep(rows, pts, period, r2_cut)
+                rows, cols = rows[keep], [col[keep] for col in cols]
             if not len(rows):
                 break
             levels.append(rows)
-            prev = rows
+            facets.append(np.column_stack(cols))
     while len(levels) > 1 and not len(levels[-1]):
         levels.pop()
+        facets.pop()
 
     return SimplicialComplex(
         dim_ambient=int(pts.shape[1]) if pts.ndim == 2 else 0,
         max_dim=max_dim,
         simplices=tuple(levels),
         vertex_count=n,
+        facets=tuple(facets),
     )
 
 
@@ -451,22 +470,6 @@ def sorted_lookup(sorted_keys: np.ndarray, keys: np.ndarray):
         return np.zeros(len(keys), dtype=np.int64), np.zeros(len(keys), dtype=bool)
     pos = np.minimum(np.searchsorted(sorted_keys, keys), len(sorted_keys) - 1)
     return pos, sorted_keys[pos] == keys
-
-
-def lex_keys(rows: np.ndarray, base: int) -> np.ndarray:
-    """One key per row of a non-negative int array with entries below base;
-    keys compare like the rows in lexicographic order.
-
-    The keys are the rows read as base-`base` int64 numbers, or, when
-    base**width does not fit in an int64, opaque byte keys (_row_keys).
-    """
-    width = rows.shape[1]
-    if base ** width >= 2 ** 63:
-        return _row_keys(rows)
-    keys = np.zeros(len(rows), dtype=np.int64)
-    for c in range(width):
-        keys = keys * base + rows[:, c]
-    return keys
 
 
 def _cech_keep(rows: np.ndarray, pts: np.ndarray, period: float | None,
@@ -493,13 +496,6 @@ def _cech_keep(rows: np.ndarray, pts: np.ndarray, period: float | None,
         return _batch_triangle_r2(base, verts[0], verts[1]) <= r2_cut
     inside, r2 = _batch_circumball(np.stack([v - base for v in verts], axis=1))
     return ~inside | (r2 <= r2_cut)
-
-
-def _row_keys(arr: np.ndarray) -> np.ndarray:
-    """One opaque key per row of a non-negative int array; keys of rows
-    compare like the rows in lexicographic order (big-endian bytes)."""
-    arr = np.ascontiguousarray(arr, dtype=">i8")
-    return arr.view(np.dtype((np.void, 8 * arr.shape[1]))).ravel()
 
 
 def _batch_circumball(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -128,7 +128,8 @@ def _scalar_type(f) -> type:
 
 def _parse(f, value, source: str):
     """A flag's text or a config-file value as the field's type, checked
-    against its choices; a CliError names the source (flag or key)."""
+    to be finite (floats) and against its choices; a CliError names the
+    source (flag or key)."""
     kind = _scalar_type(f)
     many = typing.get_origin(f.type) is tuple
     text = ",".join(map(str, value)) if many and isinstance(value, list) else str(value)
@@ -136,6 +137,8 @@ def _parse(f, value, source: str):
         value = tuple(kind(p) for p in text.split(",") if p.strip()) if many else kind(text)
     except ValueError:
         raise CliError(f"{source}: invalid {kind.__name__} value {text!r}") from None
+    if kind is float and not math.isfinite(value):
+        raise CliError(f"{source}: value must be finite, got {text!r}")
     choices = f.metadata["choices"]
     if choices and value not in choices:
         raise CliError(f"{source}: invalid choice {value!r} "

@@ -1,13 +1,14 @@
 """Betti numbers of finite simplicial complexes over the two-element field.
 
 beta_k = S_k - rank(d_k) - rank(d_{k+1}). Boundary matrices are int
-arrays of facet indices, found by np.searchsorted on lexicographic
-simplex keys. Ranks: d_1 is a graph's incidence matrix, and the edges of
-a spanning forest, found by numpy Boruvka (hook and jump) rounds when
-d_1 is built, are its column basis. Every other rank peels each row or
-column with a single entry off as one pivot (rank = 1 + rank of the
-minor without that row and column), and eliminates the core that is
-left with bit-packed columns. In betti_numbers d_2 skips the rows of d_1's spanning forest (clearing,
+arrays of facet indices, the complex's own facets arrays as the builder
+recorded them, so no facet is looked up. Ranks: d_1 is a graph's incidence
+matrix, and the edges of a spanning forest, found by numpy Boruvka (hook
+and jump) rounds when d_1 is built, are its column basis. Every other
+rank peels each row or column with a single entry off as one pivot
+(rank = 1 + rank of the minor without that row and column), and
+eliminates the core that is left with bit-packed columns. In
+betti_numbers d_2 skips the rows of d_1's spanning forest (clearing,
 after Chen & Kerber, "Persistent homology computation with a twist",
 EuroCG 2011): since d_1 d_2 = 0, peeling the forest's leaves writes each
 forest row as a sum of non-forest rows. A d_2 built on its own clears
@@ -26,7 +27,7 @@ from itertools import chain
 
 import numpy as np
 
-from betti_thermo.cech import NeighborGrid, SimplicialComplex, lex_keys, sorted_lookup
+from betti_thermo.cech import NeighborGrid, SimplicialComplex, sorted_lookup
 from betti_thermo.pointproc import PointCloud
 
 
@@ -75,33 +76,24 @@ def boundary_matrix(complex: SimplicialComplex, j: int,
     """Boundary map from j-chains to (j-1)-chains.
 
     Column c lists the indices of the j+1 facets of the c-th j-simplex,
-    referring to the complex's own (j-1)-simplex ordering. For j = 1 the
-    edges of a spanning forest of the 1-skeleton are the column basis.
-    cleared names rows to skip in the rank; the basis of d_{j-1} qualifies,
-    since d_{j-1} d_j = 0 writes each of its rows as a sum of the others.
+    referring to the complex's own (j-1)-simplex ordering: they are the
+    complex's facets[j], whose rows are sorted, since dropping a later
+    vertex gives a lexicographically smaller facet. For j = 1 the edges of
+    a spanning forest of the 1-skeleton are the column basis. cleared
+    names rows to skip in the rank; the basis of d_{j-1} qualifies, since
+    d_{j-1} d_j = 0 writes each of its rows as a sum of the others.
     betti_numbers passes d_1's forest when it builds d_2. By default
     nothing is cleared, which leaves the rank unchanged: clearing only
     shrinks the work.
     """
     if not 1 <= j <= complex.max_dim:
         raise HomologyError(f"boundary dimension {j} outside 1..{complex.max_dim}")
-    faces = complex.simplices_of(j - 1)
-    simplices = complex.simplices_of(j)
-    base = complex.vertex_count
-    face_keys = lex_keys(faces, base)
-    columns = np.empty((len(simplices), j + 1), dtype=np.int64)
-    # dropping a later vertex gives a lexicographically smaller facet, so
-    # dropping the last vertex first lists each column's rows in order
-    for c in range(j + 1):
-        facet = lex_keys(np.delete(simplices, j - c, axis=1), base)
-        pos, found = sorted_lookup(face_keys, facet)
-        if not found.all():
-            raise HomologyError(f"a {j}-simplex has a facet missing from the complex")
-        columns[:, c] = pos
+    rows = len(complex.simplices_of(j - 1))
+    columns = complex.facets[j] if j < len(complex.facets) else complex.simplices_of(j)
     basis = None
     if j == 1:
-        basis = _spanning_forest(len(faces), columns[:, 0], columns[:, 1])
-    return BoundaryMatrix(rows=len(faces), cols=len(simplices), columns=columns,
+        basis = _spanning_forest(rows, columns[:, 0], columns[:, 1])
+    return BoundaryMatrix(rows=rows, cols=len(columns), columns=columns,
                           cleared=cleared, basis=basis)
 
 
@@ -312,12 +304,17 @@ def betti_diff_bound_check(k1: SimplicialComplex, k2: SimplicialComplex,
     """
     if k < 1:
         raise HomologyError("the difference bound is stated for k >= 1")
-    base = max(k1.vertex_count, k2.vertex_count)
-    for j, level in enumerate(k1.simplices):
-        if not len(level):
-            continue
-        _, found = sorted_lookup(lex_keys(k2.simplices_of(j), base),
-                                 lex_keys(level, base))
+    # K1's simplices are found level by level: a j-simplex is in K2 when
+    # its parent is and K2 has the key (parent's index in K2, last vertex)
+    top = k1.top_dim()
+    if top > k2.top_dim():
+        raise HomologyError("first complex is not contained in the second")
+    for j in range(top + 1):
+        keys, sought = k2.simplices[j][:, -1], k1.simplices[j][:, -1]
+        if j:
+            keys = keys + k2.facets[j][:, 0] * k2.vertex_count
+            sought = sought + index[k1.facets[j][:, 0]] * k2.vertex_count
+        index, found = sorted_lookup(keys, sought)
         if not found.all():
             raise HomologyError("first complex is not contained in the second")
     b1 = betti_numbers(k1, k)[k]

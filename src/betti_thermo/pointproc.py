@@ -65,6 +65,7 @@ class Window:
         hi = np.atleast_1d(np.asarray(self.upper, dtype=float))
         if lo.ndim != 1 or lo.shape != hi.shape:
             raise SamplerError("window bounds must be equal-length vectors")
+        _check_dim(len(lo))
         if not np.all(lo < hi):
             raise SamplerError(f"window must satisfy lower < upper, got {lo} / {hi}")
         lo.flags.writeable = False
@@ -93,12 +94,19 @@ class Window:
         """The observation window of volume L: [-L^(1/d)/2, L^(1/d)/2)^d."""
         if L <= 0:
             raise SamplerError("window volume must be positive")
+        _check_dim(dim)
         half = 0.5 * L ** (1.0 / dim)
         return cls(np.full(dim, -half), np.full(dim, half))
 
     @classmethod
     def unit(cls, dim: int) -> "Window":
+        _check_dim(dim)
         return cls(np.zeros(dim), np.ones(dim))
+
+
+def _check_dim(dim: int) -> None:
+    if dim < 1:
+        raise SamplerError(f"window dimension must be at least 1, got {dim}")
 
 
 def _dedup_rows(pts: np.ndarray) -> np.ndarray:

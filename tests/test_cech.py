@@ -19,7 +19,6 @@ from betti_thermo.cech import (
     NeighborGrid,
     build_cech,
     build_rips,
-    lex_keys,
     min_enclosing_ball_radius,
     simplex_count,
     simplices_touching,
@@ -648,50 +647,39 @@ class TestCounts:
             assert simplices_touching(cx, cloud, [strip], j) == want
 
 
-class TestKeys:
-    def test_byte_keys_give_the_same_complexes(self, monkeypatch):
-        # the builder and the boundary matrices take byte keys only when
-        # n**(j+1) reaches 2**63; forcing that branch must change nothing
-        from betti_thermo import cech, homology
-        from betti_thermo.homology import betti_numbers
-
-        gen = np.random.default_rng(26)
-        cases = []
-        for d in (2, 3, 4):
-            for period in (None, 1.4):
-                cases.append((PointCloud(gen.random((40, d)) * 1.4), 0.45, period))
-
-        def run():
-            out = []
-            for cloud, r, period in cases:
-                cx = build_cech(cloud, r, 4, period=period)
-                out.append((cx, build_rips(cloud, r, 4, period=period),
-                            tuple(betti_numbers(cx, 3))))
-            return out
-
-        want = run()
-        calls = []
-
-        def byte_keys(rows, base):
-            calls.append(rows.shape[1])
-            return cech._row_keys(rows)
-
-        monkeypatch.setattr(cech, "lex_keys", byte_keys)
-        monkeypatch.setattr(homology, "lex_keys", byte_keys)
-        got = run()
-        assert {2, 3, 4} <= set(calls)
-        assert got == want
-        assert any(len(cx.simplices_of(3)) for cx, _, _ in want)
-
-    @pytest.mark.parametrize("base", [50, 2 ** 40], ids=["int", "bytes"])
-    def test_keys_order_rows_lexicographically(self, base):
-        # 2**40 cubed overflows an int64, so those keys are byte strings
-        gen = np.random.default_rng(25)
-        rows = gen.integers(0, 50, size=(300, 3)) * (base // 50)
-        keys = lex_keys(rows, base)
-        order = np.lexsort(rows.T[::-1])
-        assert np.array_equal(np.sort(keys), keys[order])
-        assert len(np.unique(keys)) == len(np.unique(rows, axis=0))
+class TestFacets:
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    @pytest.mark.parametrize("torus", [False, True], ids=["plain", "torus"])
+    def test_columns_index_the_facets(self, d, torus):
+        # column c of facets[j] is the index, in level j-1, of the row
+        # without vertex j-c, found here through a dict over row tuples;
+        # column 0 (the parent) with the last vertex keys each level in
+        # increasing order. Every third cloud sits on a quarter-unit lattice
+        gen = np.random.default_rng(90 + 2 * d + torus)
+        period = 2.0 if torus else None
+        for trial in range(9):
+            n = int(gen.integers(2, 45))
+            pts = gen.random((n, d)) * 2.0
+            if trial % 3 == 0:
+                pts = np.round(pts * 4) / 4
+            cloud = PointCloud(pts)
+            n = len(cloud)
+            r = float(gen.uniform(0.25, 0.65)) * (0.5 if d == 1 else 1.0)
+            for build in (build_cech, build_rips):
+                cx = build(cloud, r, d + 1, period=period)
+                assert len(cx.facets) == len(cx.simplices)
+                assert cx.facets[0].shape == (n, 0)
+                if len(cx.simplices) > 1:
+                    assert cx.facets[1] is cx.simplices[1]
+                for j in range(1, len(cx.simplices)):
+                    index = {s: i for i, s in enumerate(map(tuple, cx.simplices[j - 1].tolist()))}
+                    want = [[index[s[:j - c] + s[j - c + 1:]] for c in range(j + 1)]
+                            for s in map(tuple, cx.simplices[j].tolist())]
+                    got = cx.facets[j]
+                    assert got.dtype == np.int64 and got.shape == (len(want), j + 1)
+                    assert got.tolist() == want, (build, j)
+                    keys = got[:, 0] * n + cx.simplices[j][:, -1]
+                    assert (np.diff(keys) > 0).all()
 
 
 class TestDump:

@@ -398,6 +398,36 @@ class TestConfig:
         assert message in capsys.readouterr().err
         assert not list(tmp_path.glob("x.*"))
 
+    @pytest.mark.parametrize("argv, config, message", [
+        (["betti", "--r", "nan"], None, "--r: value must be finite, got 'nan'"),
+        (["checks", "--eps", "nan"], None, "--eps: value must be finite, got 'nan'"),
+        (["complex", "--L", "1e400"], None, "--L: value must be finite, got '1e400'"),
+        (["rate", "--lambda=-inf"], None, "--lambda: value must be finite, got '-inf'"),
+        (["rate"], '{"r": NaN}', "config key 'r': value must be finite, got 'nan'"),
+        (["complex"], '{"L": 1e400}', "config key 'L': value must be finite, got 'inf'"),
+    ], ids=["r", "eps", "L", "lambda", "config-r", "config-L"])
+    def test_non_finite_float_rejected(self, tmp_path, capsys, argv, config, message):
+        # nan, inf and values that overflow to inf fail before any work
+        if config is not None:
+            path = tmp_path / "cfg.json"
+            path.write_text(config)
+            argv = argv + ["--config", str(path)]
+        assert main(argv + ["--out", str(tmp_path / "x")]) == 1
+        assert message in capsys.readouterr().err
+        assert not list(tmp_path.glob("x.*"))
+
+    @pytest.mark.parametrize("argv", [
+        ["sample", "--dim", "0"], ["complex", "--dim", "0"], ["converge", "--dim", "0"],
+        ["sample", "--dim", "0", "--n", "5"], ["sample", "--dim", "-1"],
+        ["sample", "--dim", "-1", "--n", "5"], ["gap", "--dim", "-1"],
+    ], ids=["sample", "complex", "converge", "sample-n", "sample-neg", "sample-n-neg", "gap-neg"])
+    def test_dimension_below_one_rejected(self, tmp_path, capsys, argv):
+        assert main(argv + ["--out", str(tmp_path / "x")]) == 1
+        err = capsys.readouterr().err
+        assert f"window dimension must be at least 1, got {argv[2]}" in err
+        assert "Traceback" not in err
+        assert not list(tmp_path.glob("x.*"))
+
     def test_config_values_parse_like_flags(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"n_schedule": [20, 40], "L": 50, "reps": 6,

@@ -7,7 +7,13 @@ import itertools
 import numpy as np
 import pytest
 
-from betti_thermo.cech import NeighborGrid, build_cech, build_rips
+from betti_thermo.cech import (
+    MINIBALL_TOL,
+    NeighborGrid,
+    build_cech,
+    build_rips,
+    min_enclosing_ball_radius,
+)
 from betti_thermo.homology import (
     BettiVector,
     HomologyError,
@@ -185,13 +191,6 @@ class TestBoundaryMatrix:
                         acc ^= cols_low[c]
                     assert acc == 0
 
-    def test_missing_facet_rejected(self):
-        from betti_thermo.cech import SimplicialComplex
-        cx = SimplicialComplex(2, 2, (np.arange(3)[:, None], np.array([[0, 1], [0, 2]]),
-                                      np.array([[0, 1, 2]])), 3)
-        with pytest.raises(HomologyError):
-            boundary_matrix(cx, 2)
-
     def test_out_of_range_rejected(self):
         with pytest.raises(HomologyError):
             boundary_matrix(hollow_triangle(), 0)
@@ -300,6 +299,49 @@ class TestRankEngine:
                 pts = np.mod(pts - 0.5, period)
             cx = build_cech(PointCloud(pts), r, d + 1, period=period)
             assert list(betti_numbers(cx, d)) == dense_betti(cx, d)
+
+
+class TestManyVertices:
+    def test_keys_past_the_int64_range(self):
+        # 1,500 vertices and a 6-simplex: rows of 6 vertices read as base-n
+        # numbers would not fit in an int64 (n**6 >= 2**63). Ten special
+        # points come first, far from the rest: a tight 7-point cluster
+        # (every subset is a simplex) and an equilateral triangle of side
+        # 0.95 r (a Rips triangle but not a Cech one). The background is
+        # sparse, with a few edges and triangles per hundred points
+        gen = np.random.default_rng(61)
+        r = 1.0
+        cluster = gen.normal(0.0, 0.08, (7, 2)) - 5.0
+        tri = 0.95 * np.array([[0.0, 0.0], [1.0, 0.0], [0.5, np.sqrt(3) / 2]]) - 10.0
+        special = np.vstack([cluster, tri])
+        pts = np.vstack([special, gen.random((1490, 2)) * 60.0])
+        cloud = PointCloud(pts)
+        n = len(cloud)
+        assert n ** 6 >= 2 ** 63
+
+        def cech_keeps(t):
+            return min_enclosing_ball_radius(special[list(t)]) <= r / 2 + MINIBALL_TOL
+
+        def rips_keeps(t):
+            return all(np.linalg.norm(special[a] - special[b]) <= r
+                       for a, b in itertools.combinations(t, 2))
+
+        complexes = []
+        for build, keeps in ((build_cech, cech_keeps), (build_rips, rips_keeps)):
+            cx = build(cloud, r, 6)
+            complexes.append(cx)
+            assert len(cx.simplices_of(6)) == 1
+            for j in range(7):
+                level = cx.simplices_of(j)
+                ours = (level < len(special)).all(axis=1)
+                # nothing joins a special point to the background
+                assert not ((level < len(special)).any(axis=1) & ~ours).any()
+                want = {t for t in itertools.combinations(range(len(special)), j + 1)
+                        if keeps(t)}
+                assert set(map(tuple, level[ours].tolist())) == want, (build, j)
+            assert list(betti_numbers(cx, 5)) == dense_betti(cx, 5)
+        cech, rips = (set(map(tuple, cx.simplices_of(2).tolist())) for cx in complexes)
+        assert {t for t in rips - cech if max(t) < len(special)} == {(7, 8, 9)}
 
 
 class TestSpanningForest:
@@ -461,6 +503,43 @@ class TestDifferenceBound:
         smaller = build_cech(PointCloud(pts), 0.5, 2)
         with pytest.raises(HomologyError):
             betti_diff_bound_check(bigger, smaller, 1)
+
+    def test_more_vertices_than_the_second_rejected(self):
+        # no edges anywhere: only the vertex level can tell them apart
+        pts = np.array([[0.0, 0.0], [5.0, 0.0], [10.0, 0.0], [15.0, 0.0], [20.0, 0.0]])
+        more = build_cech(PointCloud(pts), 1.0, 2)
+        fewer = build_cech(PointCloud(pts[:3]), 1.0, 2)
+        assert more.top_dim() == fewer.top_dim() == 0
+        assert betti_diff_bound_check(fewer, more, 1)
+        with pytest.raises(HomologyError, match="not contained"):
+            betti_diff_bound_check(more, fewer, 1)
+
+    def test_triangle_missing_from_the_second_rejected(self):
+        # two triangles with the same labels: the first fills 0-1-2 and
+        # leaves 3-4-5 hollow, the second the other way round, so every
+        # edge of the first is in the second and both reach dimension 2
+        h = np.sqrt(3) / 2
+        small = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, h]])
+        big = 1.1 * small
+        first = build_cech(PointCloud(np.vstack([small, big + 10.0])), 1.2, 2)
+        second = build_cech(PointCloud(np.vstack([big, small + 10.0])), 1.2, 2)
+        assert first.simplices_of(2).tolist() == [[0, 1, 2]]
+        assert second.simplices_of(2).tolist() == [[3, 4, 5]]
+        assert np.array_equal(first.simplices_of(1), second.simplices_of(1))
+        with pytest.raises(HomologyError, match="not contained"):
+            betti_diff_bound_check(first, second, 1)
+
+    def test_level_above_the_second_top_rejected(self):
+        # a regular tetrahedron of side 1: its triangles enter at r = 1.155,
+        # the solid at r = 1.225; both complexes are built to max_dim 3
+        pts = np.array([[1.0, 1.0, 1.0], [1.0, -1.0, -1.0],
+                        [-1.0, 1.0, -1.0], [-1.0, -1.0, 1.0]]) / np.sqrt(8)
+        solid = build_cech(PointCloud(pts), 1.25, 3)
+        shell = build_cech(PointCloud(pts), 1.2, 3)
+        assert (solid.top_dim(), shell.top_dim()) == (3, 2)
+        assert betti_diff_bound_check(shell, solid, 2)
+        with pytest.raises(HomologyError, match="not contained"):
+            betti_diff_bound_check(solid, shell, 2)
 
     def test_radius_nesting_random(self):
         gen = np.random.default_rng(37)

@@ -46,6 +46,18 @@ class TestWindow:
             Window(np.array([0.0, 0.0]), np.array([1.0, 0.0]))
 
 
+    @pytest.mark.parametrize("make, got", [
+        (lambda: Window.centered(10.0, 0), 0),
+        (lambda: Window.centered(10.0, -1), -1),
+        (lambda: Window.unit(0), 0),
+        (lambda: Window.unit(-1), -1),
+        (lambda: Window(np.zeros(0), np.ones(0)), 0),
+    ], ids=["centered-0", "centered-neg", "unit-0", "unit-neg", "bounds-0"])
+    def test_rejects_fewer_than_one_dimension(self, make, got):
+        with pytest.raises(SamplerError, match=f"at least 1, got {got}$"):
+            make()
+
+
 class TestPointCloud:
     def test_duplicates_removed_first_kept(self):
         pts = np.array([[0.0, 1.0], [2.0, 3.0], [0.0, 1.0], [4.0, 5.0]])
