@@ -19,7 +19,8 @@ survivors, in closed form (triangles by edge lengths, higher simplices
 by circumcenter). An optional period turns the metric into the flat
 torus R^d / period*Z^d; candidate simplices are then unwrapped to the
 nearest image around their first vertex, which reproduces torus balls
-exactly as long as period > 3r.
+exactly as long as period > 3r. Membership depends only on the vertex
+set, so SimplicialComplex.restrict gives the complex of part of a cloud.
 """
 
 from __future__ import annotations
@@ -59,6 +60,7 @@ class SimplicialComplex:
     build time; it may exceed the highest nonempty dimension. Builders
     guarantee downward closure. Two complexes are equal when their
     simplices and other fields are (the facets follow from the simplices).
+    restrict(labels) keeps those inside labelled parts of the vertices.
     """
 
     dim_ambient: int
@@ -97,6 +99,33 @@ class SimplicialComplex:
             and all(np.array_equal(a, b)
                     for a, b in zip(self.simplices, other.simplices))
         )
+
+    def restrict(self, labels) -> "SimplicialComplex":
+        """The simplices whose vertices all carry one non-negative label.
+
+        labels holds one int per vertex; a negative one drops the vertex.
+        Vertices and simplices keep their order, renumbered. Membership
+        depends only on the vertex set, and each simplex keeps its first
+        vertex, where the miniball filter starts: one label gives the
+        complex built on those points, several the disjoint union of those
+        complexes.
+        """
+        labels = np.asarray(labels)
+        if labels.shape != (self.vertex_count,):
+            raise CechError(f"need one label per vertex, got shape {labels.shape}")
+        vertex = np.cumsum(labels >= 0) - 1
+        levels, facets = [], []
+        index = vertex  # facets[0] has no columns: any index array serves
+        for j, (rows, up) in enumerate(zip(self.simplices, self.facets)):
+            lab = labels[rows]
+            kept = (lab[:, 0] >= 0) & (lab == lab[:, :1]).all(axis=1)
+            if j and not kept.any():
+                break
+            levels.append(vertex[rows[kept]])
+            facets.append(levels[1] if j == 1 else index[up[kept]])
+            index = np.cumsum(kept) - 1
+        return SimplicialComplex(self.dim_ambient, self.max_dim, tuple(levels),
+                                 len(levels[0]), tuple(facets))
 
     def dumps(self) -> str:
         """One simplex per line, space-separated indices, dimension-sorted."""

@@ -487,8 +487,23 @@ def run(config: ExperimentConfig) -> int:
         return _COMMANDS[config.command][0](config)
 
 
+def _attach_values(argv: list[str]) -> list[str]:
+    """'--flag -1e3' as '--flag=-1e3'. Every long option but --help takes
+    a value, and argparse would read one that starts with '-' and is not a
+    plain negative number (-1e3, -inf) as the next option."""
+    out = []
+    for arg in argv:
+        if (out and out[-1][:2] == "--" and "=" not in out[-1]
+                and arg[:1] == "-" and arg[:2] != "--"):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(
+        _attach_values(sys.argv[1:] if argv is None else argv))
     try:
         return run(resolve_config(args))
     except (ValueError, OSError) as exc:

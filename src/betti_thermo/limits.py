@@ -19,7 +19,6 @@ opens its own scope.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import os
@@ -207,14 +206,20 @@ def _rep_binomial(task, i: int):
 
 def _rep_gap(task, i: int):
     # shared point sequence: binomial keeps the first n draws, the
-    # Poissonized process the first N ~ Poisson(n); common random numbers
+    # Poissonized process the first N ~ Poisson(n); common random numbers.
+    # Deduplication keeps first occurrences in order, also after scaling,
+    # so the shorter sequence's cloud is a prefix of the longer one's
     density, n, r, k, stream = task
     gen = stream.substream(i).generator()
     count = int(gen.poisson(n))
     pts = density.sample(max(n, count), gen)
     scale = n ** (1.0 / density.dim)
-    b = _betti_k(scale_points(PointCloud(pts[:n]), scale), r, k, None)
-    p = _betti_k(scale_points(PointCloud(pts[:count]), scale), r, k, None)
+    cx = build_cech(scale_points(PointCloud(pts), scale), r, k + 1)
+    short = len(scale_points(PointCloud(pts[:min(n, count)]), scale))
+    prefix = np.where(np.arange(cx.vertex_count) < short, 0, -1)
+    whole = betti_numbers(cx, k)[k]
+    part = betti_numbers(cx.restrict(prefix), k)[k]
+    b, p = (part, whole) if count >= n else (whole, part)
     return (b / n, p / n)
 
 
@@ -225,12 +230,11 @@ def _rep_strip(task, i: int):
     cx = build_cech(cloud, r, k + 1)
     whole = betti_numbers(cx, k)[k]
     side = window.sides / m
-    boxes_total = 0
-    for idx in itertools.product(range(m), repeat=dim):
-        lower = window.lower + np.asarray(idx) * side
-        box = Window(lower, lower + side)
-        sub = PointCloud(cloud.points[box.contains(cloud.points)])
-        boxes_total += _betti_k(sub, r, k, None)
+    # each point lies in exactly one box, numbered row-major; restricted to
+    # these labels the complex is the disjoint union of the boxes' complexes
+    cell = np.floor((cloud.points - window.lower) / side).astype(np.int64)
+    box = np.ravel_multi_index(tuple(np.clip(cell, 0, m - 1).T), (m,) * dim)
+    boxes_total = betti_numbers(cx.restrict(box), k)[k]
     pad = r + 1e-9
     slabs = []
     for axis in range(dim):
@@ -367,33 +371,33 @@ def _check_args(*, r: float, reps: int | None = None, lam: float | None = None,
     """
     if schedule is not None:
         if not schedule or any(b <= a for a, b in zip(schedule, schedule[1:])):
-            raise LimitsError("n-schedule must be non-empty and increasing")
+            raise LimitsError(f"n-schedule must be non-empty and increasing, got {schedule}")
         n = schedule[0]
     if lam is not None and lam < 0:
-        raise LimitsError("intensity must be non-negative")
+        raise LimitsError(f"intensity must be non-negative, got {lam}")
     if n is not None and n < 1:
-        raise LimitsError("n must be at least 1")
+        raise LimitsError(f"n must be at least 1, got {n}")
     if r <= 0:
-        raise LimitsError("radius must be positive")
+        raise LimitsError(f"radius must be positive, got {r}")
     if L is not None:
         if dim < 1:
-            raise LimitsError("dimension must be at least 1")
+            raise LimitsError(f"dimension must be at least 1, got {dim}")
         if L <= (3.0 * r) ** dim:
             raise LimitsError(
                 f"window volume {L} too small for radius {r}: need L > (3r)^d "
                 "so no single simplex can span the window"
             )
     if reps is not None and reps < 2:
-        raise LimitsError("need at least 2 replicates for a standard error")
+        raise LimitsError(f"need at least 2 replicates for a standard error, got {reps}")
     if j is not None and j < 0:
-        raise LimitsError("simplex dimension must be non-negative")
+        raise LimitsError(f"simplex dimension must be non-negative, got {j}")
     if k is not None:
         if L is not None and not 1 <= k <= dim - 1:
             raise LimitsError(f"k must lie in 1..d-1, got k={k} in d={dim}")
         if L is None and k < 1:
-            raise LimitsError("k must be at least 1")
+            raise LimitsError(f"k must be at least 1, got {k}")
     if density is not None and density.dim < k + 1:
-        raise LimitsError(f"k={k} needs ambient dimension >= {k + 1}")
+        raise LimitsError(f"k={k} needs ambient dimension >= {k + 1}, got {density.dim}")
 
 
 # ---------------------------------------------------------------------------
@@ -811,9 +815,10 @@ def boundary_strip_check(lam: float, r: float, L: float, sub_box_count: int,
     """Verifies |beta_k(whole) - sum_i beta_k(box_i)| against the strip bound.
 
     The window is split into sub_box_count congruent boxes (the count
-    must be a d-th power); every simplex lost by the restriction touches
-    the r-slabs around the internal partition faces, so the dimension-k
-    and k+1 strip simplex counts bound the Betti difference.
+    must be a d-th power), and each point lies in exactly one box. Every
+    simplex lost by the restriction to the boxes touches the r-slabs
+    around the internal partition faces, so the dimension-k and k+1 strip
+    simplex counts bound the Betti difference.
     """
     _check_args(lam=lam, r=r, L=L, dim=dim, reps=reps, k=k)
     m = round(sub_box_count ** (1.0 / dim))

@@ -130,13 +130,10 @@ class PointCloud:
     """A finite point set in R^d (one realization of a point process).
 
     Exact duplicate coordinates are removed on construction so the cloud is
-    a simple counting measure, and non-finite coordinates are rejected;
-    ``seed`` records the master seed of the stream that generated it (None
-    for synthetic inputs).
+    a simple counting measure, and non-finite coordinates are rejected.
     """
 
     points: np.ndarray
-    seed: int | None = None
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
@@ -158,8 +155,8 @@ class PointCloud:
         return self.points.shape[0]
 
     @classmethod
-    def empty(cls, dim: int, seed: int | None = None) -> "PointCloud":
-        return cls(np.empty((0, dim)), seed=seed)
+    def empty(cls, dim: int) -> "PointCloud":
+        return cls(np.empty((0, dim)))
 
 
 class _Grid:
@@ -322,7 +319,7 @@ def sample_binomial(density: DensityGrid, n: int, rng: RngStream) -> PointCloud:
     if n < 0:
         raise SamplerError("n must be non-negative")
     gen = rng.generator()
-    return PointCloud(density.sample(n, gen), seed=rng.master_seed)
+    return PointCloud(density.sample(n, gen))
 
 
 def sample_poisson_homogeneous(lam: float, window: Window, rng: RngStream) -> PointCloud:
@@ -335,10 +332,10 @@ def sample_poisson_homogeneous(lam: float, window: Window, rng: RngStream) -> Po
         raise SamplerError("intensity must be non-negative")
     gen = rng.generator()
     if lam == 0:
-        return PointCloud.empty(window.dim, seed=rng.master_seed)
+        return PointCloud.empty(window.dim)
     n = int(gen.poisson(lam * window.volume()))
     pts = window.lower + gen.random((n, window.dim)) * window.sides
-    return PointCloud(pts, seed=rng.master_seed)
+    return PointCloud(pts)
 
 
 def sample_poisson_intensity(intensity: IntensityGrid, rng: RngStream) -> PointCloud:
@@ -346,24 +343,24 @@ def sample_poisson_intensity(intensity: IntensityGrid, rng: RngStream) -> PointC
     gen = rng.generator()
     mass = intensity.total_mass
     if mass <= 0:
-        return PointCloud.empty(intensity.dim, seed=rng.master_seed)
+        return PointCloud.empty(intensity.dim)
     count = int(gen.poisson(mass))
     if count == 0:
-        return PointCloud.empty(intensity.dim, seed=rng.master_seed)
+        return PointCloud.empty(intensity.dim)
     p = intensity.cell_masses() / mass
     cells = gen.choice(intensity.n_cells, size=count, p=p)
-    return PointCloud(intensity._sample_cells(cells, gen), seed=rng.master_seed)
+    return PointCloud(intensity._sample_cells(cells, gen))
 
 
 def superpose(a: PointCloud, b: PointCloud) -> PointCloud:
     """Union of two clouds; realizes the coupling P(f) + P(g) = P(f + g)."""
     if a.dim != b.dim:
         raise SamplerError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    return PointCloud(np.concatenate([a.points, b.points]), seed=a.seed)
+    return PointCloud(np.concatenate([a.points, b.points]))
 
 
 def scale_points(cloud: PointCloud, theta: float) -> PointCloud:
     """Map every point x to theta * x (theta P(lam) has the law of P(lam / theta^d))."""
     if theta <= 0:
         raise SamplerError("scale factor must be positive")
-    return PointCloud(cloud.points * theta, seed=cloud.seed)
+    return PointCloud(cloud.points * theta)

@@ -24,6 +24,7 @@ from betti_thermo.cech import (
     simplices_touching,
     vertex_simplex_count,
 )
+from betti_thermo.homology import betti_numbers
 from betti_thermo.pointproc import PointCloud, RngStream, Window, superpose
 
 
@@ -680,6 +681,68 @@ class TestFacets:
                     assert got.tolist() == want, (build, j)
                     keys = got[:, 0] * n + cx.simplices[j][:, -1]
                     assert (np.diff(keys) > 0).all()
+
+
+def assert_same_complex(got, want):
+    assert got == want
+    assert got.vertex_count == want.vertex_count
+    assert got.dumps() == want.dumps()
+    assert len(got.facets) == len(want.facets)
+    for a, b in zip(got.facets, want.facets):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert np.array_equal(a, b)
+    if len(got.simplices) > 1:
+        assert got.facets[1] is got.simplices[1]
+
+
+class TestRestrict:
+    # the oracle is the complex built on the labelled points alone: a
+    # restriction must equal it row for row, facets included
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    @pytest.mark.parametrize("torus", [False, True], ids=["plain", "torus"])
+    def test_matches_the_sub_cloud_build(self, d, torus):
+        # labels in -1..parts-1; every fourth cloud on a half-unit lattice,
+        # where pairs sit exactly r apart for r = 0.5
+        gen = np.random.default_rng(140 + 2 * d + torus)
+        period = 2.0 if torus else None
+        for trial in range(8):
+            pts = gen.random((int(gen.integers(2, 70)), d)) * 2.0
+            if trial % 4 == 0:
+                pts = np.round(pts * 2) / 2
+            cloud = PointCloud(pts)
+            r = 0.5 if trial % 4 == 0 else float(gen.uniform(0.25, 0.65))
+            if d == 1:
+                r *= 0.5
+            parts = int(gen.integers(1, 4))
+            labels = gen.integers(-1, parts, size=len(cloud))
+            for build in (build_cech, build_rips):
+                cx = build(cloud, r, d + 1, period=period)
+                total = np.zeros(d + 1, dtype=int)
+                for part in range(parts):
+                    mask = labels == part
+                    want = build(PointCloud(cloud.points[mask]), r, d + 1, period=period)
+                    assert_same_complex(cx.restrict(np.where(mask, 0, -1)), want)
+                    total += betti_numbers(want, d).values
+                # the Betti numbers of a disjoint union add
+                union = cx.restrict(labels)
+                assert union.vertex_count == np.count_nonzero(labels >= 0)
+                assert betti_numbers(union, d).values == tuple(total)
+
+    def test_edge_cases(self):
+        gen = np.random.default_rng(150)
+        cloud = random_cloud(30, 2, gen, spread=2.0)
+        cx = build_cech(cloud, 0.6, 2)
+        nobody = cx.restrict(np.full(len(cloud), -1))
+        assert_same_complex(nobody, build_cech(PointCloud.empty(2), 0.6, 2))
+        assert nobody.simplices[0].shape == (0, 1)
+        one = np.full(len(cloud), -1)
+        one[7] = 3
+        assert_same_complex(cx.restrict(one), build_cech(PointCloud(cloud.points[7:8]), 0.6, 2))
+        assert_same_complex(cx.restrict(np.zeros(len(cloud), dtype=int)), cx)
+        empty = build_cech(PointCloud.empty(2), 0.6, 2)
+        assert_same_complex(empty.restrict(np.empty(0, dtype=int)), empty)
+        with pytest.raises(CechError, match="one label per vertex"):
+            cx.restrict(np.zeros(len(cloud) - 1, dtype=int))
 
 
 class TestDump:

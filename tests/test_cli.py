@@ -416,6 +416,23 @@ class TestConfig:
         assert message in capsys.readouterr().err
         assert not list(tmp_path.glob("x.*"))
 
+    @pytest.mark.parametrize("attached", [False, True], ids=["spaced", "attached"])
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--lambda", "-1e3", "intensity must be non-negative, got -1000.0"),
+        ("--r", "-inf", "--r: value must be finite, got '-inf'"),
+        ("--r", "-.5e1", "radius must be positive, got -5.0"),
+        ("--n-schedule", "-1,2", "n must be at least 1, got -1"),
+    ], ids=["lambda", "r-inf", "r", "n-schedule"])
+    def test_value_starting_with_a_dash(self, tmp_path, capsys, flag, value,
+                                        message, attached):
+        # argparse reads '-1e3' or '-inf' after a flag as an option of its
+        # own unless it is attached with '='; both spellings reach _parse
+        args = [f"{flag}={value}"] if attached else [flag, value]
+        command = "gap" if flag == "--n-schedule" else "rate"
+        assert main([command, *args, "--out", str(tmp_path / "x")]) == 1
+        assert message in capsys.readouterr().err
+        assert not list(tmp_path.glob("x.*"))
+
     @pytest.mark.parametrize("argv", [
         ["sample", "--dim", "0"], ["complex", "--dim", "0"], ["converge", "--dim", "0"],
         ["sample", "--dim", "0", "--n", "5"], ["sample", "--dim", "-1"],

@@ -10,6 +10,7 @@ propagation) is checked exactly on synthetic curves.
 import json
 import math
 import multiprocessing
+import re
 
 import numpy as np
 import pytest
@@ -42,7 +43,8 @@ from betti_thermo.limits import (
     thermodynamic_integral,
     worker_pool,
 )
-from betti_thermo.pointproc import DensityGrid, IntensityGrid, RngStream, Window
+from betti_thermo.cech import SimplicialComplex
+from betti_thermo.pointproc import DensityGrid, IntensityGrid, PointCloud, RngStream, Window
 
 
 def unit_uniform(dim=2):
@@ -384,6 +386,58 @@ class TestBoundaryStrips:
     def test_box_side_must_exceed_two_r(self):
         with pytest.raises(LimitsError):
             boundary_strip_check(1.0, 2.05, 64.0, 4, 1, RngStream(85), reps=5, dim=2)
+
+    @pytest.mark.parametrize("L, r, x", [
+        (70.0, 1.0, 2.0916500663351885),
+        (60.0, 0.9, 1.9364916731037087),
+    ], ids=["two-boxes", "no-box"])
+    def test_point_on_a_box_face_lies_in_one_box(self, monkeypatch, L, r, x):
+        # with 4 x 4 boxes, the face computed as lower + idx*side + side and
+        # as lower + (idx+1)*side differ by an ulp at these L, and x lies
+        # between them: as a box test, in boxes (2, 2) and (3, 2) at L = 70
+        # and in none at L = 60. Its label puts it in box (3, 2) alone, and
+        # the restriction to the boxes keeps every point
+        cloud = PointCloud(np.array([[x, 0.1], [x - 0.5, 0.1], [x + 0.5, 0.1]]))
+        monkeypatch.setattr(limits, "sample_poisson_homogeneous",
+                            lambda lam, window, rng: cloud)
+        seen = []
+        restrict = SimplicialComplex.restrict
+
+        def spy(cx, labels):
+            seen.append((np.asarray(labels).tolist(), restrict(cx, labels)))
+            return seen[-1][1]
+
+        monkeypatch.setattr(SimplicialComplex, "restrict", spy)
+        report = boundary_strip_check(1.0, r, L, 16, 1, RngStream(86), reps=2)
+        assert report.holds_all
+        assert len(seen) == 2
+        for labels, boxes in seen:
+            assert labels == [3 * 4 + 2, 2 * 4 + 2, 3 * 4 + 2]
+            assert boxes.vertex_count == len(cloud)
+            assert boxes.simplex_counts() == [3, 1]
+
+
+class TestArgumentChecks:
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(r=1.0, lam=-1e3), "intensity must be non-negative, got -1000.0"),
+        (dict(r=0.0), "radius must be positive, got 0.0"),
+        (dict(r=1.0, reps=1), "need at least 2 replicates for a standard error, got 1"),
+        (dict(r=1.0, n=0), "n must be at least 1, got 0"),
+        (dict(r=1.0, schedule=(400, 200)),
+         "n-schedule must be non-empty and increasing, got (400, 200)"),
+        (dict(r=1.0, schedule=()), "n-schedule must be non-empty and increasing, got ()"),
+        (dict(r=1.0, L=100.0, dim=0), "dimension must be at least 1, got 0"),
+        (dict(r=2.0, L=30.0, dim=2), "window volume 30.0 too small for radius 2.0"),
+        (dict(r=1.0, j=-1), "simplex dimension must be non-negative, got -1"),
+        (dict(r=1.0, L=100.0, dim=2, k=2), "k must lie in 1..d-1, got k=2 in d=2"),
+        (dict(r=1.0, k=0), "k must be at least 1, got 0"),
+        (dict(r=1.0, k=1, density=DensityGrid.uniform(Window.unit(1))),
+         "k=1 needs ambient dimension >= 2, got 1"),
+    ], ids=["lam", "r", "reps", "n", "schedule", "empty-schedule", "dim", "L", "j",
+            "k-window", "k", "density"])
+    def test_message_names_the_value(self, kwargs, message):
+        with pytest.raises(LimitsError, match=re.escape(message)):
+            limits._check_args(**kwargs)
 
 
 class TestIntensityPerturbation:
