@@ -28,12 +28,11 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from math import floor, prod, sqrt
-from pathlib import Path
+from math import prod
 
 import numpy as np
 
-from betti_thermo.pointproc import PointCloud, Window
+from betti_thermo.pointproc import PointCloud
 
 # absolute slack on the miniball-radius <= r/2 comparison; keeps the
 # complex monotone in r under floating point
@@ -84,11 +83,6 @@ class SimplicialComplex:
                 return j
         return -1
 
-    def euler_characteristic(self) -> int:
-        return sum(
-            (-1) ** j * len(level) for j, level in enumerate(self.simplices)
-        )
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, SimplicialComplex):
             return NotImplemented
@@ -133,9 +127,6 @@ class SimplicialComplex:
         for level in self.simplices:
             lines.extend(" ".join(map(str, row)) for row in level.tolist())
         return "\n".join(lines) + ("\n" if lines else "")
-
-    def dump(self, path) -> None:
-        Path(path).write_text(self.dumps())
 
 
 def _min_image(delta: np.ndarray, period: float) -> np.ndarray:
@@ -305,65 +296,6 @@ def _wrap_pad(table: np.ndarray) -> np.ndarray:
         lead[a] = -1
         table[tuple(lead)] = table.take(1, axis=a)
     return table.ravel()
-
-
-def min_enclosing_ball_radius(points) -> float:
-    """Radius of the smallest ball containing the points.
-
-    Welzl's recursive algorithm with move-to-front reordering; exact for
-    the support set up to roundoff. A 1-D input array is read as points
-    on a line. Empty input is rejected. The complex builders do not call
-    it: they filter whole levels in closed form, and the tests use this
-    function as the independent oracle for that filter.
-    """
-    pts = np.asarray(points, dtype=float)
-    if pts.size == 0:
-        raise CechError("miniball of an empty point set")
-    if pts.ndim == 1:
-        pts = pts[:, None]
-    _, r2 = _miniball(pts)
-    return sqrt(max(r2, 0.0))
-
-
-def _miniball(pts: np.ndarray) -> tuple[np.ndarray, float]:
-    d = pts.shape[1]
-    # absolute slack scaled to the coordinate magnitude (cancellation floor)
-    abs_tol = 1e-14 * max(1.0, float((pts * pts).sum(axis=1).max()))
-    work = [pts[i] for i in range(len(pts))]
-    return _mtf_ball(work, len(work), [], d, abs_tol)
-
-
-def _mtf_ball(work: list, end: int, support: list, d: int, abs_tol: float):
-    center, r2 = _circumball(support, d)
-    if len(support) == d + 1:
-        return center, r2
-    i = 0
-    while i < end:
-        p = work[i]
-        delta = p - center
-        if float(delta @ delta) > r2 + 1e-12 * abs(r2) + abs_tol:
-            center, r2 = _mtf_ball(work, i, support + [p], d, abs_tol)
-            work.insert(0, work.pop(i))
-        i += 1
-    return center, r2
-
-
-def _circumball(support: list, d: int) -> tuple[np.ndarray, float]:
-    # smallest sphere through the support points (center in their affine hull)
-    if not support:
-        return np.zeros(d), -1.0
-    q0 = support[0]
-    if len(support) == 1:
-        return q0, 0.0
-    A = np.asarray(support[1:]) - q0
-    b = 0.5 * (A * A).sum(axis=1)
-    G = A @ A.T
-    try:
-        alpha = np.linalg.solve(G, b)
-    except np.linalg.LinAlgError:
-        alpha = np.linalg.lstsq(G, b, rcond=None)[0]
-    offset = A.T @ alpha
-    return q0 + offset, float(offset @ offset)
 
 
 def _batch_triangle_r2(pa: np.ndarray, pb: np.ndarray, pc: np.ndarray) -> np.ndarray:
@@ -553,24 +485,6 @@ def _batch_circumball(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         inside = ~singular & (alpha >= 0).all(axis=1) & (alpha.sum(axis=1) <= 1.0)
         r2 = (offset * offset).sum(axis=1)
     return inside, r2
-
-
-def simplex_count(complex: SimplicialComplex, j: int) -> int:
-    """S_j of the complex (0 beyond the stored dimensions)."""
-    if j < 0:
-        raise CechError("simplex dimension must be non-negative")
-    return len(complex.simplices_of(j))
-
-
-def vertex_simplex_count(complex: SimplicialComplex, v: int, j: int) -> int:
-    """Number of j-simplices containing vertex v.
-
-    Summing over v gives (j+1) * S_j: each j-simplex is counted once per
-    vertex.
-    """
-    if not 0 <= v < complex.vertex_count:
-        raise CechError(f"vertex index {v} out of range")
-    return int(np.count_nonzero(complex.simplices_of(j) == v))
 
 
 def simplices_touching(complex: SimplicialComplex, cloud: PointCloud,

@@ -256,9 +256,10 @@ def _period_for(cfg: ExperimentConfig) -> float | None:
 
 def _s_grid(s_max: float, s_step: float) -> tuple[float, ...]:
     if s_step <= 0:
-        raise CliError("s-step must be positive")
+        raise CliError(f"s-step must be positive, got {s_step}")
     if s_max < s_step:
-        raise CliError("s-max must be at least one step")
+        raise CliError(
+            f"s-max must be at least one step, got {s_max} with step {s_step}")
     count = int(math.floor(s_max / s_step + 1e-9))
     grid = [round(i * s_step, 12) for i in range(count + 1)]
     if grid[-1] < s_max - 1e-9 * max(1.0, s_max):
@@ -293,9 +294,9 @@ def cmd_sample(cfg: ExperimentConfig) -> int:
 
 def _check_complex_params(cfg: ExperimentConfig) -> None:
     if cfg.r <= 0:
-        raise CliError("radius must be positive")
+        raise CliError(f"radius must be positive, got {cfg.r}")
     if cfg.k < 0:
-        raise CliError("k must be non-negative")
+        raise CliError(f"k must be non-negative, got {cfg.k}")
 
 
 def cmd_complex(cfg: ExperimentConfig) -> int:
@@ -424,7 +425,7 @@ def cmd_gap(cfg: ExperimentConfig) -> int:
 
 def cmd_checks(cfg: ExperimentConfig) -> int:
     if cfg.eps < 0:
-        raise CliError("eps must be non-negative")
+        raise CliError(f"eps must be non-negative, got {cfg.eps}")
     names = _CHECKS if cfg.only is None else (cfg.only,)
     master = RngStream(cfg.seed)
     doc = {}

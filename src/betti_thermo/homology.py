@@ -12,11 +12,9 @@ betti_numbers d_2 skips the rows of d_1's spanning forest (clearing,
 after Chen & Kerber, "Persistent homology computation with a twist",
 EuroCG 2011): since d_1 d_2 = 0, peeling the forest's leaves writes each
 forest row as a sum of non-forest rows. A d_2 built on its own clears
-nothing unless it is given the forest. Also: a Python union-find
-component counter kept as the beta_0 oracle, the exact Euler-Poincare
-cross-check, and the Betti-difference bound for nested complexes (the
-inequality |beta_k(K1) - beta_k(K2)| bounded by the simplices of
-K2 \\ K1 in dimensions k and k+1).
+nothing unless it is given the forest. Also: the Betti-difference bound
+for nested complexes (the inequality |beta_k(K1) - beta_k(K2)| bounded by
+the simplices of K2 \\ K1 in dimensions k and k+1).
 """
 
 from __future__ import annotations
@@ -27,8 +25,7 @@ from itertools import chain
 
 import numpy as np
 
-from betti_thermo.cech import NeighborGrid, SimplicialComplex, sorted_lookup
-from betti_thermo.pointproc import PointCloud
+from betti_thermo.cech import SimplicialComplex, sorted_lookup
 
 
 class HomologyError(ValueError):
@@ -251,46 +248,6 @@ def betti_numbers(complex: SimplicialComplex, max_k: int) -> BettiVector:
         s_k = len(complex.simplices_of(k))
         values.append(s_k - ranks[k] - ranks[k + 1])
     return BettiVector(values=tuple(values), max_k=max_k)
-
-
-def connected_components(cloud: PointCloud, r: float,
-                         period: float | None = None) -> int:
-    """Components of the geometric graph with edges at distance <= r.
-
-    Union-find with path halving over the edges in order: a separate
-    beta_0 oracle, written apart from the Boruvka _spanning_forest that
-    betti_numbers uses. Acceptance criterion 1 and test_homology
-    compare beta_0 against it.
-    """
-    if r <= 0:
-        raise HomologyError("radius must be positive")
-    n = len(cloud)
-    if n == 0:
-        return 0
-    grid = NeighborGrid(cloud.points, cell_size=r, period=period)
-    u, v = grid.pairs_within(r)
-    parent = list(range(n))
-    components = n
-    for a, b in zip(u.tolist(), v.tolist()):
-        while parent[a] != a:
-            parent[a] = a = parent[parent[a]]
-        while parent[b] != b:
-            parent[b] = b = parent[parent[b]]
-        if a != b:
-            parent[max(a, b)] = min(a, b)
-            components -= 1
-    return components
-
-
-def euler_check(complex: SimplicialComplex, betti: BettiVector) -> bool:
-    """Exact Euler-Poincare identity: alternating simplex and Betti sums match.
-
-    Only meaningful when the complex holds all of its dimensions and the
-    Betti vector reaches the top nonempty dimension.
-    """
-    chi_simplices = complex.euler_characteristic()
-    chi_betti = sum((-1) ** k * b for k, b in enumerate(betti.values))
-    return chi_simplices == chi_betti
 
 
 def betti_diff_bound_check(k1: SimplicialComplex, k2: SimplicialComplex,

@@ -358,11 +358,12 @@ def _mean_stderr(values) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 # argument checks
 
-def _check_args(*, r: float, reps: int | None = None, lam: float | None = None,
-                L: float | None = None, dim: int | None = None,
-                k: int | None = None, j: int | None = None, n: int | None = None,
-                schedule: tuple[int, ...] | None = None,
-                density: DensityGrid | None = None) -> None:
+def _check_args(*, r: float | None = None, reps: int | None = None,
+                lam: float | None = None, L: float | None = None,
+                dim: int | None = None, k: int | None = None, j: int | None = None,
+                n: int | None = None, schedule: tuple[int, ...] | None = None,
+                density: DensityGrid | None = None,
+                boundary_mode: str | None = None) -> None:
     """The estimators' argument checks; each runs when its argument is given.
 
     With a window (L and dim) k must lie in 1..d-1; without one k must be
@@ -377,7 +378,7 @@ def _check_args(*, r: float, reps: int | None = None, lam: float | None = None,
         raise LimitsError(f"intensity must be non-negative, got {lam}")
     if n is not None and n < 1:
         raise LimitsError(f"n must be at least 1, got {n}")
-    if r <= 0:
+    if r is not None and r <= 0:
         raise LimitsError(f"radius must be positive, got {r}")
     if L is not None:
         if dim < 1:
@@ -398,6 +399,9 @@ def _check_args(*, r: float, reps: int | None = None, lam: float | None = None,
             raise LimitsError(f"k must be at least 1, got {k}")
     if density is not None and density.dim < k + 1:
         raise LimitsError(f"k={k} needs ambient dimension >= {k + 1}, got {density.dim}")
+    if boundary_mode is not None and boundary_mode not in ("plain", "torus"):
+        raise LimitsError(
+            f"boundary mode must be 'plain' or 'torus', got {boundary_mode!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +415,8 @@ def estimate_betti_rate(lam: float, r: float, L: float, k: int, reps: int,
     boundary_mode "torus" replaces the Euclidean metric with the flat
     torus on the observation window, removing boundary bias.
     """
-    _check_args(lam=lam, r=r, L=L, dim=dim, reps=reps, k=k)
+    _check_args(lam=lam, r=r, L=L, dim=dim, reps=reps, k=k,
+                boundary_mode=boundary_mode)
     task = (lam, r, L, k, dim, boundary_mode, rng)
     values = _map_replicates("betti_rate", task, reps, workers)
     mean, stderr = _mean_stderr(values)
@@ -423,7 +428,8 @@ def estimate_simplex_rate(lam: float, r: float, L: float, j: int, reps: int,
                           rng: RngStream, boundary_mode: str = "plain",
                           dim: int = 2, workers: int = 1) -> EstimateRecord:
     """Mean of S_j(lam, r; L) / L, the per-volume j-simplex count."""
-    _check_args(lam=lam, r=r, L=L, dim=dim, reps=reps, j=j)
+    _check_args(lam=lam, r=r, L=L, dim=dim, reps=reps, j=j,
+                boundary_mode=boundary_mode)
     task = (lam, r, L, j, dim, boundary_mode, rng)
     values = _map_replicates("simplex_rate", task, reps, workers)
     mean, stderr = _mean_stderr(values)
@@ -459,6 +465,11 @@ class LimitCurve(_JsonRecord):
             raise LimitsError("s_grid must be strictly increasing with >= 2 points")
         if len(self.values) != len(grid) or len(self.stderrs) != len(grid):
             raise LimitsError("curve values/stderrs must match the s_grid length")
+        for name in ("values", "stderrs"):
+            bad = [v for v in getattr(self, name)
+                   if not isinstance(v, (int, float)) or not math.isfinite(v)]
+            if bad:
+                raise LimitsError(f"curve {name} must be finite numbers, got {bad[0]!r}")
 
     def weights(self, s: float) -> list[tuple[int, float]]:
         """Linear interpolation weights on the grid for the point s."""
@@ -488,7 +499,7 @@ def build_limit_curve(k: int, s_grid, L: float, reps: int, rng: RngStream,
     """Estimate beta_hat_k(1, s) on the grid; s = 0 is exactly 0."""
     grid = [float(s) for s in s_grid]
     if any(s < 0 for s in grid):
-        raise LimitsError("s_grid values must be non-negative")
+        raise LimitsError(f"s_grid values must be non-negative, got {min(grid)}")
     values = []
     stderrs = []
     provenance = []
@@ -531,8 +542,9 @@ def load_or_build_curve(cache_dir, k: int, s_grid, L: float, reps: int,
     curve document, is rebuilt and overwritten (the key identifies seed and
     estimator settings, not the grid).
     """
-    # checked before the cache lookup, so a hit cannot mask a bad count
+    # checked before the cache lookup, so a hit cannot mask a bad count or mode
     _check_workers(workers)
+    _check_args(boundary_mode=boundary_mode)
     path = curve_cache_path(cache_dir, dim, k, L, reps, rng, boundary_mode)
     grid = tuple(float(s) for s in s_grid)
     if path.exists():
@@ -610,7 +622,7 @@ def scaling_check(lam: float, theta: float, r: float, L: float, k: int,
     substream, so both sides coincide exactly.
     """
     if theta <= 0:
-        raise LimitsError("theta must be positive")
+        raise LimitsError(f"theta must be positive, got {theta}")
     with worker_pool():
         lhs = estimate_betti_rate(lam, r, L, k, reps, rng.substream(0),
                                   boundary_mode=boundary_mode, dim=dim, workers=workers)

@@ -10,8 +10,7 @@ through the row-wise np.unique.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,6 +65,9 @@ class Window:
         if lo.ndim != 1 or lo.shape != hi.shape:
             raise SamplerError("window bounds must be equal-length vectors")
         _check_dim(len(lo))
+        if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+            raise SamplerError(
+                f"window bounds must be finite, got {lo.tolist()} / {hi.tolist()}")
         if not np.all(lo < hi):
             raise SamplerError(f"window must satisfy lower < upper, got {lo} / {hi}")
         lo.flags.writeable = False
@@ -257,16 +259,6 @@ class DensityGrid(_Grid):
         if box.dim != dim:
             raise DensityError(f"dim field {dim} does not match bounds of length {box.dim}")
         return cls.from_values(box, doc["cells_per_axis"], doc["values"], normalize=True)
-
-    def to_json(self, path) -> None:
-        doc = {
-            "dim": self.dim,
-            "lower": self.box.lower.tolist(),
-            "upper": self.box.upper.tolist(),
-            "cells_per_axis": list(self.cells_per_axis),
-            "values": self.values.tolist(),
-        }
-        Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
     def sample(self, n: int, gen: np.random.Generator) -> np.ndarray:
         """n i.i.d. points: cell proportional to mass, then uniform in the cell."""

@@ -17,14 +17,15 @@ import numpy as np
 import pytest
 
 from conftest import acceptance_lines
-
-from betti_thermo.cech import build_cech, simplex_count, vertex_simplex_count
-from betti_thermo.homology import (
-    betti_diff_bound_check,
-    betti_numbers,
+from oracles import (
     connected_components,
     euler_check,
+    simplex_count,
+    vertex_simplex_count,
 )
+
+from betti_thermo.cech import build_cech
+from betti_thermo.homology import betti_diff_bound_check, betti_numbers
 from betti_thermo.limits import (
     boundary_strip_check,
     convergence_table,

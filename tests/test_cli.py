@@ -101,7 +101,8 @@ class TestSampleCommand:
 
     def test_density_file_sampling(self, tmp_path):
         density = tmp_path / "d.json"
-        DensityGrid.uniform(Window.unit(3)).to_json(density)
+        density.write_text(json.dumps({"dim": 3, "lower": [0, 0, 0], "upper": [1, 1, 1],
+                                       "cells_per_axis": [1, 1, 1], "values": [1]}))
         out = str(tmp_path / "s3")
         assert main(["sample", "--density", str(density), "--n", "7",
                      "--out", out]) == 0
@@ -111,7 +112,8 @@ class TestSampleCommand:
 
     def test_density_needs_n(self, tmp_path, capsys):
         density = tmp_path / "d.json"
-        DensityGrid.uniform(Window.unit(2)).to_json(density)
+        density.write_text(json.dumps({"dim": 2, "lower": [0, 0], "upper": [1, 1],
+                                       "cells_per_axis": [1, 1], "values": [1]}))
         code = main(["sample", "--density", str(density), "--out", str(tmp_path / "x")])
         assert code == 1
         assert "needs --n" in capsys.readouterr().err
@@ -430,6 +432,20 @@ class TestConfig:
         args = [f"{flag}={value}"] if attached else [flag, value]
         command = "gap" if flag == "--n-schedule" else "rate"
         assert main([command, *args, "--out", str(tmp_path / "x")]) == 1
+        assert message in capsys.readouterr().err
+        assert not list(tmp_path.glob("x.*"))
+
+    @pytest.mark.parametrize("argv, message", [
+        (["checks", "--theta", "0"], "theta must be positive, got 0.0"),
+        (["checks", "--eps", "-1"], "eps must be non-negative, got -1.0"),
+        (["complex", "--r", "0"], "radius must be positive, got 0.0"),
+        (["betti", "--k", "-2"], "k must be non-negative, got -2"),
+        (["curve", "--s-step", "0"], "s-step must be positive, got 0.0"),
+        (["curve", "--s-max", "0.05"],
+         "s-max must be at least one step, got 0.05 with step 0.1"),
+    ], ids=["theta", "eps", "r", "k", "s-step", "s-max"])
+    def test_argument_error_names_the_value(self, tmp_path, capsys, argv, message):
+        assert main(argv + ["--out", str(tmp_path / "x")]) == 1
         assert message in capsys.readouterr().err
         assert not list(tmp_path.glob("x.*"))
 

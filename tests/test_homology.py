@@ -7,21 +7,15 @@ import itertools
 import numpy as np
 import pytest
 
-from betti_thermo.cech import (
-    MINIBALL_TOL,
-    NeighborGrid,
-    build_cech,
-    build_rips,
-    min_enclosing_ball_radius,
-)
+from oracles import connected_components, euler_check, min_enclosing_ball_radius
+
+from betti_thermo.cech import MINIBALL_TOL, NeighborGrid, build_cech, build_rips
 from betti_thermo.homology import (
     BettiVector,
     HomologyError,
     betti_diff_bound_check,
     betti_numbers,
     boundary_matrix,
-    connected_components,
-    euler_check,
     rank_gf2,
     _spanning_forest,
 )

@@ -116,6 +116,11 @@ class TestRateEstimators:
             estimate_betti_rate(1.0, 1.0, 100.0, 1, 10, RngStream(59), dim=2,
                                 workers=workers)
 
+    @pytest.mark.parametrize("estimator", [estimate_betti_rate, estimate_simplex_rate])
+    def test_unknown_boundary_mode_rejected(self, estimator):
+        with pytest.raises(LimitsError, match="got 'torsu'$"):
+            estimator(1.0, 1.0, 100.0, 1, 2, RngStream(1), boundary_mode="torsu")
+
     def test_reproducible_and_worker_independent(self):
         a = estimate_betti_rate(1.0, 1.0, 80.0, 1, 12, RngStream(60),
                                 boundary_mode="torus", dim=2)
@@ -197,8 +202,10 @@ class TestCurveCache:
         lambda doc: {**doc, "stderrs": [0.0]},
         lambda doc: {**doc, "provenance": [5]},
         lambda doc: {**doc, "s_grid": [0.0, None]},
+        lambda doc: {**doc, "values": [None] * len(doc["values"])},
+        lambda doc: {**doc, "stderrs": [str(v) for v in doc["stderrs"]]},
     ], ids=["list", "scalar_grid", "missing_key", "short_column", "bad_provenance",
-            "null_grid_point"])
+            "null_grid_point", "null_values", "string_stderrs"])
     def test_malformed_entry_rebuilds(self, tmp_path, corrupt):
         args = dict(k=1, s_grid=[0.0, 0.6], L=50.0, reps=8, rng=RngStream(65),
                     boundary_mode="torus", dim=2)
@@ -207,6 +214,14 @@ class TestCurveCache:
         path.write_text(json.dumps(corrupt(built.to_dict())))
         assert load_or_build_curve(tmp_path, **args) == built
         assert LimitCurve.from_dict(json.loads(path.read_text())) == built
+
+    def test_unknown_boundary_mode_rejected_on_cache_hit(self, tmp_path):
+        args = dict(k=1, s_grid=[0.0, 0.6], L=50.0, reps=8, rng=RngStream(64), dim=2)
+        built = load_or_build_curve(tmp_path, boundary_mode="torus", **args)
+        path = curve_cache_path(tmp_path, 2, 1, 50.0, 8, RngStream(64), "torsu")
+        path.write_text(json.dumps(built.to_dict()))
+        with pytest.raises(LimitsError, match="got 'torsu'$"):
+            load_or_build_curve(tmp_path, boundary_mode="torsu", **args)
 
     def test_other_numpy_version_misses(self, tmp_path, monkeypatch):
         args = dict(k=1, s_grid=[0.0, 0.6], L=50.0, reps=8, rng=RngStream(64),
@@ -433,8 +448,10 @@ class TestArgumentChecks:
         (dict(r=1.0, k=0), "k must be at least 1, got 0"),
         (dict(r=1.0, k=1, density=DensityGrid.uniform(Window.unit(1))),
          "k=1 needs ambient dimension >= 2, got 1"),
+        (dict(r=1.0, boundary_mode="torsu"),
+         "boundary mode must be 'plain' or 'torus', got 'torsu'"),
     ], ids=["lam", "r", "reps", "n", "schedule", "empty-schedule", "dim", "L", "j",
-            "k-window", "k", "density"])
+            "k-window", "k", "density", "boundary-mode"])
     def test_message_names_the_value(self, kwargs, message):
         with pytest.raises(LimitsError, match=re.escape(message)):
             limits._check_args(**kwargs)

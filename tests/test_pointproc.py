@@ -2,6 +2,7 @@
 plus moment oracles computed analytically before comparing to sample runs."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -45,6 +46,12 @@ class TestWindow:
         with pytest.raises(SamplerError):
             Window(np.array([0.0, 0.0]), np.array([1.0, 0.0]))
 
+
+    @pytest.mark.parametrize("upper", [[np.inf, 1.0], [np.nan, 1.0]], ids=["inf", "nan"])
+    def test_rejects_non_finite_bounds(self, upper):
+        with pytest.raises(SamplerError, match=re.escape(
+                f"window bounds must be finite, got [0.0, 0.0] / {upper}")):
+            Window(np.zeros(2), np.array(upper))
 
     @pytest.mark.parametrize("make, got", [
         (lambda: Window.centered(10.0, 0), 0),
@@ -149,10 +156,20 @@ class TestDensityGrid:
         assert np.allclose(grid.values, [1.5, 0.5])
         assert grid.cell_masses().sum() == pytest.approx(1.0)
 
+    def test_json_non_finite_bound_rejected(self, tmp_path):
+        path = tmp_path / "dens.json"
+        path.write_text('{"dim": 2, "lower": [0, 0], "upper": [Infinity, 1], '
+                        '"cells_per_axis": [1, 1], "values": [1]}')
+        with pytest.raises(SamplerError, match=re.escape("finite, got [0.0, 0.0] / [inf, 1.0]")):
+            DensityGrid.from_json(path)
+
     def test_json_round_trip(self, tmp_path):
         grid = two_level_density()
         path = tmp_path / "dens.json"
-        grid.to_json(path)
+        path.write_text(json.dumps({"dim": grid.dim, "lower": grid.box.lower.tolist(),
+                                    "upper": grid.box.upper.tolist(),
+                                    "cells_per_axis": list(grid.cells_per_axis),
+                                    "values": grid.values.tolist()}))
         back = DensityGrid.from_json(path)
         assert back.cells_per_axis == grid.cells_per_axis
         assert np.array_equal(back.values, grid.values)
