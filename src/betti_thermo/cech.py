@@ -16,7 +16,10 @@ candidate's facets are np.searchsorted lookups of int64 keys built from
 its parent's facet indices, and the indices found are the complex's
 facets. The Cech miniball filter then runs once per level on the
 survivors, in closed form (triangles by edge lengths, higher simplices
-by circumcenter). An optional period turns the metric into the flat
+by circumcenter). It reads each candidate's vertices as one index array
+per vertex position and the points as one coordinate array per axis,
+and only the simplices it keeps are stacked into rows. An optional
+period turns the metric into the flat
 torus R^d / period*Z^d; candidate simplices are then unwrapped to the
 nearest image around their first vertex, which reproduces torus balls
 exactly as long as period > 3r. Membership depends only on the vertex
@@ -298,8 +301,11 @@ def _wrap_pad(table: np.ndarray) -> np.ndarray:
     return table.ravel()
 
 
-def _batch_triangle_r2(pa: np.ndarray, pb: np.ndarray, pc: np.ndarray) -> np.ndarray:
+def _batch_triangle_r2(pa, pb, pc) -> np.ndarray:
     """Squared miniball radii of point triples (vectorized).
+
+    pa, pb and pc hold the triples' first, second and third points, one
+    coordinate array per axis.
 
     If some angle is >= 90 deg the miniball is the half ball of the
     longest edge, else the circumball. An angle counts as >= 90 deg when
@@ -312,10 +318,10 @@ def _batch_triangle_r2(pa: np.ndarray, pb: np.ndarray, pc: np.ndarray) -> np.nda
     # coordinate by coordinate: row sums over a short axis are slow in
     # numpy, and adding the d terms in order gives the same floats
     lab = lac = lbc = dot_a = dot_b = dot_c = 0.0
-    for c in range(pa.shape[1]):
-        ab = pb[:, c] - pa[:, c]
-        ac = pc[:, c] - pa[:, c]
-        bc = pc[:, c] - pb[:, c]
+    for xa, xb, xc in zip(pa, pb, pc):
+        ab = xb - xa
+        ac = xc - xa
+        bc = xc - xb
         lab = lab + ab * ab
         lac = lac + ac * ac
         lbc = lbc + bc * bc
@@ -383,13 +389,17 @@ def _build(cloud: PointCloud, r: float, max_dim: int, period: float | None,
         # CSR upper-neighbour lists: the edges are sorted by (u, v), so
         # vertex a's neighbours above it are ev[starts[a]:starts[a + 1]]
         starts = np.searchsorted(eu, np.arange(n + 1))
+        # the miniball filter reads one contiguous coordinate array per axis,
+        # and verts[i] holds vertex i of every simplex of the last level
+        axes = [np.ascontiguousarray(x) for x in pts.T]
+        verts = [eu, ev]
         for j in range(2, top + 1):
-            prev, up = levels[-1], facets[-1]
+            up = facets[-1]
             # level j extends each accepted (j-1)-simplex by every upper
             # neighbour of its last vertex, so each level comes out in
             # lexicographic order
-            last = prev[:, -1]
-            parent, pos = _ragged_pairs(np.arange(len(prev)), starts[last],
+            last = verts[-1]
+            parent, pos = _ragged_pairs(np.arange(len(last)), starts[last],
                                         starts[last + 1] - starts[last])
             # a candidate enters when all its facets are in level j-1 (the
             # Rips clique test, the Cech facet condition). Facet c lacks
@@ -403,13 +413,13 @@ def _build(cloud: PointCloud, r: float, max_dim: int, period: float | None,
                 pos = pos[found]
             if j == 2:
                 cols.append(pos)
-            rows = np.column_stack((prev[cols[0]], ev[pos]))
-            if filtered and len(rows):
-                keep = _cech_keep(rows, pts, period, r2_cut)
-                rows, cols = rows[keep], [col[keep] for col in cols]
-            if not len(rows):
+            verts = [v[cols[0]] for v in verts] + [ev[pos]]
+            if filtered and len(pos):
+                keep = _cech_keep(verts, axes, period, r2_cut)
+                verts, cols = [v[keep] for v in verts], [col[keep] for col in cols]
+            if not len(verts[0]):
                 break
-            levels.append(rows)
+            levels.append(np.column_stack(verts))
             facets.append(np.column_stack(cols))
     while len(levels) > 1 and not len(levels[-1]):
         levels.pop()
@@ -433,29 +443,45 @@ def sorted_lookup(sorted_keys: np.ndarray, keys: np.ndarray):
     return pos, sorted_keys[pos] == keys
 
 
-def _cech_keep(rows: np.ndarray, pts: np.ndarray, period: float | None,
-               r2_cut: float) -> np.ndarray:
+def _cech_keep(verts: list[np.ndarray], axes: list[np.ndarray],
+               period: float | None, r2_cut: float) -> np.ndarray:
     """Miniball filter over one level of candidate simplices (vectorized).
 
-    rows are j-simplices whose facets are all in the complex. Triangles
-    use the radius from _batch_triangle_r2. Above that, by Welzl's
-    support-set argument, the miniball is the circumball when the
-    circumcenter lies in the simplex and the largest facet miniball
-    otherwise, which is within the cut since the facets are in. Affinely
-    dependent vertices count as "outside", so for j > d every candidate
-    passes; otherwise a candidate fails only when its circumcenter lies
-    inside and its circumradius exceeds the cut.
+    verts[i] holds the i-th vertex of every candidate j-simplex, and the
+    candidates' facets are all in the complex; axes holds the points'
+    coordinates, one contiguous array per axis. Triangles use the radius
+    from _batch_triangle_r2. Above that, by Welzl's support-set argument,
+    the miniball is the circumball when the circumcenter lies in the
+    simplex and the largest facet miniball otherwise, which is within the
+    cut since the facets are in. Affinely dependent vertices count as
+    "outside", so for j > d every candidate passes; otherwise a candidate
+    fails only when its circumcenter lies inside and its circumradius
+    exceeds the cut. A torus unwraps every vertex around vertex 0.
     """
-    j = rows.shape[1] - 1
-    if j > pts.shape[1]:
-        return np.ones(len(rows), dtype=bool)
-    base = pts[rows[:, 0]]
-    verts = [pts[rows[:, i]] for i in range(1, j + 1)]
-    if period is not None:
-        verts = [base + _min_image(v - base, period) for v in verts]
+    j, d = len(verts) - 1, len(axes)
+    if j > d:
+        return np.ones(len(verts[0]), dtype=bool)
     if j == 2:
-        return _batch_triangle_r2(base, verts[0], verts[1]) <= r2_cut
-    inside, r2 = _batch_circumball(np.stack([v - base for v in verts], axis=1))
+        pa, pb, pc = [], [], []
+        for x in axes:
+            a, b, c = (x[v] for v in verts)
+            if period is not None:
+                b, c = a + _min_image(b - a, period), a + _min_image(c - a, period)
+            pa.append(a)
+            pb.append(b)
+            pc.append(c)
+        return _batch_triangle_r2(pa, pb, pc) <= r2_cut
+    # the edge vectors from vertex 0, one (j, m) block per axis, written
+    # into one (m, j, d) stack
+    others = np.stack(verts[1:])
+    A = np.empty((others.shape[1], j, d))
+    for a, x in enumerate(axes):
+        base = x[verts[0]]
+        edge = x[others]
+        if period is not None:
+            edge = base + _min_image(edge - base, period)
+        A[:, :, a] = (edge - base).T
+    inside, r2 = _batch_circumball(A)
     return ~inside | (r2 <= r2_cut)
 
 

@@ -254,6 +254,12 @@ class DensityGrid(_Grid):
         """Load {dim, lower[], upper[], cells_per_axis[], values[]}; mass is normalized."""
         with open(path) as fh:
             doc = json.load(fh)
+        if not isinstance(doc, dict):
+            raise DensityError(f"density file {path} is not a JSON object")
+        missing = [key for key in ("dim", "lower", "upper", "cells_per_axis", "values")
+                   if key not in doc]
+        if missing:
+            raise DensityError(f"density file {path} is missing {', '.join(map(repr, missing))}")
         dim = int(doc["dim"])
         box = Window(np.asarray(doc["lower"], dtype=float), np.asarray(doc["upper"], dtype=float))
         if box.dim != dim:

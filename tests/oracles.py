@@ -5,12 +5,14 @@ apart from the library code it checks:
 
 - min_enclosing_ball_radius: Welzl's recursive miniball with
   move-to-front reordering. It checks the closed-form miniball filter of
-  the Cech builder (cech._batch_triangle_r2 for triangles,
-  cech._batch_circumball above), which never computes a ball point by
-  point.
+  the Cech builder (cech._cech_keep, on one coordinate array per axis:
+  cech._batch_triangle_r2 for triangles, cech._batch_circumball above),
+  which never computes a ball point by point.
 - connected_components: a Python union-find over the neighbour-grid
   edges. It checks beta_0 from betti_numbers, whose d_1 rank is the
-  numpy Boruvka forest of homology._spanning_forest.
+  numpy Boruvka forest of homology._spanning_forest (homology._boruvka,
+  which rank_gf2 also uses to contract a large d_2 core's two-entry
+  columns).
 - euler_check: the Euler-Poincare identity, the alternating simplex
   count against the alternating Betti sum. It checks that betti_numbers
   reaches every stored dimension. It cannot see a wrong rank: betti_numbers

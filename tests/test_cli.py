@@ -125,6 +125,25 @@ class TestSampleCommand:
         assert "error:" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("text, message", [
+        ('{"dim": 2, "lower": [0, 0], "upper": [1, 1], "cells_per_axis": [1, 1]}',
+         "is missing 'values'"),
+        ('{"lower": [0, 0], "upper": [1, 1], "cells_per_axis": [1, 1], "values": [1]}',
+         "is missing 'dim'"),
+        ("[1, 2]", "is not a JSON object"),
+    ])
+    def test_malformed_density_file(self, tmp_path, capsys, text, message):
+        density = tmp_path / "d.json"
+        density.write_text(text)
+        code = main(["sample", "--density", str(density), "--n", "5",
+                     "--out", str(tmp_path / "x")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["d.json"]
+
+
 class TestComplexCommand:
     def test_counts_match_library(self, tmp_path, capsys):
         out = str(tmp_path / "c")

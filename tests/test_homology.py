@@ -3,23 +3,34 @@ rank and BFS component oracles, identity tests on random complexes, and
 a full flat-torus reconstruction."""
 
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oracles import connected_components, euler_check, min_enclosing_ball_radius
 
+from betti_thermo import homology
 from betti_thermo.cech import MINIBALL_TOL, NeighborGrid, build_cech, build_rips
 from betti_thermo.homology import (
     BettiVector,
+    BoundaryMatrix,
     HomologyError,
     betti_diff_bound_check,
     betti_numbers,
     boundary_matrix,
     rank_gf2,
+    _boruvka,
     _spanning_forest,
+    _CONTRACT_EDGES,
 )
-from betti_thermo.pointproc import PointCloud
+from betti_thermo.pointproc import (
+    PointCloud,
+    RngStream,
+    Window,
+    sample_poisson_homogeneous,
+)
 
 
 def hollow_triangle():
@@ -338,6 +349,83 @@ class TestManyVertices:
         assert {t for t in rips - cech if max(t) < len(special)} == {(7, 8, 9)}
 
 
+@st.composite
+def contractible_matrices(draw):
+    """A GF(2) matrix whose peeled core has more than _CONTRACT_EDGES
+    two-entry columns, so rank_gf2 contracts them.
+
+    The core is a random multigraph on 100-250 rows, split into 1-12
+    components, with a cycle through each or not; trees hang off it, and
+    a detached tree carries the one-entry columns (one on the core would
+    peel its whole component). Three- and four-entry columns are sums of
+    two edges, which the edges span, or a few random rows. Repeats of any
+    column are mixed in, the columns are shuffled, and a few rows that are
+    sums of other rows are added and cleared.
+    """
+    gen = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    core = draw(st.integers(100, 250))
+    bounds = np.unique(np.r_[0, gen.choice(np.arange(2, core - 1, 2),
+                                           draw(st.integers(0, 11)), replace=False), core])
+    lo, size = bounds[:-1], np.diff(bounds)
+    block = gen.integers(0, len(lo), draw(st.integers(_CONTRACT_EDGES + 100, 3 * _CONTRACT_EDGES)))
+    u = gen.integers(0, size[block])
+    v = (u + gen.integers(1, size[block])) % size[block]
+    columns = [[a, b] for a, b in zip(lo[block] + u, lo[block] + v)]
+    if draw(st.booleans()):
+        columns += [[a + i, a + (i + 1) % n] for a, n in zip(lo, size) for i in range(n)]
+    edges = len(columns)
+    tree = draw(st.integers(0, 60))
+    columns += [[core + i, int(gen.integers(0, core + i))] for i in range(tree)]
+    base = core + tree
+    side = draw(st.integers(0, 40))
+    columns += [[base + i, base + int(gen.integers(0, i))] for i in range(1, side)]
+    if side:
+        columns += [[base + int(i)] for i in gen.integers(0, side, draw(st.integers(1, 20)))]
+    for _ in range(draw(st.integers(0, 200))):
+        summed = set(columns[gen.integers(0, edges)]) ^ set(columns[gen.integers(0, edges)])
+        if len(summed) > 2:
+            columns.append(sorted(summed))
+    columns += [gen.choice(base, int(gen.integers(3, 5)), replace=False).tolist()
+                for _ in range(draw(st.integers(0, 8)))]
+    columns += [columns[i] for i in gen.integers(0, len(columns), draw(st.integers(0, 100)))]
+    columns = [columns[i] for i in gen.permutation(len(columns))]
+    rows = base + side
+    cleared = list(range(rows, rows + draw(st.integers(0, 4))))
+    for row in cleared:
+        summed = set(gen.choice(rows, int(gen.integers(1, 40)), replace=False).tolist())
+        columns = [col + [row] if len(summed.intersection(col)) % 2 else col
+                   for col in columns]
+    return BoundaryMatrix(rows + len(cleared), len(columns),
+                          tuple(tuple(int(r) for r in col) for col in columns),
+                          cleared=cleared)
+
+
+class TestContraction:
+    """Cores past the cut: the two-entry columns are contracted through a
+    spanning forest and the rest projected onto its components, which
+    must give the dense elimination's rank."""
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(contractible_matrices())
+    def test_rank_matches_dense_oracle(self, matrix):
+        with mock.patch.object(homology, "_contract", wraps=homology._contract) as spy:
+            rank = rank_gf2(matrix)
+        assert spy.called
+        assert rank == dense_rank_gf2(matrix)
+
+    def test_dense_torus_cloud(self):
+        # d=2, lambda=4 on a torus, as in a dense benchmark replicate on a
+        # third of its window: after the peel, most of d_2's core columns
+        # have two entries
+        cloud = sample_poisson_homogeneous(4.0, Window.centered(144.0, 2), RngStream(0))
+        cx = build_cech(cloud, 1.0, 2, period=12.0)
+        with mock.patch.object(homology, "_contract", wraps=homology._contract) as spy:
+            betti = list(betti_numbers(cx, 1))
+        assert spy.call_count >= 1
+        assert np.count_nonzero(spy.call_args_list[0].args[2]) >= 2 * _CONTRACT_EDGES
+        assert betti == dense_betti(cx, 1)
+
+
 class TestSpanningForest:
     """The Boruvka forest against the union-find oracles: it has n - beta_0
     edges, closes no cycle, uses only input edges, and is the forest
@@ -356,6 +444,13 @@ class TestSpanningForest:
         assert union_find_forest(n, edges, range(len(edges))) == list(range(len(edges)))
         in_order = list(zip(u.tolist(), v.tolist()))
         assert forest.tolist() == union_find_forest(n, in_order, range(len(u)))
+        # the roots name the components: both ends of an edge share one,
+        # and each component's root is one of its vertices
+        same, root = _boruvka(n, u, v)
+        assert np.array_equal(same, forest)
+        assert np.array_equal(root[u], root[v])
+        assert len(np.unique(root)) == components
+        assert np.array_equal(root[root], root)
 
     def components(self, n, u, v):
         edges = list(zip(u, v))

@@ -163,6 +163,22 @@ class TestDensityGrid:
         with pytest.raises(SamplerError, match=re.escape("finite, got [0.0, 0.0] / [inf, 1.0]")):
             DensityGrid.from_json(path)
 
+    @pytest.mark.parametrize("key", ["values", "dim"])
+    def test_json_missing_key_rejected(self, tmp_path, key):
+        doc = {"dim": 2, "lower": [0, 0], "upper": [1, 1], "cells_per_axis": [1, 1],
+               "values": [1]}
+        del doc[key]
+        path = tmp_path / "dens.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DensityError, match=f"is missing '{key}'$"):
+            DensityGrid.from_json(path)
+
+    def test_json_non_object_rejected(self, tmp_path):
+        path = tmp_path / "dens.json"
+        path.write_text("[1, 2]")
+        with pytest.raises(DensityError, match="is not a JSON object"):
+            DensityGrid.from_json(path)
+
     def test_json_round_trip(self, tmp_path):
         grid = two_level_density()
         path = tmp_path / "dens.json"
