@@ -40,6 +40,7 @@ from betti_thermo.pointproc import (
     PointCloud,
     RngStream,
     Window,
+    sample_binomial,
     sample_poisson_homogeneous,
     sample_poisson_intensity,
     scale_points,
@@ -198,9 +199,8 @@ def _rep_simplex_rate(task, i: int):
 
 def _rep_binomial(task, i: int):
     density, n, r, k, stream = task
-    gen = stream.substream(i).generator()
-    pts = density.sample(n, gen)
-    cloud = scale_points(PointCloud(pts), n ** (1.0 / density.dim))
+    cloud = scale_points(sample_binomial(density, n, stream.substream(i)),
+                         n ** (1.0 / density.dim))
     return _betti_k(cloud, r, k, None) / n
 
 

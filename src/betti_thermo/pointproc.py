@@ -1,6 +1,12 @@
 """Samplers for binomial and Poisson point processes on boxes and
 piecewise-constant densities, plus the scaling / superposition couplings.
 
+Density and intensity grids share one sampler, _Grid.sample, on a cell
+cdf and a cell-corner table built once per grid. It draws as numpy 2.4's
+weighted `choice` does, so streams match it, but calls only
+Generator.random: NEP 19 does not promise `choice`'s stream across
+numpy versions.
+
 Every sampler returns a PointCloud: finite coordinates, exact duplicate
 rows dropped. Duplicates are screened by sorting the first column, since
 equal rows have equal first coordinates; only clouds with a tie there go
@@ -9,7 +15,9 @@ through the row-wise np.unique.
 
 from __future__ import annotations
 
+import functools
 import json
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -161,23 +169,37 @@ class PointCloud:
         return cls(np.empty((0, dim)))
 
 
+@dataclass(frozen=True)
 class _Grid:
-    """Shared cell bookkeeping for density / intensity grids."""
+    """A piecewise-constant function on a box: one non-negative value per
+    cell, cells in row-major order, and the sampler's cdf and corner tables.
+    """
 
-    def _init_grid(self, box: Window, cells_per_axis, values) -> None:
-        cells = tuple(int(c) for c in np.atleast_1d(cells_per_axis))
-        if len(cells) != box.dim or any(c < 1 for c in cells):
+    box: Window
+    cells_per_axis: tuple[int, ...]
+    values: np.ndarray
+
+    def __post_init__(self):
+        cells = tuple(int(c) for c in np.atleast_1d(self.cells_per_axis))
+        if len(cells) != self.box.dim or any(c < 1 for c in cells):
             raise DensityError("cells_per_axis must give a positive count per axis")
-        vals = np.asarray(values, dtype=float).ravel()
+        vals = np.asarray(self.values, dtype=float).ravel()
         if vals.shape[0] != int(np.prod(cells)):
-            raise DensityError(
-                f"expected {int(np.prod(cells))} cell values, got {vals.shape[0]}"
-            )
+            raise DensityError(f"expected {int(np.prod(cells))} cell values, got {vals.shape[0]}")
         if not np.all(np.isfinite(vals)) or np.any(vals < 0):
             raise DensityError("cell values must be finite and non-negative")
         vals.flags.writeable = False
         object.__setattr__(self, "cells_per_axis", cells)
         object.__setattr__(self, "values", vals)
+        # the table of numpy's weighted choice with p = masses / total: the
+        # running sum of p over its last entry. A grid of zero mass has none
+        cdf = None
+        if self.total_mass > 0:
+            cdf = (self.cell_masses() / self.total_mass).cumsum()
+            cdf = cdf / cdf[-1]
+        object.__setattr__(self, "_cdf", cdf)
+        index = np.stack(np.unravel_index(np.arange(len(vals)), cells), axis=-1)
+        object.__setattr__(self, "_corners", self.box.lower + index * self.cell_sides)
 
     @property
     def dim(self) -> int:
@@ -197,53 +219,38 @@ class _Grid:
 
     @property
     def sup_value(self) -> float:
-        return float(self.values.max()) if self.n_cells else 0.0
+        return float(self.values.max())
+
+    @property
+    def total_mass(self) -> float:
+        return float(self.cell_masses().sum())
 
     def cell_masses(self) -> np.ndarray:
         return self.values * self.cell_volume
 
-    def cell_lower_corners(self, flat_indices: np.ndarray) -> np.ndarray:
-        multi = np.unravel_index(flat_indices, self.cells_per_axis)
-        coords = np.stack(multi, axis=-1).astype(float)
-        return self.box.lower + coords * self.cell_sides
+    def sample(self, n: int, gen: np.random.Generator) -> np.ndarray:
+        """n i.i.d. points: cell proportional to mass, then uniform in the cell.
 
-    def _sample_cells(self, flat_indices: np.ndarray, gen: np.random.Generator) -> np.ndarray:
-        lows = self.cell_lower_corners(flat_indices)
-        return lows + gen.random(lows.shape) * self.cell_sides
+        Draws n uniforms for the cells, then n * d for the offsets.
+        """
+        if self._cdf is None:
+            raise DensityError("cannot sample a grid of zero mass")
+        cells = self._cdf.searchsorted(gen.random(n), side="right")
+        return self._corners[cells] + gen.random((n, self.dim)) * self.cell_sides
 
 
-@dataclass(frozen=True)
 class DensityGrid(_Grid):
     """Piecewise-constant probability density on a bounded box.
 
-    ``values`` is the density per unit volume, one entry per cell in
-    row-major order; total mass must equal 1 within MASS_TOL. Use
-    ``from_values(..., normalize=True)`` or the JSON loader to normalize.
+    ``values`` is the density per unit volume; total mass must equal 1
+    within MASS_TOL. The JSON loader normalizes.
     """
 
-    box: Window
-    cells_per_axis: tuple[int, ...]
-    values: np.ndarray
-
     def __post_init__(self):
-        self._init_grid(self.box, self.cells_per_axis, self.values)
-        mass = float(self.cell_masses().sum())
-        if abs(mass - 1.0) > MASS_TOL:
-            raise DensityError(f"density mass is {mass!r}, must be 1 within {MASS_TOL}")
-        if self.sup_value <= 0:
-            raise DensityError("density must be positive somewhere")
-
-    @classmethod
-    def from_values(cls, box: Window, cells_per_axis, values, normalize: bool = False) -> "DensityGrid":
-        vals = np.asarray(values, dtype=float).ravel()
-        if normalize:
-            cells = tuple(int(c) for c in np.atleast_1d(cells_per_axis))
-            cell_vol = box.volume() / int(np.prod(cells))
-            mass = float(vals.sum() * cell_vol)
-            if mass <= 0:
-                raise DensityError("cannot normalize a density with zero total mass")
-            vals = vals / mass
-        return cls(box, tuple(int(c) for c in np.atleast_1d(cells_per_axis)), vals)
+        super().__post_init__()
+        if abs(self.total_mass - 1.0) > MASS_TOL:
+            raise DensityError(
+                f"density mass is {self.total_mass!r}, must be 1 within {MASS_TOL}")
 
     @classmethod
     def uniform(cls, box: Window) -> "DensityGrid":
@@ -256,40 +263,35 @@ class DensityGrid(_Grid):
             doc = json.load(fh)
         if not isinstance(doc, dict):
             raise DensityError(f"density file {path} is not a JSON object")
-        missing = [key for key in ("dim", "lower", "upper", "cells_per_axis", "values")
-                   if key not in doc]
+        missing = [key for key in _JSON_KEYS if key not in doc]
         if missing:
             raise DensityError(f"density file {path} is missing {', '.join(map(repr, missing))}")
-        dim = int(doc["dim"])
-        box = Window(np.asarray(doc["lower"], dtype=float), np.asarray(doc["upper"], dtype=float))
-        if box.dim != dim:
-            raise DensityError(f"dim field {dim} does not match bounds of length {box.dim}")
-        return cls.from_values(box, doc["cells_per_axis"], doc["values"], normalize=True)
+        read = {}
+        for key, convert in _JSON_KEYS.items():
+            try:
+                read[key] = convert(doc[key])
+            except (TypeError, ValueError):
+                raise DensityError(f"density file {path}: key {key!r} has invalid value "
+                                   f"{doc[key]!r}") from None
+        box = Window(read["lower"], read["upper"])
+        if box.dim != read["dim"]:
+            raise DensityError(f"dim field {read['dim']} does not match bounds of length {box.dim}")
+        grid = _Grid(box, read["cells_per_axis"], read["values"])
+        mass = float(grid.values.sum() * (box.volume() / grid.n_cells))
+        if mass <= 0:
+            raise DensityError(f"density file {path} has zero total mass")
+        return cls(box, grid.cells_per_axis, grid.values / mass)
 
-    def sample(self, n: int, gen: np.random.Generator) -> np.ndarray:
-        """n i.i.d. points: cell proportional to mass, then uniform in the cell."""
-        if n == 0:
-            return np.empty((0, self.dim))
-        p = self.cell_masses()
-        p = p / p.sum()
-        cells = gen.choice(self.n_cells, size=n, p=p)
-        return self._sample_cells(cells, gen)
+
+_floats = functools.partial(np.asarray, dtype=float)
+# how from_json reads each key of a density file
+_JSON_KEYS = {"dim": operator.index, "lower": _floats, "upper": _floats,
+              "cells_per_axis": lambda value: tuple(map(operator.index, np.atleast_1d(value))),
+              "values": _floats}
 
 
-@dataclass(frozen=True)
 class IntensityGrid(_Grid):
     """Piecewise-constant Poisson intensity (not normalized; mass may be 0)."""
-
-    box: Window
-    cells_per_axis: tuple[int, ...]
-    values: np.ndarray
-
-    def __post_init__(self):
-        self._init_grid(self.box, self.cells_per_axis, self.values)
-
-    @property
-    def total_mass(self) -> float:
-        return float(self.cell_masses().sum())
 
     def _same_grid(self, other: "IntensityGrid") -> None:
         if (self.cells_per_axis != other.cells_per_axis
@@ -342,12 +344,7 @@ def sample_poisson_intensity(intensity: IntensityGrid, rng: RngStream) -> PointC
     mass = intensity.total_mass
     if mass <= 0:
         return PointCloud.empty(intensity.dim)
-    count = int(gen.poisson(mass))
-    if count == 0:
-        return PointCloud.empty(intensity.dim)
-    p = intensity.cell_masses() / mass
-    cells = gen.choice(intensity.n_cells, size=count, p=p)
-    return PointCloud(intensity._sample_cells(cells, gen))
+    return PointCloud(intensity.sample(int(gen.poisson(mass)), gen))
 
 
 def superpose(a: PointCloud, b: PointCloud) -> PointCloud:

@@ -14,15 +14,22 @@ apart from the library code it checks:
   which rank_gf2 also uses to contract a large d_2 core's two-entry
   columns).
 - euler_check: the Euler-Poincare identity, the alternating simplex
-  count against the alternating Betti sum. It checks that betti_numbers
-  reaches every stored dimension. It cannot see a wrong rank: betti_numbers
-  takes beta_k = S_k - rank d_k - rank d_{k+1}, so the ranks cancel in the
-  alternating sum; beta_0 against connected_components and the dense
-  rank oracles of test_homology check the ranks.
+  count against the alternating Betti sum, with every Betti number
+  non-negative and beta_0 equal to the union-find components of the
+  complex's edges, as the bench tracer checks. The identity alone checks
+  that betti_numbers reaches every stored dimension but cannot see a
+  wrong rank: betti_numbers takes beta_k = S_k - rank d_k - rank d_{k+1},
+  so the ranks cancel in the alternating sum. A rank one too high makes
+  beta_0 one short of the components; the dense rank oracles of
+  test_homology check the ranks directly.
 - simplex_count and vertex_simplex_count: S_j and the j-simplices on one
   vertex, counted from the stored rows. Summed over the vertices, the
   second gives (j+1) S_j exactly when every vertex index the builder
   stored lies in 0..n-1.
+- choice_grid_sample: a grid draw by numpy's Generator.choice, as
+  pointproc drew before each grid built its cdf and corner tables. It
+  checks that _Grid.sample gives the same points and leaves the generator
+  at the same place.
 """
 
 from math import sqrt
@@ -103,7 +110,11 @@ def connected_components(cloud: PointCloud, r: float,
     if n == 0:
         return 0
     grid = NeighborGrid(cloud.points, cell_size=r, period=period)
-    u, v = grid.pairs_within(r)
+    return _components(n, *grid.pairs_within(r))
+
+
+def _components(n: int, u: np.ndarray, v: np.ndarray) -> int:
+    # union-find with path halving over the edges (u[i], v[i]) in order
     parent = list(range(n))
     components = n
     for a, b in zip(u.tolist(), v.tolist()):
@@ -118,7 +129,9 @@ def connected_components(cloud: PointCloud, r: float,
 
 
 def euler_check(complex: SimplicialComplex, betti: BettiVector) -> bool:
-    """Exact Euler-Poincare identity: alternating simplex and Betti sums match.
+    """Exact Euler-Poincare identity: alternating simplex and Betti sums
+    match, every Betti number is non-negative, and beta_0 counts the
+    components of the complex's edge graph.
 
     Only meaningful when the complex holds all of its dimensions and the
     Betti vector reaches the top nonempty dimension.
@@ -126,7 +139,9 @@ def euler_check(complex: SimplicialComplex, betti: BettiVector) -> bool:
     chi_simplices = sum((-1) ** j * len(level)
                         for j, level in enumerate(complex.simplices))
     chi_betti = sum((-1) ** k * b for k, b in enumerate(betti.values))
-    return chi_simplices == chi_betti
+    edges = complex.simplices_of(1)
+    return (chi_simplices == chi_betti and min(betti.values) >= 0
+            and betti[0] == _components(complex.vertex_count, edges[:, 0], edges[:, 1]))
 
 
 def simplex_count(complex: SimplicialComplex, j: int) -> int:
@@ -145,3 +160,15 @@ def vertex_simplex_count(complex: SimplicialComplex, v: int, j: int) -> int:
     if not 0 <= v < complex.vertex_count:
         raise CechError(f"vertex index {v} out of range")
     return int(np.count_nonzero(complex.simplices_of(j) == v))
+
+
+def choice_grid_sample(grid, n: int, gen: np.random.Generator) -> np.ndarray:
+    """n points of a density or intensity grid: cells by gen.choice with
+    p = masses / total, then a uniform offset in each cell."""
+    if n == 0:
+        return np.empty((0, grid.dim))
+    p = grid.cell_masses()
+    cells = gen.choice(grid.n_cells, size=n, p=p / p.sum())
+    multi = np.unravel_index(cells, grid.cells_per_axis)
+    lows = grid.box.lower + np.stack(multi, axis=-1).astype(float) * grid.cell_sides
+    return lows + gen.random(lows.shape) * grid.cell_sides

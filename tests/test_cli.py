@@ -131,6 +131,12 @@ class TestSampleCommand:
         ('{"lower": [0, 0], "upper": [1, 1], "cells_per_axis": [1, 1], "values": [1]}',
          "is missing 'dim'"),
         ("[1, 2]", "is not a JSON object"),
+        ('{"dim": [2], "lower": [0, 0], "upper": [1, 1], "cells_per_axis": [1, 1], '
+         '"values": [1]}', "key 'dim' has invalid value [2]"),
+        ('{"dim": 2, "lower": [0, 0], "upper": [1, 1], "cells_per_axis": [1, 1], '
+         '"values": {"a": 1}}', "key 'values' has invalid value {'a': 1}"),
+        ('{"dim": 2, "lower": [0, 0], "upper": [1, 1], "cells_per_axis": "x", '
+         '"values": [1]}', "key 'cells_per_axis' has invalid value 'x'"),
     ])
     def test_malformed_density_file(self, tmp_path, capsys, text, message):
         density = tmp_path / "d.json"
@@ -140,6 +146,7 @@ class TestSampleCommand:
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("error: ") and message in err
+        assert f"density file {density}" in err
         assert "Traceback" not in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["d.json"]
 

@@ -6,6 +6,9 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from oracles import choice_grid_sample
 
 from betti_thermo.pointproc import (
     DensityError,
@@ -191,10 +194,29 @@ class TestDensityGrid:
         assert np.array_equal(back.values, grid.values)
 
     def test_row_major_cell_order(self):
-        # 2x2 grid on unit square: flat index 1 is (row 0, col 1) -> y-axis second
-        grid = DensityGrid(Window.unit(2), (2, 2), np.array([4.0, 0.0, 0.0, 0.0]) / 1.0)
-        corners = grid.cell_lower_corners(np.arange(4))
-        assert np.allclose(corners, [[0, 0], [0, 0.5], [0.5, 0], [0.5, 0.5]])
+        # 2x2 grid on the unit square, flat index 1 is (row 0, col 1): the
+        # second axis varies fastest. With all mass in one cell, every
+        # sampled point lies in that cell's box
+        corners = [(0.0, 0.0), (0.0, 0.5), (0.5, 0.0), (0.5, 0.5)]
+        for cell, corner in enumerate(corners):
+            values = np.zeros(4)
+            values[cell] = 4.0
+            grid = DensityGrid(Window.unit(2), (2, 2), values)
+            points = sample_binomial(grid, 200, RngStream(cell)).points
+            assert len(points) == 200
+            assert Window(np.array(corner), np.array(corner) + 0.5).contains(points).all()
+
+    @pytest.mark.parametrize("key, value", [("dim", [2]), ("values", {"a": 1}),
+                                            ("cells_per_axis", "x")])
+    def test_json_wrong_type_rejected(self, tmp_path, key, value):
+        doc = {"dim": 2, "lower": [0, 0], "upper": [1, 1], "cells_per_axis": [1, 1],
+               "values": [1]}
+        doc[key] = value
+        path = tmp_path / "dens.json"
+        path.write_text(json.dumps(doc))
+        message = f"density file {path}: key '{key}' has invalid value {value!r}"
+        with pytest.raises(DensityError, match=re.escape(message) + "$"):
+            DensityGrid.from_json(path)
 
     def test_uniform_helper(self):
         grid = DensityGrid.uniform(Window.centered(8.0, 3))
@@ -259,6 +281,47 @@ class TestPoisson:
             right[i] = (~on_left).sum()
         assert abs(left.mean() - 15.0) < 3 * np.sqrt(15.0 / reps)
         assert abs(right.mean() - 5.0) < 3 * np.sqrt(5.0 / reps)
+
+
+grid_layouts = st.integers(1, 3).flatmap(lambda d: st.tuples(
+    st.lists(st.integers(1, 4), min_size=d, max_size=d),
+    st.lists(st.floats(-3.0, 3.0), min_size=d, max_size=d),
+    st.lists(st.floats(0.1, 5.0), min_size=d, max_size=d)))
+cell_values = st.sampled_from([0.0, 0.0, 0.25, 1.0, 3.5])
+
+
+class TestGridSampler:
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(layout=grid_layouts, data=st.data(), seed=st.integers(0, 2**32 - 1),
+           n=st.sampled_from([0, 1, 2, 5, 37, 400]), kind=st.sampled_from(["density", "intensity"]))
+    def test_matches_choice_draw(self, layout, data, seed, n, kind):
+        # the table sampler gives the points of the gen.choice draw and leaves
+        # the generator where that draw left it: the gap replicate keeps drawing
+        cells, lower, sides = layout
+        box = Window(np.array(lower), np.array(lower) + np.array(sides))
+        n_cells = int(np.prod(cells))
+        values = np.array(data.draw(st.lists(cell_values, min_size=n_cells, max_size=n_cells)))
+        assume(values.sum() > 0)
+        grid = IntensityGrid(box, cells, values)
+        if kind == "density":
+            grid = DensityGrid(box, cells, values / grid.total_mass)
+        new, old = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert np.array_equal(grid.sample(n, new), choice_grid_sample(grid, n, old))
+        assert np.array_equal(new.random(7), old.random(7))
+        if kind == "intensity":
+            old = RngStream(seed).generator()
+            count = int(old.poisson(grid.total_mass))
+            expected = PointCloud(choice_grid_sample(grid, count, old)).points
+            assert np.array_equal(sample_poisson_intensity(grid, RngStream(seed)).points,
+                                  expected)
+
+    def test_zero_mass_intensity(self):
+        # the perturbation check's one-sided extra grid: built without a
+        # RuntimeWarning, sampled as the empty process, not drawable directly
+        grid = IntensityGrid(Window.unit(2), (2, 1), np.zeros(2))
+        assert len(sample_poisson_intensity(grid, RngStream(3))) == 0
+        with pytest.raises(DensityError, match="zero mass"):
+            grid.sample(1, np.random.default_rng(0))
 
 
 class TestCouplings:
