@@ -23,7 +23,9 @@ period turns the metric into the flat
 torus R^d / period*Z^d; candidate simplices are then unwrapped to the
 nearest image around their first vertex, which reproduces torus balls
 exactly as long as period > 3r. Membership depends only on the vertex
-set, so SimplicialComplex.restrict gives the complex of part of a cloud.
+set, so SimplicialComplex.restrict gives the complex of part of a cloud,
+and simplices_touching counts the simplices with a vertex in a marked
+part.
 """
 
 from __future__ import annotations
@@ -65,7 +67,6 @@ class SimplicialComplex:
     restrict(labels) keeps those inside labelled parts of the vertices.
     """
 
-    dim_ambient: int
     max_dim: int
     simplices: tuple[np.ndarray, ...]
     vertex_count: int
@@ -90,8 +91,7 @@ class SimplicialComplex:
         if not isinstance(other, SimplicialComplex):
             return NotImplemented
         return (
-            (self.dim_ambient, self.max_dim, self.vertex_count)
-            == (other.dim_ambient, other.max_dim, other.vertex_count)
+            (self.max_dim, self.vertex_count) == (other.max_dim, other.vertex_count)
             and len(self.simplices) == len(other.simplices)
             and all(np.array_equal(a, b)
                     for a, b in zip(self.simplices, other.simplices))
@@ -121,8 +121,8 @@ class SimplicialComplex:
             levels.append(vertex[rows[kept]])
             facets.append(levels[1] if j == 1 else index[up[kept]])
             index = np.cumsum(kept) - 1
-        return SimplicialComplex(self.dim_ambient, self.max_dim, tuple(levels),
-                                 len(levels[0]), tuple(facets))
+        return SimplicialComplex(self.max_dim, tuple(levels), len(levels[0]),
+                                 tuple(facets))
 
     def dumps(self) -> str:
         """One simplex per line, space-separated indices, dimension-sorted."""
@@ -163,54 +163,49 @@ def _half_offsets(d: int) -> np.ndarray:
     return offsets
 
 
-# below this many points every pair is a candidate: a grid costs more
-_BRUTE_POINTS = 64
 # cells are widened until the padded cell table has at most this many
 # cells per point (or the fewest cells the adjacency rule allows)
 _CELLS_PER_POINT = 4
 
 
 class NeighborGrid:
-    """Uniform spatial hash over a point set.
+    """Uniform spatial hash over a point set, for the pairs within r.
 
-    Cells are at least cell_size wide on every axis, so every pair at
-    distance <= cell_size is found inside a 3^d cell neighborhood. The
-    cells of a sparse cloud are widened, the axis with the most cells
-    first, until the cell table holds O(n) cells. The table is dense: it
-    stores the first sorted position and the point count of every cell of
-    the grid padded by one cell on each side, so each half-offset of each
-    point is one table lookup. Without a period the padding cells are
-    empty. With a period the grid indexes the flat torus and the padding
-    cells repeat the cells across the seam, so adjacency wraps around; a
-    torus needing fewer than 3 cells per axis, and a cloud of fewer than
-    _BRUTE_POINTS points, fall back to scanning every pair (wrapped
-    offsets would alias, and a tiny grid costs more than the scan).
+    Cells are at least r wide on every axis, so every pair at distance
+    <= r is found inside a 3^d cell neighborhood. The cells of a sparse
+    cloud are widened, the axis with the most cells first, until the cell
+    table holds O(n) cells. The table is dense: it stores the first sorted
+    position and the point count of every cell of the grid padded by one
+    cell on each side, so each half-offset of each point is one table
+    lookup. Without a period the padding cells are empty. With a period
+    the grid indexes the flat torus and the padding cells repeat the cells
+    across the seam, so adjacency wraps around; a torus needing fewer than
+    3 cells per axis falls back to scanning every pair, since its wrapped
+    offsets would alias.
     """
 
-    def __init__(self, points: np.ndarray, cell_size: float,
-                 period: float | None = None):
-        if cell_size <= 0:
-            raise CechError("cell size must be positive")
+    def __init__(self, points: np.ndarray, r: float, period: float | None = None):
+        if r <= 0:
+            raise CechError(f"pair radius must be positive, got {r}")
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 2:
             raise CechError("points must be an (n, d) array")
         if not np.isfinite(pts).all():
             raise CechError("points must be finite")
         n, d = pts.shape
-        self.cell_size = float(cell_size)
+        self.r = float(r)
         self.period = None if period is None else float(period)
         self._wrap = self.period is not None
         if self._wrap:
             pts = np.mod(pts, self.period)
         self.points = pts
-        self._brute = n < _BRUTE_POINTS
-        # cells are a little wider than cell_size, so that rounding in the
-        # cell coordinates cannot put a pair within reach two cells apart
-        width = self.cell_size * (1 + 1e-6) + 4 * MINIBALL_TOL
+        # cells are a little wider than r, so that rounding in the cell
+        # coordinates cannot put a pair within reach two cells apart
+        width = self.r * (1 + 1e-6) + 4 * MINIBALL_TOL
         if self._wrap:
             cells = [int(self.period / width)] * d
-            self._brute = self._brute or cells[0] < 3
-        if self._brute:
+        self._brute = self._wrap and cells[0] < 3
+        if self._brute or n < 2:
             return
         if not self._wrap:
             origin = pts.min(axis=0)
@@ -245,18 +240,15 @@ class NeighborGrid:
         self._count = count
         self._steps = _half_offsets(d) @ strides
 
-    def pairs_within(self, r: float) -> tuple[np.ndarray, np.ndarray]:
+    def pairs_within(self) -> tuple[np.ndarray, np.ndarray]:
         """All unordered pairs at distance <= r + 2*MINIBALL_TOL.
 
-        Returned as (u, v) with u < v, lexicographically sorted. r must
-        not exceed the grid's cell_size (the adjacency guarantee).
+        Returned as (u, v) with u < v, lexicographically sorted.
         """
         n = len(self.points)
         if n < 2:
             empty = np.empty(0, dtype=np.int64)
             return empty, empty
-        if r > self.cell_size * (1 + 1e-9):
-            raise CechError("pair radius exceeds the grid cell size")
         if self._brute:
             iu, jv = np.triu_indices(n, k=1)
         else:
@@ -269,7 +261,7 @@ class NeighborGrid:
             if self._wrap:
                 delta = _min_image(delta, self.period)
             dist2 = dist2 + delta * delta
-        keep = dist2 <= (r + 2 * MINIBALL_TOL) ** 2
+        keep = dist2 <= (self.r + 2 * MINIBALL_TOL) ** 2
         iu, jv = iu[keep], jv[keep]
         keys = np.sort(np.minimum(iu, jv) * n + np.maximum(iu, jv))
         return keys // n, keys % n
@@ -382,8 +374,7 @@ def _build(cloud: PointCloud, r: float, max_dim: int, period: float | None,
     top = min(max_dim, n - 1) if n else 0
 
     if top >= 1:
-        grid = NeighborGrid(pts, cell_size=r, period=period)
-        eu, ev = grid.pairs_within(r)
+        eu, ev = NeighborGrid(pts, r, period).pairs_within()
         levels.append(np.column_stack((eu, ev)))
         facets.append(levels[1])
         # CSR upper-neighbour lists: the edges are sorted by (u, v), so
@@ -426,7 +417,6 @@ def _build(cloud: PointCloud, r: float, max_dim: int, period: float | None,
         facets.pop()
 
     return SimplicialComplex(
-        dim_ambient=int(pts.shape[1]) if pts.ndim == 2 else 0,
         max_dim=max_dim,
         simplices=tuple(levels),
         vertex_count=n,
@@ -513,17 +503,12 @@ def _batch_circumball(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return inside, r2
 
 
-def simplices_touching(complex: SimplicialComplex, cloud: PointCloud,
-                       regions, j: int) -> int:
-    """Number of j-simplices with at least one vertex in the region union."""
-    level = complex.simplices_of(j)
-    if not len(level):
-        return 0
-    mask = np.zeros(len(cloud), dtype=bool)
-    for region in regions:
-        if region.dim != cloud.dim:
-            raise CechError("region dimension does not match the cloud")
-        mask |= region.contains(cloud.points)
-    if not mask.any():
-        return 0
-    return int(mask[level].any(axis=1).sum())
+def simplices_touching(complex: SimplicialComplex, marked, j: int) -> int:
+    """Number of j-simplices with at least one marked vertex.
+
+    marked holds one bool per vertex of the complex.
+    """
+    marked = np.asarray(marked, dtype=bool)
+    if marked.shape != (complex.vertex_count,):
+        raise CechError(f"need one mark per vertex, got shape {marked.shape}")
+    return int(marked[complex.simplices_of(j)].any(axis=1).sum())

@@ -320,12 +320,10 @@ def cmd_complex(cfg: ExperimentConfig) -> int:
 
 def cmd_betti(cfg: ExperimentConfig) -> int:
     _check_complex_params(cfg)
+    period = _period_for(cfg)
     if cfg.fixture is not None:
-        if _boundary(cfg, "plain") == "torus":
-            raise CliError("torus boundary applies to the homogeneous Poisson window only")
-        cloud, period = PointCloud(_FIXTURES[cfg.fixture]), None
+        cloud = PointCloud(_FIXTURES[cfg.fixture])
     else:
-        period = _period_for(cfg)
         cloud = _sample_cloud(cfg)
     cx = build_cech(cloud, cfg.r, cfg.k + 1, period=period)
     betti = betti_numbers(cx, cfg.k)

@@ -64,23 +64,6 @@ class BoundaryMatrix:
     basis: Sequence[int] | None = None
 
 
-@dataclass(frozen=True)
-class BettiVector:
-    """Betti numbers beta_0 .. beta_maxk."""
-
-    values: tuple[int, ...]
-    max_k: int
-
-    def __getitem__(self, k: int) -> int:
-        return self.values[k]
-
-    def __iter__(self):
-        return iter(self.values)
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
 def boundary_matrix(complex: SimplicialComplex, j: int,
                     cleared: Sequence[int] = ()) -> BoundaryMatrix:
     """Boundary map from j-chains to (j-1)-chains.
@@ -102,20 +85,16 @@ def boundary_matrix(complex: SimplicialComplex, j: int,
     columns = complex.facets[j] if j < len(complex.facets) else complex.simplices_of(j)
     basis = None
     if j == 1:
-        basis = _spanning_forest(rows, columns[:, 0], columns[:, 1])
+        basis = _boruvka(rows, columns[:, 0], columns[:, 1])[0]
     return BoundaryMatrix(rows=rows, cols=len(columns), columns=columns,
                           cleared=cleared, basis=basis)
 
 
-def _spanning_forest(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Sorted indices of the edges (u[e], v[e]) that union-find, taking the
-    edges in order, adds to a spanning forest of the graph on n vertices."""
-    return _boruvka(n, u, v)[0]
-
-
 def _boruvka(n: int, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The spanning forest of _spanning_forest, and the root of every
-    vertex's component (one vertex of it, the same for all).
+    """Sorted indices of the edges (u[e], v[e]) that union-find, taking the
+    edges in order, adds to a spanning forest of the graph on n vertices,
+    and the root of every vertex's component (one vertex of it, the same
+    for all).
 
     That forest is the minimum spanning forest under the weight e of edge
     e, which Boruvka rounds find in numpy: every component with a live
@@ -280,7 +259,7 @@ def rank_gf2(matrix: BoundaryMatrix) -> int:
     return rank + _rank_bit_columns(bits)
 
 
-def betti_numbers(complex: SimplicialComplex, max_k: int) -> BettiVector:
+def betti_numbers(complex: SimplicialComplex, max_k: int) -> tuple[int, ...]:
     """Betti numbers beta_0 .. beta_maxk of the complex.
 
     Requires the complex to have been built with max_dim >= max_k + 1;
@@ -303,11 +282,8 @@ def betti_numbers(complex: SimplicialComplex, max_k: int) -> BettiVector:
             matrix = boundary_matrix(complex, j, cleared=cleared)
             ranks[j] = rank_gf2(matrix)
             cleared = () if matrix.basis is None else matrix.basis
-    values = []
-    for k in range(max_k + 1):
-        s_k = len(complex.simplices_of(k))
-        values.append(s_k - ranks[k] - ranks[k + 1])
-    return BettiVector(values=tuple(values), max_k=max_k)
+    return tuple(len(complex.simplices_of(k)) - ranks[k] - ranks[k + 1]
+                 for k in range(max_k + 1))
 
 
 def betti_diff_bound_check(k1: SimplicialComplex, k2: SimplicialComplex,

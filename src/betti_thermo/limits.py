@@ -235,18 +235,22 @@ def _rep_strip(task, i: int):
     cell = np.floor((cloud.points - window.lower) / side).astype(np.int64)
     box = np.ravel_multi_index(tuple(np.clip(cell, 0, m - 1).T), (m,) * dim)
     boxes_total = betti_numbers(cx.restrict(box), k)[k]
-    pad = r + 1e-9
-    slabs = []
-    for axis in range(dim):
+    strip = _strip_mask(cloud.points, window, m, r + 1e-9)
+    bound = sum(simplices_touching(cx, strip, j) for j in (k, k + 1))
+    return (abs(whole - boxes_total), bound)
+
+
+def _strip_mask(points: np.ndarray, window: Window, m: int, pad: float) -> np.ndarray:
+    """Which points of the window lie within pad of a face between two of
+    its m^d boxes, in the half-open slab [plane - pad, plane + pad) around
+    the face's plane."""
+    side = window.sides / m
+    near = np.zeros(len(points), dtype=bool)
+    for axis, x in enumerate(points.T):
         for face in range(1, m):
             plane = window.lower[axis] + face * side[axis]
-            lo = window.lower.copy()
-            hi = window.upper.copy()
-            lo[axis] = plane - pad
-            hi[axis] = plane + pad
-            slabs.append(Window(lo, hi))
-    bound = sum(simplices_touching(cx, cloud, slabs, j) for j in (k, k + 1))
-    return (abs(whole - boxes_total), bound)
+            near |= (x >= plane - pad) & (x < plane + pad)
+    return window.contains(points) & near
 
 
 def _rep_perturb(task, i: int):

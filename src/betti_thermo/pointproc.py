@@ -60,7 +60,7 @@ class RngStream:
         return np.random.Generator(np.random.Philox(seq))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Window:
     """Axis-aligned half-open box [lower, upper) in R^d."""
 
@@ -82,6 +82,12 @@ class Window:
         hi.flags.writeable = False
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Window):
+            return NotImplemented
+        return (np.array_equal(self.lower, other.lower)
+                and np.array_equal(self.upper, other.upper))
 
     @property
     def dim(self) -> int:
@@ -135,7 +141,7 @@ def _dedup_rows(pts: np.ndarray) -> np.ndarray:
     return pts[np.sort(first)]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PointCloud:
     """A finite point set in R^d (one realization of a point process).
 
@@ -157,6 +163,11 @@ class PointCloud:
         pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
 
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, PointCloud):
+            return NotImplemented
+        return np.array_equal(self.points, other.points)
+
     @property
     def dim(self) -> int:
         return self.points.shape[1]
@@ -169,7 +180,7 @@ class PointCloud:
         return cls(np.empty((0, dim)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Grid:
     """A piecewise-constant function on a box: one non-negative value per
     cell, cells in row-major order, and the sampler's cdf and corner tables.
@@ -180,7 +191,11 @@ class _Grid:
     values: np.ndarray
 
     def __post_init__(self):
-        cells = tuple(int(c) for c in np.atleast_1d(self.cells_per_axis))
+        try:
+            cells = tuple(map(operator.index, np.atleast_1d(self.cells_per_axis)))
+        except TypeError:
+            raise DensityError(f"cells_per_axis must be integers, got "
+                               f"{self.cells_per_axis!r}") from None
         if len(cells) != self.box.dim or any(c < 1 for c in cells):
             raise DensityError("cells_per_axis must give a positive count per axis")
         vals = np.asarray(self.values, dtype=float).ravel()
@@ -200,6 +215,12 @@ class _Grid:
         object.__setattr__(self, "_cdf", cdf)
         index = np.stack(np.unravel_index(np.arange(len(vals)), cells), axis=-1)
         object.__setattr__(self, "_corners", self.box.lower + index * self.cell_sides)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.box == other.box and self.cells_per_axis == other.cells_per_axis
+                and np.array_equal(self.values, other.values))
 
     @property
     def dim(self) -> int:
@@ -294,9 +315,7 @@ class IntensityGrid(_Grid):
     """Piecewise-constant Poisson intensity (not normalized; mass may be 0)."""
 
     def _same_grid(self, other: "IntensityGrid") -> None:
-        if (self.cells_per_axis != other.cells_per_axis
-                or not np.array_equal(self.box.lower, other.box.lower)
-                or not np.array_equal(self.box.upper, other.box.upper)):
+        if self.cells_per_axis != other.cells_per_axis or self.box != other.box:
             raise DensityError("intensity grids must share box and cell layout")
 
     def minimum(self, other: "IntensityGrid") -> "IntensityGrid":

@@ -10,9 +10,8 @@ apart from the library code it checks:
   which never computes a ball point by point.
 - connected_components: a Python union-find over the neighbour-grid
   edges. It checks beta_0 from betti_numbers, whose d_1 rank is the
-  numpy Boruvka forest of homology._spanning_forest (homology._boruvka,
-  which rank_gf2 also uses to contract a large d_2 core's two-entry
-  columns).
+  numpy Boruvka forest of homology._boruvka (which rank_gf2 also uses to
+  contract a large d_2 core's two-entry columns).
 - euler_check: the Euler-Poincare identity, the alternating simplex
   count against the alternating Betti sum, with every Betti number
   non-negative and beta_0 equal to the union-find components of the
@@ -37,7 +36,7 @@ from math import sqrt
 import numpy as np
 
 from betti_thermo.cech import CechError, NeighborGrid, SimplicialComplex
-from betti_thermo.homology import BettiVector, HomologyError
+from betti_thermo.homology import HomologyError
 from betti_thermo.pointproc import PointCloud
 
 
@@ -109,8 +108,7 @@ def connected_components(cloud: PointCloud, r: float,
     n = len(cloud)
     if n == 0:
         return 0
-    grid = NeighborGrid(cloud.points, cell_size=r, period=period)
-    return _components(n, *grid.pairs_within(r))
+    return _components(n, *NeighborGrid(cloud.points, r, period).pairs_within())
 
 
 def _components(n: int, u: np.ndarray, v: np.ndarray) -> int:
@@ -128,7 +126,7 @@ def _components(n: int, u: np.ndarray, v: np.ndarray) -> int:
     return components
 
 
-def euler_check(complex: SimplicialComplex, betti: BettiVector) -> bool:
+def euler_check(complex: SimplicialComplex, betti: tuple[int, ...]) -> bool:
     """Exact Euler-Poincare identity: alternating simplex and Betti sums
     match, every Betti number is non-negative, and beta_0 counts the
     components of the complex's edge graph.
@@ -138,9 +136,9 @@ def euler_check(complex: SimplicialComplex, betti: BettiVector) -> bool:
     """
     chi_simplices = sum((-1) ** j * len(level)
                         for j, level in enumerate(complex.simplices))
-    chi_betti = sum((-1) ** k * b for k, b in enumerate(betti.values))
+    chi_betti = sum((-1) ** k * b for k, b in enumerate(betti))
     edges = complex.simplices_of(1)
-    return (chi_simplices == chi_betti and min(betti.values) >= 0
+    return (chi_simplices == chi_betti and min(betti) >= 0
             and betti[0] == _components(complex.vertex_count, edges[:, 0], edges[:, 1]))
 
 

@@ -127,7 +127,7 @@ class TestNeighborGrid:
         return out
 
     def assert_pairs(self, pts, r, period=None):
-        u, v = NeighborGrid(pts, cell_size=r, period=period).pairs_within(r)
+        u, v = NeighborGrid(pts, r, period).pairs_within()
         pairs = list(zip(u.tolist(), v.tolist()))
         assert pairs == sorted(set(pairs)) and all(a < b for a, b in pairs)
         assert set(pairs) == self.brute_pairs(pts, r, period)
@@ -160,8 +160,8 @@ class TestNeighborGrid:
     def test_pair_order_deterministic(self):
         gen = np.random.default_rng(9)
         pts = gen.random((200, 2))
-        a = NeighborGrid(pts, 0.1).pairs_within(0.1)
-        b = NeighborGrid(pts, 0.1).pairs_within(0.1)
+        a = NeighborGrid(pts, 0.1).pairs_within()
+        b = NeighborGrid(pts, 0.1).pairs_within()
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
         assert list(zip(a[0], a[1])) == sorted(zip(a[0], a[1]))
 
@@ -200,11 +200,11 @@ class TestNeighborGrid:
         n = int(gen.integers(70, 250))
         self.assert_pairs(gen.random((n, d)) * period, r, period)
 
-    def test_tiny_clouds_scan_every_pair(self):
-        # sizes on both sides of the point count below which every pair
-        # is a candidate, plain and torus
+    def test_tiny_clouds_match_brute_force(self):
+        # the grid against the brute-force scan on clouds of 0 to 87
+        # points, plain and torus
         gen = np.random.default_rng(80)
-        for n in range(0, 90, 3):
+        for n in [1, *range(0, 90, 3)]:
             d = int(gen.integers(1, 4))
             pts = gen.random((n, d)) * 4.0
             self.assert_pairs(pts, 0.7)
@@ -214,9 +214,10 @@ class TestNeighborGrid:
         with pytest.raises(CechError, match="finite"):
             NeighborGrid(np.array([[0.0, 1.0], [np.nan, 0.0]]), 0.5)
 
-    def test_radius_above_cell_size_rejected(self):
-        with pytest.raises(CechError):
-            NeighborGrid(np.zeros((3, 2)), 0.5).pairs_within(0.8)
+    @pytest.mark.parametrize("r", [0.0, -1.0])
+    def test_non_positive_radius_rejected(self, r):
+        with pytest.raises(CechError, match=f"got {r}"):
+            NeighborGrid(np.zeros((3, 2)), r)
 
 
 class TestBuildCech:
@@ -631,9 +632,10 @@ class TestCounts:
         cloud = PointCloud(pts)
         cx = build_cech(cloud, 0.6, 2)
         everything = Window(np.array([-1.0, -1.0]), np.array([2.0, 2.0]))
+        marked = everything.contains(cloud.points)
         for j in range(3):
-            assert simplices_touching(cx, cloud, [everything], j) == simplex_count(cx, j)
-            assert simplices_touching(cx, cloud, [], j) == 0
+            assert simplices_touching(cx, marked, j) == simplex_count(cx, j)
+            assert simplices_touching(cx, np.zeros(len(cloud), dtype=bool), j) == 0
 
     def test_touching_matches_direct_enumeration(self):
         gen = np.random.default_rng(23)
@@ -644,7 +646,13 @@ class TestCounts:
         inside = {i for i in range(len(cloud)) if strip.contains(pts[i:i + 1])[0]}
         for j in range(3):
             want = sum(1 for s in cx.simplices_of(j).tolist() if inside & set(s))
-            assert simplices_touching(cx, cloud, [strip], j) == want
+            assert simplices_touching(cx, strip.contains(pts), j) == want
+
+    @pytest.mark.parametrize("shape", [(14,), (16,), (15, 1)])
+    def test_touching_rejects_a_mask_of_another_shape(self, shape):
+        cx = build_cech(PointCloud(np.random.default_rng(24).random((15, 2))), 0.5, 2)
+        with pytest.raises(CechError, match=rf"shape \({shape[0]},"):
+            simplices_touching(cx, np.ones(shape, dtype=bool), 1)
 
 
 class TestFacets:
@@ -721,11 +729,11 @@ class TestRestrict:
                     mask = labels == part
                     want = build(PointCloud(cloud.points[mask]), r, d + 1, period=period)
                     assert_same_complex(cx.restrict(np.where(mask, 0, -1)), want)
-                    total += betti_numbers(want, d).values
+                    total += betti_numbers(want, d)
                 # the Betti numbers of a disjoint union add
                 union = cx.restrict(labels)
                 assert union.vertex_count == np.count_nonzero(labels >= 0)
-                assert betti_numbers(union, d).values == tuple(total)
+                assert betti_numbers(union, d) == tuple(total)
 
     def test_edge_cases(self):
         gen = np.random.default_rng(150)

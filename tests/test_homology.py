@@ -14,7 +14,6 @@ from oracles import connected_components, euler_check, min_enclosing_ball_radius
 from betti_thermo import homology
 from betti_thermo.cech import MINIBALL_TOL, NeighborGrid, build_cech, build_rips
 from betti_thermo.homology import (
-    BettiVector,
     BoundaryMatrix,
     HomologyError,
     betti_diff_bound_check,
@@ -22,7 +21,6 @@ from betti_thermo.homology import (
     boundary_matrix,
     rank_gf2,
     _boruvka,
-    _spanning_forest,
     _CONTRACT_EDGES,
 )
 from betti_thermo.pointproc import (
@@ -434,7 +432,7 @@ class TestSpanningForest:
     def assert_forest(self, n, u, v, components):
         u = np.asarray(u, dtype=np.int64)
         v = np.asarray(v, dtype=np.int64)
-        forest = _spanning_forest(n, u, v)
+        forest, root = _boruvka(n, u, v)
         assert forest.dtype == np.int64
         assert len(forest) == n - components
         assert len(np.unique(forest)) == len(forest)
@@ -446,8 +444,6 @@ class TestSpanningForest:
         assert forest.tolist() == union_find_forest(n, in_order, range(len(u)))
         # the roots name the components: both ends of an edge share one,
         # and each component's root is one of its vertices
-        same, root = _boruvka(n, u, v)
-        assert np.array_equal(same, forest)
         assert np.array_equal(root[u], root[v])
         assert len(np.unique(root)) == components
         assert np.array_equal(root[root], root)
@@ -464,7 +460,7 @@ class TestSpanningForest:
             r = float(gen.uniform(0.05, 1.0))
             period = 6.0 if trial % 3 == 0 else None
             cloud = PointCloud(gen.random((n, d)) * 6.0)
-            u, v = NeighborGrid(cloud.points, r, period).pairs_within(r)
+            u, v = NeighborGrid(cloud.points, r, period).pairs_within()
             self.assert_forest(len(cloud), u, v,
                                connected_components(cloud, r, period=period))
 
@@ -652,11 +648,3 @@ class TestDifferenceBound:
             k1 = build_cech(PointCloud(pts[:n]), r, 2)
             k2 = build_cech(PointCloud(pts), r, 2)
             assert betti_diff_bound_check(k1, k2, 1)
-
-
-class TestBettiVector:
-    def test_sequence_protocol(self):
-        b = BettiVector(values=(1, 2, 1), max_k=2)
-        assert list(b) == [1, 2, 1]
-        assert b[1] == 2
-        assert len(b) == 3

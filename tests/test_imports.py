@@ -1,5 +1,7 @@
-"""Import hygiene: no package module imports a name it never uses, and
-betti_thermo.__all__ lists exactly what __init__ imports, plus __version__."""
+"""Import hygiene: no package module imports a name it never uses, every
+module-level private function, class and constant is referenced in its own
+module, and betti_thermo.__all__ lists exactly what __init__ imports, plus
+__version__."""
 
 import ast
 from pathlib import Path
@@ -32,6 +34,26 @@ def test_every_imported_name_is_used(module):
     tree = parse(module)
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert [name for name in imported_names(tree) if name not in used] == []
+
+
+def private_definitions(tree: ast.Module) -> list[str]:
+    """The _names that the module's top-level statements define."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [t.id for t in targets if isinstance(t, ast.Name)]
+    return [name for name in names if name.startswith("_") and not name.startswith("__")]
+
+
+@pytest.mark.parametrize("module", MODULES + ["__init__.py"])
+def test_every_private_definition_is_used(module):
+    tree = parse(module)
+    loaded = {node.id for node in ast.walk(tree)
+              if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    assert [name for name in private_definitions(tree) if name not in loaded] == []
 
 
 def test_all_lists_exactly_the_imports():

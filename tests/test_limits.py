@@ -431,6 +431,38 @@ class TestBoundaryStrips:
             assert boxes.vertex_count == len(cloud)
             assert boxes.simplex_counts() == [3, 1]
 
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_strip_mask_is_the_union_of_slabs(self, d, m):
+        # the reference is one half-open slab Window per inner face, with
+        # the window's bounds on the other axes and [plane - pad, plane +
+        # pad) on its own. A box side exceeds 2r, so with pad below a side
+        # no slab leaves the window on its own axis, and the mask must
+        # equal the slabs' union on every point, in the window or not
+        gen = np.random.default_rng(10 * d + m)
+        window = Window.centered(float(gen.uniform(20.0, 80.0)), d)
+        side = window.sides / m
+        for pad in (0.2 * side.min(), 0.49 * side.min(), 0.9 * side.min()):
+            pts = [window.lower + gen.random((40, d)) * window.sides]
+            for axis in range(d):
+                faces = [window.lower[axis] + f * side[axis] for f in range(1, m)]
+                for x in [f + off for f in faces for off in (-pad, 0.0, pad)] + [
+                        window.lower[axis], window.upper[axis]]:
+                    row = window.lower + gen.random((3, d)) * window.sides
+                    row[:, axis] = x
+                    pts.append(row)
+            pts = np.concatenate(pts)
+            want = np.zeros(len(pts), dtype=bool)
+            for axis in range(d):
+                for face in range(1, m):
+                    plane = window.lower[axis] + face * side[axis]
+                    lo, hi = window.lower.copy(), window.upper.copy()
+                    lo[axis], hi[axis] = plane - pad, plane + pad
+                    want |= Window(lo, hi).contains(pts)
+            got = limits._strip_mask(pts, window, m, pad)
+            assert np.array_equal(got, want)
+            assert got.any() == (m > 1)
+
 
 class TestArgumentChecks:
     @pytest.mark.parametrize("kwargs, message", [

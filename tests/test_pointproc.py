@@ -182,6 +182,15 @@ class TestDensityGrid:
         with pytest.raises(DensityError, match="is not a JSON object"):
             DensityGrid.from_json(path)
 
+    def test_non_integer_cell_count_rejected(self):
+        with pytest.raises(DensityError, match=re.escape("integers, got (2.7,)")):
+            IntensityGrid(Window.unit(1), (2.7,), [1.0, 2.0])
+
+    def test_numpy_integer_cell_counts(self):
+        grid = IntensityGrid(Window.unit(2), (np.int64(2), np.int32(1)), [1.0, 2.0])
+        assert grid.cells_per_axis == (2, 1)
+        assert all(type(c) is int for c in grid.cells_per_axis)
+
     def test_json_round_trip(self, tmp_path):
         grid = two_level_density()
         path = tmp_path / "dens.json"
@@ -221,6 +230,31 @@ class TestDensityGrid:
     def test_uniform_helper(self):
         grid = DensityGrid.uniform(Window.centered(8.0, 3))
         assert grid.sup_value == pytest.approx(1.0 / 8.0)
+
+
+class TestEquality:
+    """== compares the arrays, where a generated dataclass == would raise."""
+
+    def test_window(self):
+        assert Window.unit(2) == Window.unit(2)
+        assert Window.unit(2) != Window.centered(1.0, 2)
+        assert Window.unit(2) != Window.unit(3)
+
+    def test_point_cloud(self):
+        pts = np.random.default_rng(5).random((4, 2))
+        assert PointCloud(pts) == PointCloud(pts.copy())
+        assert PointCloud(pts) != PointCloud(pts[:3])
+        assert PointCloud.empty(2) != PointCloud.empty(3)
+
+    def test_grids(self):
+        f = two_level_density()
+        assert f == two_level_density()
+        assert f != DensityGrid.uniform(Window.unit(2))
+        g = IntensityGrid(f.box, f.cells_per_axis, f.values)
+        assert g == IntensityGrid(Window.unit(2), (2, 1), f.values.copy())
+        assert g != IntensityGrid(f.box, f.cells_per_axis, 2 * f.values)
+        assert g != IntensityGrid(f.box, (1, 2), f.values)
+        assert g != f
 
 
 class TestBinomial:
