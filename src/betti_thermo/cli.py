@@ -7,7 +7,8 @@ fixed seed produces byte-identical artifacts. Flags may also come from
 a JSON config (--config); explicit command-line flags win.
 
 Every flag is one field of ExperimentConfig: its name, type, default,
-help and choices there build the parser and check config-file values.
+help, choices and the commands that read it there build the parser and
+check config-file values. A command accepts only the flags it reads.
 """
 
 import argparse
@@ -53,19 +54,26 @@ class CliError(ValueError):
     pass
 
 
-# bundled clouds for betti: the unit-square corners close a single loop
-# at r = 1.05
+# bundled clouds for sample, complex and betti: the unit-square corners
+# close a single loop at r = 1.05
 _FIXTURES = {"square4": np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])}
 
 _CHECKS = ("scaling", "strips", "perturbation")
 
 
-def _flag(default, text: str, *, key: str | None = None, choices=None):
+# the commands that describe one cloud, and those that average replicates
+_CLOUD = "sample complex betti"
+_MONTE_CARLO = "rate curve converge gap checks"
+
+
+def _flag(default, text: str, *, reads: str, key: str | None = None, choices=None):
     """An ExperimentConfig field that is also the flag --<key> and the
-    config-file key <key>; key defaults to the field name, and the flag
-    spells its underscores as dashes."""
+    config-file key <key> of the commands named in reads (space-separated),
+    and of no other; key defaults to the field name, and the flag spells
+    its underscores as dashes."""
     return field(default=default,
-                 metadata={"help": text, "key": key, "choices": choices})
+                 metadata={"help": text, "reads": frozenset(reads.split()),
+                           "key": key, "choices": choices})
 
 
 def _cache_dir() -> Path:
@@ -77,39 +85,49 @@ def _cache_dir() -> Path:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One fully resolved run: command plus every knob it may read."""
+    """One fully resolved run: the command plus every knob; the flags the
+    command does not read keep their defaults."""
 
     command: str
     cache_dir: Path
-    dim: int = _flag(2, "ambient dimension")
-    k: int = _flag(1, "homology degree")
-    j: int | None = _flag(None, "simplex dimension; switches rate to the j-simplex count")
-    r: float = _flag(1.0, "radius parameter")
-    lam: float = _flag(1.0, "Poisson intensity", key="lambda")
-    L: float = _flag(100.0, "observation window volume")
-    n: int | None = _flag(None, "binomial sample size")
+    dim: int = _flag(2, "ambient dimension", reads=f"{_CLOUD} {_MONTE_CARLO}")
+    k: int = _flag(1, "homology degree", reads=f"complex betti {_MONTE_CARLO}")
+    j: int | None = _flag(None, "simplex dimension; switches rate to the j-simplex count",
+                          reads="rate")
+    r: float = _flag(1.0, "radius parameter", reads="complex betti rate converge gap checks")
+    lam: float = _flag(1.0, "Poisson intensity", key="lambda", reads=f"{_CLOUD} rate checks")
+    L: float = _flag(100.0, "observation window volume",
+                     reads=f"{_CLOUD} rate curve checks")
+    n: int | None = _flag(None, "binomial sample size", reads=_CLOUD)
     n_schedule: tuple[int, ...] = _flag((200, 400, 800, 1600),
-                                        "comma-separated increasing sizes")
-    reps: int = _flag(100, "Monte Carlo replicates")
-    density: str | None = _flag(None, "piecewise-constant density JSON file")
-    seed: int = _flag(0, "master seed")
+                                        "comma-separated increasing sizes",
+                                        reads="converge gap")
+    reps: int = _flag(100, "Monte Carlo replicates", reads=_MONTE_CARLO)
+    density: str | None = _flag(None, "piecewise-constant density JSON file",
+                                reads=f"{_CLOUD} converge gap")
+    seed: int = _flag(0, "master seed", reads=f"{_CLOUD} {_MONTE_CARLO}")
     boundary: str | None = _flag(None, "window boundary handling",
+                                 reads="complex betti rate curve checks",
                                  choices=("plain", "torus"))
-    workers: int = _flag(1, "worker processes")
-    out: str = _flag("betti-thermo", "artifact path prefix")
-    s_max: float = _flag(1.3, "limit-curve grid endpoint")
-    s_step: float = _flag(0.1, "limit-curve grid step")
-    curve_L: float = _flag(400.0, "window volume of the converge target curve")
-    curve_reps: int = _flag(200, "replicates per target-curve point")
-    theta: float = _flag(2.0, "scaling factor for checks")
-    eps: float = _flag(0.1, "intensity perturbation size for checks")
-    boxes: int = _flag(4, "sub-box count for the strip check")
-    fixture: str | None = _flag(None, "bundled cloud for betti", choices=tuple(_FIXTURES))
-    only: str | None = _flag(None, "run a single check", choices=_CHECKS)
+    workers: int = _flag(1, "worker processes", reads=_MONTE_CARLO)
+    out: str = _flag("betti-thermo", "artifact path prefix",
+                     reads=f"{_CLOUD} {_MONTE_CARLO}")
+    s_max: float = _flag(1.3, "limit-curve grid endpoint", reads="curve converge")
+    s_step: float = _flag(0.1, "limit-curve grid step", reads="curve converge")
+    curve_L: float = _flag(400.0, "window volume of the target curve", reads="converge")
+    curve_reps: int = _flag(200, "replicates per target-curve point", reads="converge")
+    theta: float = _flag(2.0, "scaling factor", reads="checks")
+    eps: float = _flag(0.1, "intensity perturbation size", reads="checks")
+    boxes: int = _flag(4, "sub-box count for the strip check", reads="checks")
+    fixture: str | None = _flag(None, "bundled cloud in place of a sampled one",
+                                reads=_CLOUD, choices=tuple(_FIXTURES))
+    only: str | None = _flag(None, "run a single check", reads="checks", choices=_CHECKS)
 
 
-def _flags() -> list:
-    return [f for f in fields(ExperimentConfig) if "help" in f.metadata]
+def _flags(command: str) -> list:
+    """The fields the command reads, in declaration order."""
+    return [f for f in fields(ExperimentConfig)
+            if command in f.metadata.get("reads", ())]
 
 
 def _key(f) -> str:
@@ -153,36 +171,38 @@ def _default_text(value) -> str:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    config = argparse.ArgumentParser(add_help=False,
+    """The top-level parser and one subparser per command, which accepts
+    --config and the flags the command reads. No parser matches a flag by
+    its prefix: with a command's few flags, --r would quietly become --reps."""
+    config = argparse.ArgumentParser(add_help=False, allow_abbrev=False,
                                      argument_default=argparse.SUPPRESS)
     config.add_argument("--config",
                         help="JSON config file supplying the command and flags; "
                              "explicit flags win")
-    common = argparse.ArgumentParser(add_help=False, parents=[config],
-                                     argument_default=argparse.SUPPRESS)
-    for f in _flags():
-        text = f.metadata["help"]
-        if f.default is not None:
-            text += f" (default {_default_text(f.default)})"
-        common.add_argument(_flag_name(f), dest=f.name,
-                            choices=f.metadata["choices"], help=text)
-
     parser = argparse.ArgumentParser(
         prog="betti-thermo",
         description="Cech-complex Betti numbers of sampled point processes "
                     "and their thermodynamic-regime limits.",
-        parents=[config],
+        parents=[config], allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", metavar="command")
     for name, (_, blurb) in _COMMANDS.items():
-        sub.add_parser(name, parents=[common], help=blurb, description=blurb)
+        command = sub.add_parser(name, parents=[config], help=blurb, description=blurb,
+                                 allow_abbrev=False, argument_default=argparse.SUPPRESS)
+        for f in _flags(name):
+            text = f.metadata["help"]
+            if f.default is not None:
+                text += f" (default {_default_text(f.default)})"
+            command.add_argument(_flag_name(f), dest=f.name,
+                                 choices=f.metadata["choices"], help=text)
     return parser
 
 
 def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     """Merge command-line flags over the JSON config over the defaults.
 
-    Flag text and config values are parsed alike, by _parse."""
+    Flag text and config values are parsed alike, by _parse. A config key
+    the command does not read is an error, even with a null value."""
     doc = {}
     config_path = getattr(args, "config", None)
     if config_path:
@@ -195,11 +215,12 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
         raise CliError('no command given (subcommand or "command" config key)')
     if not isinstance(command, str) or command not in _COMMANDS:
         raise CliError(f"unknown command {command!r}")
-    unknown = set(doc) - {_key(f) for f in _flags()} - {"command"}
+    flags = _flags(command)
+    unknown = set(doc) - {_key(f) for f in flags} - {"command"}
     if unknown:
-        raise CliError(f"unknown config keys: {sorted(unknown)}")
+        raise CliError(f"unknown config keys for {command}: {sorted(unknown)}")
     values = {}
-    for f in _flags():
+    for f in flags:
         key = _key(f)
         if hasattr(args, f.name):
             values[f.name] = _parse(f, getattr(args, f.name), _flag_name(f))
@@ -231,9 +252,15 @@ def _resolve_density(cfg: ExperimentConfig) -> DensityGrid:
 
 
 def _sample_cloud(cfg: ExperimentConfig) -> PointCloud:
-    """The cloud a sampling command describes: binomial when --n (or a
-    density file) is given, homogeneous Poisson on the centered window
-    of volume L otherwise."""
+    """The cloud a sampling command describes: the bundled --fixture,
+    binomial when --n (or a density file) is given, homogeneous Poisson on
+    the centered window of volume L otherwise."""
+    if cfg.fixture is not None:
+        given = [name for name, value in (("--n", cfg.n), ("--density", cfg.density))
+                 if value is not None]
+        if given:
+            raise CliError(f"--fixture cannot be combined with {' and '.join(given)}")
+        return PointCloud(_FIXTURES[cfg.fixture])
     rng = RngStream(cfg.seed)
     if cfg.density is not None or cfg.n is not None:
         if cfg.n is None:
@@ -312,7 +339,7 @@ def cmd_complex(cfg: ExperimentConfig) -> int:
         "boundary_mode": _boundary(cfg, "plain"),
         "max_dim": cfg.k + 1,
         "simplex_counts": counts,
-        "seed": cfg.seed,
+        "seed": None if cfg.fixture else cfg.seed,
     })
     print("complex: counts " + " ".join(map(str, counts)))
     return 0
@@ -321,10 +348,7 @@ def cmd_complex(cfg: ExperimentConfig) -> int:
 def cmd_betti(cfg: ExperimentConfig) -> int:
     _check_complex_params(cfg)
     period = _period_for(cfg)
-    if cfg.fixture is not None:
-        cloud = PointCloud(_FIXTURES[cfg.fixture])
-    else:
-        cloud = _sample_cloud(cfg)
+    cloud = _sample_cloud(cfg)
     cx = build_cech(cloud, cfg.r, cfg.k + 1, period=period)
     betti = betti_numbers(cx, cfg.k)
     _write_json(cfg, {
@@ -465,7 +489,7 @@ def cmd_checks(cfg: ExperimentConfig) -> int:
 
 _COMMANDS = {
     "sample": (cmd_sample, "draw a point cloud and write its coordinates"),
-    "complex": (cmd_complex, "simplex counts of the Cech complex on a sampled cloud"),
+    "complex": (cmd_complex, "simplex counts of the Cech complex on one cloud"),
     "betti": (cmd_betti, "Betti numbers of a sampled cloud or the bundled square fixture"),
     "rate": (cmd_rate, "per-volume Betti (or j-simplex) rate of a Poisson process"),
     "curve": (cmd_curve, "tabulate the unit-intensity limit curve over an s-grid (cached)"),

@@ -109,7 +109,7 @@ class Window:
     def centered(cls, L: float, dim: int) -> "Window":
         """The observation window of volume L: [-L^(1/d)/2, L^(1/d)/2)^d."""
         if L <= 0:
-            raise SamplerError("window volume must be positive")
+            raise SamplerError(f"window volume must be positive, got {L}")
         _check_dim(dim)
         half = 0.5 * L ** (1.0 / dim)
         return cls(np.full(dim, -half), np.full(dim, half))
@@ -336,7 +336,7 @@ class IntensityGrid(_Grid):
 def sample_binomial(density: DensityGrid, n: int, rng: RngStream) -> PointCloud:
     """Exactly n i.i.d. draws from the density."""
     if n < 0:
-        raise SamplerError("n must be non-negative")
+        raise SamplerError(f"n must be non-negative, got {n}")
     gen = rng.generator()
     return PointCloud(density.sample(n, gen))
 
@@ -348,7 +348,7 @@ def sample_poisson_homogeneous(lam: float, window: Window, rng: RngStream) -> Po
     i.i.d. uniform. lam = 0 is the trivial process with no points.
     """
     if lam < 0:
-        raise SamplerError("intensity must be non-negative")
+        raise SamplerError(f"intensity must be non-negative, got {lam}")
     gen = rng.generator()
     if lam == 0:
         return PointCloud.empty(window.dim)
@@ -376,5 +376,5 @@ def superpose(a: PointCloud, b: PointCloud) -> PointCloud:
 def scale_points(cloud: PointCloud, theta: float) -> PointCloud:
     """Map every point x to theta * x (theta P(lam) has the law of P(lam / theta^d))."""
     if theta <= 0:
-        raise SamplerError("scale factor must be positive")
+        raise SamplerError(f"scale factor must be positive, got {theta}")
     return PointCloud(cloud.points * theta)

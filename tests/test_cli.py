@@ -8,8 +8,11 @@ same seed.
 import json
 import multiprocessing
 import os
+import re
+import shlex
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -18,11 +21,15 @@ import betti_thermo
 from betti_thermo import limits
 from betti_thermo.cech import build_cech
 from betti_thermo.cli import (
+    _COMMANDS,
     CliError,
+    ExperimentConfig,
+    _flags,
     build_parser,
     emit_plot_data,
     main,
     resolve_config,
+    run,
 )
 from betti_thermo.homology import betti_numbers
 from betti_thermo.limits import (
@@ -81,6 +88,33 @@ class TestBettiCommand:
                      "--out", str(tmp_path / "x")])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+
+class TestFixture:
+    def test_complex_counts_the_square(self, tmp_path, capsys):
+        assert main(["complex", "--fixture", "square4", "--r", "1.05",
+                     "--out", str(tmp_path / "sq")]) == 0
+        assert capsys.readouterr().out == "complex: counts 4 4\n"
+        doc = json.loads((tmp_path / "sq.complex.json").read_text())
+        assert doc["n_points"] == 4 and doc["seed"] is None
+
+    def test_sample_writes_the_square(self, tmp_path, capsys):
+        assert main(["sample", "--fixture", "square4", "--out", str(tmp_path / "sq")]) == 0
+        lines = (tmp_path / "sq.sample.csv").read_text().splitlines()
+        assert lines == ["x0,x1", "0.0,0.0", "1.0,0.0", "0.0,1.0", "1.0,1.0"]
+        assert capsys.readouterr().out == "sample: 4 points (d=2)\n"
+
+    @pytest.mark.parametrize("command", ["sample", "complex", "betti"])
+    @pytest.mark.parametrize("extra, named", [
+        (["--n", "5"], "--n"),
+        (["--density", "nonexist.json"], "--density"),
+        (["--n", "5", "--density", "nonexist.json"], "--n and --density"),
+    ], ids=["n", "density", "both"])
+    def test_conflicting_source_rejected(self, tmp_path, capsys, command, extra, named):
+        code = main([command, "--fixture", "square4", *extra, "--out", str(tmp_path / "x")])
+        assert code == 1
+        assert f"error: --fixture cannot be combined with {named}\n" == capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
 
 class TestSampleCommand:
@@ -406,6 +440,19 @@ class TestConfig:
         assert "unknown config keys" in capsys.readouterr().err
 
     @pytest.mark.parametrize("doc, message", [
+        ({"command": "rate", "boxes": 9}, "unknown config keys for rate: ['boxes']"),
+        ({"command": "gap", "j": None, "L": 50},
+         "unknown config keys for gap: ['L', 'j']"),
+    ], ids=["rate-boxes", "gap-null"])
+    def test_key_the_command_does_not_read_rejected(self, tmp_path, capsys, doc,
+                                                     message):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**doc, "out": str(tmp_path / "x")}))
+        assert main(["--config", str(path)]) == 1
+        assert f"error: {message}\n" == capsys.readouterr().err
+        assert not list(tmp_path.glob("x.*"))
+
+    @pytest.mark.parametrize("doc, message", [
         ({"command": "checks", "only": "bogus"},
          "config key 'only': invalid choice 'bogus'"),
         ({"command": "rate", "reps": 2.7}, "config key 'reps': invalid int value '2.7'"),
@@ -469,7 +516,9 @@ class TestConfig:
         (["curve", "--s-step", "0"], "s-step must be positive, got 0.0"),
         (["curve", "--s-max", "0.05"],
          "s-max must be at least one step, got 0.05 with step 0.1"),
-    ], ids=["theta", "eps", "r", "k", "s-step", "s-max"])
+        (["sample", "--n", "-3"], "n must be non-negative, got -3"),
+        (["sample", "--L", "-5"], "window volume must be positive, got -5.0"),
+    ], ids=["theta", "eps", "r", "k", "s-step", "s-max", "sample-n", "sample-L"])
     def test_argument_error_names_the_value(self, tmp_path, capsys, argv, message):
         assert main(argv + ["--out", str(tmp_path / "x")]) == 1
         assert message in capsys.readouterr().err
@@ -489,15 +538,14 @@ class TestConfig:
 
     def test_config_values_parse_like_flags(self, tmp_path):
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"n_schedule": [20, 40], "L": 50, "reps": 6,
-                                    "lambda": 0.5, "j": None, "boundary": "torus"}))
+        path.write_text(json.dumps({"n_schedule": [20, 40], "r": 2, "reps": 6,
+                                    "k": 2, "density": None}))
         from_config = resolve_config(build_parser().parse_args(
             ["gap", "--config", str(path)]))
         from_flags = resolve_config(build_parser().parse_args(
-            ["gap", "--n-schedule", "20,40", "--L", "50", "--reps", "6",
-             "--lambda", "0.5", "--boundary", "torus"]))
+            ["gap", "--n-schedule", "20,40", "--r", "2", "--reps", "6", "--k", "2"]))
         assert from_config == from_flags
-        assert from_config.n_schedule == (20, 40) and from_config.L == 50.0
+        assert from_config.n_schedule == (20, 40) and from_config.r == 2.0
 
     def test_unknown_command_in_config(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
@@ -508,6 +556,104 @@ class TestConfig:
     def test_no_command_anywhere(self, capsys):
         assert main([]) == 1
         assert "no command" in capsys.readouterr().err
+
+
+class _RecordingConfig(ExperimentConfig):
+    """An ExperimentConfig that notes every flag field a command reads."""
+
+    def __getattribute__(self, name):
+        if name in _FLAG_FIELDS:
+            object.__getattribute__(self, "read").add(name)
+        return object.__getattribute__(self, name)
+
+
+_FLAG_FIELDS = {f.name for f in fields(ExperimentConfig)} - {"command", "cache_dir"}
+
+
+class TestFlagsPerCommand:
+    """Each command declares, and so accepts, exactly the flags it reads."""
+
+    # tiny runs that take every branch on which a command reads a flag
+    RUNS = {
+        "sample": [["--n", "3"], ["--L", "4"], ["--density", "{density}", "--n", "3"],
+                   ["--fixture", "square4"]],
+        "complex": [["--L", "4"], ["--fixture", "square4"]],
+        "betti": [["--L", "4"], ["--fixture", "square4"]],
+        "rate": [["--L", "16", "--reps", "2"], ["--j", "1", "--L", "16", "--reps", "2"]],
+        "curve": [["--L", "16", "--reps", "2", "--s-max", "0.2", "--s-step", "0.2"]],
+        "converge": [["--n-schedule", "5,10", "--reps", "2", "--r", "0.2", "--s-max", "0.2",
+                      "--s-step", "0.2", "--curve-L", "16", "--curve-reps", "2"],
+                     ["--density", "{density}", "--n-schedule", "5,10", "--reps", "2",
+                      "--r", "0.2", "--s-max", "0.2", "--s-step", "0.2",
+                      "--curve-L", "16", "--curve-reps", "2"]],
+        "gap": [["--n-schedule", "5,10", "--reps", "2"]],
+        "checks": [["--only", name, "--L", "25", "--reps", "2"]
+                   for name in ("scaling", "strips", "perturbation")],
+    }
+
+    @pytest.mark.parametrize("command", list(_COMMANDS))
+    def test_declared_flags_are_the_flags_read(self, tmp_path, capsys, command):
+        density = tmp_path / "d.json"
+        density.write_text(json.dumps({"dim": 2, "lower": [0, 0], "upper": [1, 1],
+                                       "cells_per_axis": [1, 1], "values": [1]}))
+        read = set()
+        for args in self.RUNS[command]:
+            argv = [command, *(a.format(density=density) for a in args),
+                    "--out", str(tmp_path / "x")]
+            cfg = resolve_config(build_parser().parse_args(argv))
+            recording = _RecordingConfig(**{f.name: getattr(cfg, f.name)
+                                            for f in fields(cfg)})
+            object.__setattr__(recording, "read", set())
+            assert run(recording) in (0, 1)
+            read |= recording.read
+        assert read == {f.name for f in _flags(command)}
+
+    @pytest.mark.parametrize("argv", [
+        ["rate", "--theta", "7"],
+        ["curve", "--density", "x.json"],
+        ["gap", "--n", "300"],  # not --n-schedule by its prefix
+        ["curve", "--r", "2"],  # not --reps by its prefix
+        ["sample", "--workers", "2"],
+    ], ids=["rate-theta", "curve-density", "gap-n", "curve-r", "sample-workers"])
+    def test_stray_flag_rejected(self, tmp_path, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(tmp_path / "x")])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_help_lists_only_the_flags_read(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["rate", "--help"])
+        assert exc.value.code == 0
+        listed = set(re.findall(r"^  (--[\w-]+)", capsys.readouterr().out, re.M))
+        assert listed == {"--config", "--dim", "--k", "--j", "--r", "--lambda",
+                          "--L", "--reps", "--seed", "--boundary", "--workers", "--out"}
+
+
+class TestReadme:
+    """Every `$ betti-thermo ...` line of README's example blocks prints
+    what the README shows under it."""
+
+    README = Path(__file__).resolve().parents[1] / "README.md"
+    BLOCKS = [block for block in re.findall(r"^```\w*\n(.*?)^```$", README.read_text(),
+                                            re.M | re.S)
+              if block.startswith("$ ")]
+
+    @pytest.mark.parametrize("block", BLOCKS,
+                             ids=[f"block{i}" for i in range(len(BLOCKS))])
+    def test_examples_print_what_they_show(self, tmp_path, capsys, monkeypatch, block):
+        monkeypatch.chdir(tmp_path)
+        for session in re.split(r"^\$ ", block, flags=re.M)[1:]:
+            line, _, shown = session.partition("\n")
+            shown = shown.strip("\n")
+            command, *args = shlex.split(line)
+            if command == "cat":
+                Path(args[0]).write_text(shown + "\n")
+                continue
+            assert command == "betti-thermo"
+            assert main(args) == 0, line
+            assert capsys.readouterr().out == shown + "\n", line
 
 
 class TestPlotData:

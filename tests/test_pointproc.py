@@ -396,6 +396,21 @@ class TestCouplings:
         assert f.l1_distance(g) == pytest.approx((1 + 2 + 0 + 1) * 0.25)
 
 
+class TestRejectedValues:
+    @pytest.mark.parametrize("make, message", [
+        (lambda: sample_binomial(DensityGrid.uniform(Window.unit(2)), -3, RngStream(0)),
+         "n must be non-negative, got -3"),
+        (lambda: sample_poisson_homogeneous(-1.5, Window.unit(2), RngStream(0)),
+         "intensity must be non-negative, got -1.5"),
+        (lambda: Window.centered(-5.0, 2), "window volume must be positive, got -5.0"),
+        (lambda: scale_points(PointCloud.empty(2), 0.0),
+         "scale factor must be positive, got 0.0"),
+    ], ids=["n", "intensity", "volume", "scale"])
+    def test_message_names_the_value(self, make, message):
+        with pytest.raises(SamplerError, match=re.escape(message) + "$"):
+            make()
+
+
 class TestDeterminism:
     def test_same_stream_same_bits(self):
         grid = two_level_density()
