@@ -179,9 +179,10 @@ class NeighborGrid:
     cell on each side, so each half-offset of each point is one table
     lookup. Without a period the padding cells are empty. With a period
     the grid indexes the flat torus and the padding cells repeat the cells
-    across the seam, so adjacency wraps around; a torus needing fewer than
-    3 cells per axis falls back to scanning every pair, since its wrapped
-    offsets would alias.
+    across the seam, so adjacency wraps around. A torus keeps at least 3
+    cells per axis, where wrapped offsets stop aliasing: on a cycle of 3
+    cells every cell borders every other, so each pair is still found once
+    when the cells are narrower than r.
     """
 
     def __init__(self, points: np.ndarray, r: float, period: float | None = None):
@@ -202,12 +203,11 @@ class NeighborGrid:
         # cells are a little wider than r, so that rounding in the cell
         # coordinates cannot put a pair within reach two cells apart
         width = self.r * (1 + 1e-6) + 4 * MINIBALL_TOL
-        if self._wrap:
-            cells = [int(self.period / width)] * d
-        self._brute = self._wrap and cells[0] < 3
-        if self._brute or n < 2:
+        if n < 2:
             return
-        if not self._wrap:
+        if self._wrap:
+            cells = [max(int(self.period / width), 3)] * d
+        else:
             origin = pts.min(axis=0)
             span = (pts.max(axis=0) - origin).tolist()
             cells = [int(min(s / width, _CELLS_PER_POINT * n)) + 1 for s in span]
@@ -249,10 +249,7 @@ class NeighborGrid:
         if n < 2:
             empty = np.empty(0, dtype=np.int64)
             return empty, empty
-        if self._brute:
-            iu, jv = np.triu_indices(n, k=1)
-        else:
-            iu, jv = self._candidate_pairs()
+        iu, jv = self._candidate_pairs()
         # coordinate by coordinate, as in _batch_triangle_r2: same floats
         # as a row sum, without numpy's slow reduction over a short axis
         dist2 = 0.0

@@ -7,8 +7,9 @@ fixed seed produces byte-identical artifacts. Flags may also come from
 a JSON config (--config); explicit command-line flags win.
 
 Every flag is one field of ExperimentConfig: its name, type, default,
-help, choices and the commands that read it there build the parser and
-check config-file values. A command accepts only the flags it reads.
+help, choices, the commands that read it and the fields its branch does
+not read there build the parser and check config-file values. A command
+accepts only the flags it reads, and a run only those its branch reads.
 """
 
 import argparse
@@ -22,10 +23,9 @@ from pathlib import Path
 
 import numpy as np
 
-from betti_thermo.cech import build_cech
+from betti_thermo.cech import SimplicialComplex, build_cech
 from betti_thermo.homology import betti_numbers
 from betti_thermo.limits import (
-    LimitCurve,
     boundary_strip_check,
     convergence_table,
     estimate_betti_rate,
@@ -36,6 +36,7 @@ from betti_thermo.limits import (
     scaling_check,
     thermodynamic_integral,
     worker_pool,
+    write_json,
     write_records_csv,
     write_text_atomic,
 )
@@ -66,14 +67,16 @@ _CLOUD = "sample complex betti"
 _MONTE_CARLO = "rate curve converge gap checks"
 
 
-def _flag(default, text: str, *, reads: str, key: str | None = None, choices=None):
+def _flag(default, text: str, *, reads: str, key: str | None = None, choices=None,
+          excludes: str | dict = ""):
     """An ExperimentConfig field that is also the flag --<key> and the
     config-file key <key> of the commands named in reads (space-separated),
     and of no other; key defaults to the field name, and the flag spells
-    its underscores as dashes."""
+    its underscores as dashes. excludes names the fields that a run giving
+    the flag does not read, or maps each of its values to such names."""
     return field(default=default,
                  metadata={"help": text, "reads": frozenset(reads.split()),
-                           "key": key, "choices": choices})
+                           "key": key, "choices": choices, "excludes": excludes})
 
 
 def _cache_dir() -> Path:
@@ -93,18 +96,20 @@ class ExperimentConfig:
     dim: int = _flag(2, "ambient dimension", reads=f"{_CLOUD} {_MONTE_CARLO}")
     k: int = _flag(1, "homology degree", reads=f"complex betti {_MONTE_CARLO}")
     j: int | None = _flag(None, "simplex dimension; switches rate to the j-simplex count",
-                          reads="rate")
+                          reads="rate", excludes="k")
     r: float = _flag(1.0, "radius parameter", reads="complex betti rate converge gap checks")
     lam: float = _flag(1.0, "Poisson intensity", key="lambda", reads=f"{_CLOUD} rate checks")
     L: float = _flag(100.0, "observation window volume",
                      reads=f"{_CLOUD} rate curve checks")
-    n: int | None = _flag(None, "binomial sample size", reads=_CLOUD)
+    n: int | None = _flag(None, "binomial sample size", reads=_CLOUD,
+                          excludes="lam L boundary")
     n_schedule: tuple[int, ...] = _flag((200, 400, 800, 1600),
                                         "comma-separated increasing sizes",
                                         reads="converge gap")
     reps: int = _flag(100, "Monte Carlo replicates", reads=_MONTE_CARLO)
     density: str | None = _flag(None, "piecewise-constant density JSON file",
-                                reads=f"{_CLOUD} converge gap")
+                                reads=f"{_CLOUD} converge gap",
+                                excludes="lam L dim boundary")
     seed: int = _flag(0, "master seed", reads=f"{_CLOUD} {_MONTE_CARLO}")
     boundary: str | None = _flag(None, "window boundary handling",
                                  reads="complex betti rate curve checks",
@@ -120,8 +125,12 @@ class ExperimentConfig:
     eps: float = _flag(0.1, "intensity perturbation size", reads="checks")
     boxes: int = _flag(4, "sub-box count for the strip check", reads="checks")
     fixture: str | None = _flag(None, "bundled cloud in place of a sampled one",
-                                reads=_CLOUD, choices=tuple(_FIXTURES))
-    only: str | None = _flag(None, "run a single check", reads="checks", choices=_CHECKS)
+                                reads=_CLOUD, choices=tuple(_FIXTURES),
+                                excludes="n density lam L dim seed boundary")
+    only: str | None = _flag(None, "run a single check", reads="checks", choices=_CHECKS,
+                             excludes={"scaling": "boxes eps",
+                                       "strips": "theta eps boundary",
+                                       "perturbation": "theta boxes boundary"})
 
 
 def _flags(command: str) -> list:
@@ -136,6 +145,15 @@ def _key(f) -> str:
 
 def _flag_name(f) -> str:
     return "--" + _key(f).replace("_", "-")
+
+
+def _excluded(f, value) -> tuple[str, frozenset[str]]:
+    """Flag f's name in errors (with the value where the exclusions depend
+    on it, as for --only) and the fields a run giving f this value ignores."""
+    excludes = f.metadata["excludes"]
+    if isinstance(excludes, dict):
+        return f"{_flag_name(f)} {value}", frozenset(excludes.get(value, "").split())
+    return _flag_name(f), frozenset(excludes.split())
 
 
 def _scalar_type(f) -> type:
@@ -202,7 +220,8 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     """Merge command-line flags over the JSON config over the defaults.
 
     Flag text and config values are parsed alike, by _parse. A config key
-    the command does not read is an error, even with a null value."""
+    the command does not read is an error, even with a null value, and so
+    is a flag or non-null key that another one given excludes."""
     doc = {}
     config_path = getattr(args, "config", None)
     if config_path:
@@ -211,21 +230,29 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
         if not isinstance(doc, dict):
             raise CliError("config must be a JSON object of flag values")
     command = getattr(args, "command", None) or doc.get("command")
+    if doc.get("command") not in (None, command):
+        raise CliError(f"config command {doc['command']!r} does not match "
+                       f"the subcommand {command!r}")
     if command is None:
         raise CliError('no command given (subcommand or "command" config key)')
     if not isinstance(command, str) or command not in _COMMANDS:
         raise CliError(f"unknown command {command!r}")
-    flags = _flags(command)
-    unknown = set(doc) - {_key(f) for f in flags} - {"command"}
+    flags = {f.name: f for f in _flags(command)}
+    by_key = {_key(f): f for f in flags.values()}
+    unknown = set(doc) - set(by_key) - {"command"}
     if unknown:
         raise CliError(f"unknown config keys for {command}: {sorted(unknown)}")
-    values = {}
-    for f in flags:
-        key = _key(f)
-        if hasattr(args, f.name):
-            values[f.name] = _parse(f, getattr(args, f.name), _flag_name(f))
-        elif doc.get(key) is not None:
-            values[f.name] = _parse(f, doc[key], f"config key {key!r}")
+    values = {name: _parse(flags[name], text, _flag_name(flags[name]))
+              for name, text in vars(args).items() if name in flags}
+    for key, value in doc.items():
+        f = by_key.get(key)
+        if f is not None and f.name not in values and value is not None:
+            values[f.name] = _parse(f, value, f"config key {key!r}")
+    for name, value in values.items():
+        given, excluded = _excluded(flags[name], value)
+        clash = [_flag_name(flags[other]) for other in values if other in excluded]
+        if clash:
+            raise CliError(f"{given} cannot be combined with {' and '.join(clash)}")
     return ExperimentConfig(command=command, cache_dir=_cache_dir(), **values)
 
 
@@ -236,45 +263,35 @@ def _artifact(cfg: ExperimentConfig, ext: str) -> Path:
     return Path(f"{cfg.out}.{cfg.command}.{ext}")
 
 
-def _write_json(cfg: ExperimentConfig, doc: dict) -> None:
-    write_text_atomic(_artifact(cfg, "json"),
-                      json.dumps(doc, sort_keys=True, indent=1) + "\n")
-
-
-def _boundary(cfg: ExperimentConfig, default: str) -> str:
-    return cfg.boundary or default
-
-
 def _resolve_density(cfg: ExperimentConfig) -> DensityGrid:
     if cfg.density is not None:
         return DensityGrid.from_json(cfg.density)
     return DensityGrid.uniform(Window.unit(cfg.dim))
 
 
+def _poisson(cfg: ExperimentConfig) -> bool:
+    """Whether a cloud command samples Poisson: no --fixture, --n or --density."""
+    return cfg.fixture is None and cfg.n is None and cfg.density is None
+
+
 def _sample_cloud(cfg: ExperimentConfig) -> PointCloud:
-    """The cloud a sampling command describes: the bundled --fixture,
+    """The cloud that sample, complex and betti describe: the bundled --fixture,
     binomial when --n (or a density file) is given, homogeneous Poisson on
     the centered window of volume L otherwise."""
     if cfg.fixture is not None:
-        given = [name for name, value in (("--n", cfg.n), ("--density", cfg.density))
-                 if value is not None]
-        if given:
-            raise CliError(f"--fixture cannot be combined with {' and '.join(given)}")
         return PointCloud(_FIXTURES[cfg.fixture])
     rng = RngStream(cfg.seed)
-    if cfg.density is not None or cfg.n is not None:
-        if cfg.n is None:
-            raise CliError("sampling from a density file needs --n")
-        return sample_binomial(_resolve_density(cfg), cfg.n, rng)
-    return sample_poisson_homogeneous(cfg.lam, Window.centered(cfg.L, cfg.dim), rng)
+    if _poisson(cfg):
+        return sample_poisson_homogeneous(cfg.lam, Window.centered(cfg.L, cfg.dim), rng)
+    if cfg.n is None:
+        raise CliError("sampling from a density file needs --n")
+    return sample_binomial(_resolve_density(cfg), cfg.n, rng)
 
 
 def _period_for(cfg: ExperimentConfig) -> float | None:
-    """Torus period for complex/betti; validated before any sampling."""
-    if _boundary(cfg, "plain") == "plain":
+    """Torus period of a Poisson cloud; validated before any sampling."""
+    if cfg.boundary != "torus":
         return None
-    if cfg.density is not None or cfg.n is not None or cfg.fixture is not None:
-        raise CliError("torus boundary applies to the homogeneous Poisson window only")
     period = cfg.L ** (1.0 / cfg.dim)
     if period <= 3.0 * cfg.r:
         raise CliError(f"torus side {period:.6g} must exceed 3r = {3.0 * cfg.r:.6g}")
@@ -296,10 +313,7 @@ def _s_grid(s_max: float, s_step: float) -> tuple[float, ...]:
 
 def emit_plot_data(table, path) -> None:
     """Whitespace-separated x y [yerr] rows at 12 significant digits."""
-    if isinstance(table, LimitCurve):
-        rows = list(zip(table.s_grid, table.values, table.stderrs))
-    else:
-        rows = list(table.plot_rows())
+    rows = table.plot_rows()
     if not rows:
         raise CliError("nothing to emit: the table is empty")
     lines = [" ".join(f"{float(x):.12g}" for x in row) for row in rows]
@@ -319,63 +333,48 @@ def cmd_sample(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def _check_complex_params(cfg: ExperimentConfig) -> None:
+def _cloud_complex(cfg: ExperimentConfig) -> tuple[SimplicialComplex, float | None, dict]:
+    """The Cech complex (to dimension k + 1) of the cloud complex and betti
+    describe, its torus period or None, and the JSON fields the two share;
+    the parameters are checked before any sampling."""
     if cfg.r <= 0:
         raise CliError(f"radius must be positive, got {cfg.r}")
     if cfg.k < 0:
         raise CliError(f"k must be non-negative, got {cfg.k}")
-
-
-def cmd_complex(cfg: ExperimentConfig) -> int:
-    _check_complex_params(cfg)
-    period = _period_for(cfg)
+    period = _period_for(cfg) if _poisson(cfg) else None
     cloud = _sample_cloud(cfg)
     cx = build_cech(cloud, cfg.r, cfg.k + 1, period=period)
-    counts = cx.simplex_counts()
-    _write_json(cfg, {
+    return cx, period, {
         "n_points": len(cloud),
         "dim": cloud.dim,
         "r": cfg.r,
-        "boundary_mode": _boundary(cfg, "plain"),
-        "max_dim": cfg.k + 1,
-        "simplex_counts": counts,
+        "simplex_counts": cx.simplex_counts(),
         "seed": None if cfg.fixture else cfg.seed,
-    })
-    print("complex: counts " + " ".join(map(str, counts)))
+    }
+
+
+def cmd_complex(cfg: ExperimentConfig) -> int:
+    _, period, doc = _cloud_complex(cfg)
+    doc.update(boundary_mode="plain" if period is None else "torus", max_dim=cfg.k + 1)
+    write_json(_artifact(cfg, "json"), doc)
+    print("complex: counts " + " ".join(map(str, doc["simplex_counts"])))
     return 0
 
 
 def cmd_betti(cfg: ExperimentConfig) -> int:
-    _check_complex_params(cfg)
-    period = _period_for(cfg)
-    cloud = _sample_cloud(cfg)
-    cx = build_cech(cloud, cfg.r, cfg.k + 1, period=period)
+    cx, _, doc = _cloud_complex(cfg)
     betti = betti_numbers(cx, cfg.k)
-    _write_json(cfg, {
-        "n_points": len(cloud),
-        "dim": cloud.dim,
-        "r": cfg.r,
-        "k": cfg.k,
-        "betti": list(betti),
-        "simplex_counts": cx.simplex_counts(),
-        "fixture": cfg.fixture,
-        "seed": None if cfg.fixture else cfg.seed,
-    })
+    doc.update(k=cfg.k, betti=list(betti), fixture=cfg.fixture)
+    write_json(_artifact(cfg, "json"), doc)
     print("beta: " + " ".join(str(b) for b in betti))
     return 0
 
 
 def cmd_rate(cfg: ExperimentConfig) -> int:
-    rng = RngStream(cfg.seed)
-    mode = _boundary(cfg, "plain")
-    if cfg.j is not None:
-        rec = estimate_simplex_rate(cfg.lam, cfg.r, cfg.L, cfg.j, cfg.reps, rng,
-                                    boundary_mode=mode, dim=cfg.dim,
-                                    workers=cfg.workers)
-    else:
-        rec = estimate_betti_rate(cfg.lam, cfg.r, cfg.L, cfg.k, cfg.reps, rng,
-                                  boundary_mode=mode, dim=cfg.dim,
-                                  workers=cfg.workers)
+    estimate, degree = ((estimate_betti_rate, cfg.k) if cfg.j is None
+                        else (estimate_simplex_rate, cfg.j))
+    rec = estimate(cfg.lam, cfg.r, cfg.L, degree, cfg.reps, RngStream(cfg.seed),
+                   boundary_mode=cfg.boundary or "plain", dim=cfg.dim, workers=cfg.workers)
     write_records_csv(_artifact(cfg, "csv"), [rec])
     print(f"{rec.quantity}: {rec.mean:.6g} +/- {rec.stderr:.6g}")
     return 0
@@ -385,9 +384,9 @@ def cmd_curve(cfg: ExperimentConfig) -> int:
     grid = _s_grid(cfg.s_max, cfg.s_step)
     curve = load_or_build_curve(cfg.cache_dir, cfg.k, grid, cfg.L, cfg.reps,
                                 RngStream(cfg.seed),
-                                boundary_mode=_boundary(cfg, "torus"),
+                                boundary_mode=cfg.boundary or "torus",
                                 dim=cfg.dim, workers=cfg.workers)
-    _write_json(cfg, curve.to_dict())
+    write_json(_artifact(cfg, "json"), curve.to_dict())
     emit_plot_data(curve, _artifact(cfg, "dat"))
     print(f"curve: k={cfg.k}, {len(curve.s_grid)} points on [0, {curve.s_grid[-1]:g}], "
           f"endpoint {curve.values[-1]:.6g} +/- {curve.stderrs[-1]:.6g}")
@@ -418,7 +417,7 @@ def cmd_converge(cfg: ExperimentConfig) -> int:
     doc["tolerance"] = tol
     doc["passed"] = ok
     write_records_csv(_artifact(cfg, "csv"), table.records)
-    _write_json(cfg, doc)
+    write_json(_artifact(cfg, "json"), doc)
     emit_plot_data(table, _artifact(cfg, "dat"))
     print(f"converge: gap(n={last.L_or_n:g}) = {gap:.6g} "
           f"vs tolerance {tol:.6g}: {'pass' if ok else 'fail'}")
@@ -436,7 +435,7 @@ def cmd_gap(cfg: ExperimentConfig) -> int:
     doc["scaled_bounded"] = bounded
     doc["declines"] = declining
     write_records_csv(_artifact(cfg, "csv"), table.records())
-    _write_json(cfg, doc)
+    write_json(_artifact(cfg, "json"), doc)
     emit_plot_data(table, _artifact(cfg, "dat"))
     last = table.rows[-1]
     print(f"gap: scaled gap(n={last.n}) = {last.scaled:.6g}, "
@@ -446,28 +445,25 @@ def cmd_gap(cfg: ExperimentConfig) -> int:
 
 
 def cmd_checks(cfg: ExperimentConfig) -> int:
-    if cfg.eps < 0:
-        raise CliError(f"eps must be non-negative, got {cfg.eps}")
     names = _CHECKS if cfg.only is None else (cfg.only,)
+    if "perturbation" in names and cfg.eps < 0:
+        raise CliError(f"eps must be non-negative, got {cfg.eps}")
     master = RngStream(cfg.seed)
     doc = {}
-    failed = 0
     for name in names:
         if name == "scaling":
             rep = scaling_check(cfg.lam, cfg.theta, cfg.r, cfg.L, cfg.k, cfg.reps,
                                 master.substream(0),
-                                boundary_mode=_boundary(cfg, "torus"),
+                                boundary_mode=cfg.boundary or "torus",
                                 dim=cfg.dim, workers=cfg.workers)
             ok = rep.passed
-            print(f"scaling: {'pass' if ok else 'fail'} "
-                  f"(delta {rep.delta:.3g} vs 3 se {3.0 * rep.combined_stderr:.3g})")
+            detail = f"delta {rep.delta:.3g} vs 3 se {3.0 * rep.combined_stderr:.3g}"
         elif name == "strips":
             rep = boundary_strip_check(cfg.lam, cfg.r, cfg.L, cfg.boxes, cfg.k,
                                        master.substream(1), reps=cfg.reps,
                                        dim=cfg.dim, workers=cfg.workers)
             ok = rep.holds_all
-            print(f"strips: {'pass' if ok else 'fail'} "
-                  f"({rep.violations} violations in {rep.reps} realizations)")
+            detail = f"{rep.violations} violations in {rep.reps} realizations"
         else:
             window = Window.centered(cfg.L, cfg.dim)
             cells = (1,) * cfg.dim
@@ -477,14 +473,11 @@ def cmd_checks(cfg: ExperimentConfig) -> int:
                                                master.substream(2),
                                                workers=cfg.workers)
             ok = rep.nested_bound_ok
-            print(f"perturbation: {'pass' if ok else 'fail'} "
-                  f"(gap {rep.gap:.3g}, L1 distance {rep.l1_distance:.3g})")
-        entry = rep.to_dict()
-        entry["passed"] = ok
-        doc[name] = entry
-        failed += 0 if ok else 1
-    _write_json(cfg, doc)
-    return 0 if failed == 0 else 1
+            detail = f"gap {rep.gap:.3g}, L1 distance {rep.l1_distance:.3g}"
+        print(f"{name}: {'pass' if ok else 'fail'} ({detail})")
+        doc[name] = {**rep.to_dict(), "passed": ok}
+    write_json(_artifact(cfg, "json"), doc)
+    return 0 if all(entry["passed"] for entry in doc.values()) else 1
 
 
 _COMMANDS = {

@@ -172,6 +172,11 @@ def write_records_csv(path, records) -> None:
     write_text_atomic(path, records_csv(records))
 
 
+def write_json(path, doc: dict) -> None:
+    """The one JSON format of artifacts and caches: sorted keys, indent 1."""
+    write_text_atomic(path, json.dumps(doc, sort_keys=True, indent=1) + "\n")
+
+
 # ---------------------------------------------------------------------------
 # replicate engine
 
@@ -496,6 +501,9 @@ class LimitCurve(_JsonRecord):
     def stderr(self, s: float) -> float:
         return math.sqrt(sum((w * self.stderrs[i]) ** 2 for i, w in self.weights(s)))
 
+    def plot_rows(self) -> list[tuple[float, float, float]]:
+        return list(zip(self.s_grid, self.values, self.stderrs))
+
 
 def build_limit_curve(k: int, s_grid, L: float, reps: int, rng: RngStream,
                       boundary_mode: str = "torus", dim: int = 2,
@@ -560,7 +568,7 @@ def load_or_build_curve(cache_dir, k: int, s_grid, L: float, reps: int,
             return curve
     curve = build_limit_curve(k, grid, L, reps, rng, boundary_mode=boundary_mode,
                               dim=dim, workers=workers)
-    write_text_atomic(path, json.dumps(curve.to_dict(), sort_keys=True, indent=1) + "\n")
+    write_json(path, curve.to_dict())
     return curve
 
 

@@ -153,7 +153,8 @@ class TestNeighborGrid:
             self.assert_pairs(gen.random((n, d)) * period, r, period)
 
     def test_torus_small_grid_falls_back(self):
-        # period / r < 3 cells: brute-force path, same answer
+        # period / r < 3: the grid keeps 3 cells per axis, narrower than r,
+        # each bordering the other two; every pair is still found once
         pts = np.random.default_rng(10).random((80, 2)) * 2.0
         self.assert_pairs(pts, 0.9, 2.0)
 

@@ -5,6 +5,7 @@ same computation done directly through the module functions with the
 same seed.
 """
 
+import hashlib
 import json
 import multiprocessing
 import os
@@ -15,15 +16,18 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import betti_thermo
 from betti_thermo import limits
 from betti_thermo.cech import build_cech
 from betti_thermo.cli import (
+    _CHECKS,
     _COMMANDS,
     CliError,
     ExperimentConfig,
+    _excluded,
     _flags,
     build_parser,
     emit_plot_data,
@@ -547,6 +551,15 @@ class TestConfig:
         assert from_config == from_flags
         assert from_config.n_schedule == (20, 40) and from_config.r == 2.0
 
+    def test_config_for_another_command_rejected(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text('{"command": "rate", "seed": 3}')
+        assert main(["gap", "--config", str(path), "--n-schedule", "10,20", "--reps", "2",
+                     "--out", str(tmp_path / "x")]) == 1
+        assert (capsys.readouterr().err
+                == "error: config command 'rate' does not match the subcommand 'gap'\n")
+        assert not list(tmp_path.glob("x.*"))
+
     def test_unknown_command_in_config(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
         path.write_text('{"command": "frobnicate"}')
@@ -571,42 +584,102 @@ _FLAG_FIELDS = {f.name for f in fields(ExperimentConfig)} - {"command", "cache_d
 
 
 class TestFlagsPerCommand:
-    """Each command declares, and so accepts, exactly the flags it reads."""
+    """Each command declares, and so accepts, exactly the flags it reads;
+    each branch of it reads them all but those its selectors exclude."""
 
-    # tiny runs that take every branch on which a command reads a flag
+    CONVERGE = ["--n-schedule", "5,10", "--reps", "2", "--r", "0.2", "--s-max", "0.2",
+                "--s-step", "0.2", "--curve-L", "16", "--curve-reps", "2"]
+    # one tiny run per branch: the cloud commands' four sources, rate with
+    # and without --j, converge and gap with and without --density, and
+    # checks in full and by each --only
     RUNS = {
-        "sample": [["--n", "3"], ["--L", "4"], ["--density", "{density}", "--n", "3"],
-                   ["--fixture", "square4"]],
-        "complex": [["--L", "4"], ["--fixture", "square4"]],
-        "betti": [["--L", "4"], ["--fixture", "square4"]],
+        **{command: [["--L", "4"], ["--n", "3"], ["--density", "{density}", "--n", "3"],
+                     ["--fixture", "square4"]]
+           for command in ("sample", "complex", "betti")},
         "rate": [["--L", "16", "--reps", "2"], ["--j", "1", "--L", "16", "--reps", "2"]],
         "curve": [["--L", "16", "--reps", "2", "--s-max", "0.2", "--s-step", "0.2"]],
-        "converge": [["--n-schedule", "5,10", "--reps", "2", "--r", "0.2", "--s-max", "0.2",
-                      "--s-step", "0.2", "--curve-L", "16", "--curve-reps", "2"],
-                     ["--density", "{density}", "--n-schedule", "5,10", "--reps", "2",
-                      "--r", "0.2", "--s-max", "0.2", "--s-step", "0.2",
-                      "--curve-L", "16", "--curve-reps", "2"]],
-        "gap": [["--n-schedule", "5,10", "--reps", "2"]],
-        "checks": [["--only", name, "--L", "25", "--reps", "2"]
-                   for name in ("scaling", "strips", "perturbation")],
+        "converge": [CONVERGE, ["--density", "{density}", *CONVERGE]],
+        "gap": [["--n-schedule", "5,10", "--reps", "2"],
+                ["--density", "{density}", "--n-schedule", "5,10", "--reps", "2"]],
+        "checks": [["--L", "25", "--reps", "2"],
+                   *(["--only", name, "--L", "25", "--reps", "2"] for name in _CHECKS)],
     }
 
+    @pytest.fixture
+    def density(self, tmp_path):
+        path = tmp_path / "d.json"
+        path.write_text(json.dumps({"dim": 2, "lower": [0, 0], "upper": [1, 1],
+                                    "cells_per_axis": [1, 1], "values": [1]}))
+        return path
+
     @pytest.mark.parametrize("command", list(_COMMANDS))
-    def test_declared_flags_are_the_flags_read(self, tmp_path, capsys, command):
-        density = tmp_path / "d.json"
-        density.write_text(json.dumps({"dim": 2, "lower": [0, 0], "upper": [1, 1],
-                                       "cells_per_axis": [1, 1], "values": [1]}))
-        read = set()
+    def test_declared_flags_are_the_flags_read(self, tmp_path, capsys, density, command):
+        # every command has a run with no selector, so together the runs
+        # read every declared flag
+        declared = _flags(command)
         for args in self.RUNS[command]:
             argv = [command, *(a.format(density=density) for a in args),
                     "--out", str(tmp_path / "x")]
-            cfg = resolve_config(build_parser().parse_args(argv))
+            parsed = build_parser().parse_args(argv)
+            cfg = resolve_config(parsed)
             recording = _RecordingConfig(**{f.name: getattr(cfg, f.name)
                                             for f in fields(cfg)})
             object.__setattr__(recording, "read", set())
             assert run(recording) in (0, 1)
-            read |= recording.read
-        assert read == {f.name for f in _flags(command)}
+            excluded = set().union(*(_excluded(f, getattr(cfg, f.name))[1]
+                                     for f in declared if f.name in vars(parsed)))
+            assert recording.read == {f.name for f in declared} - excluded, argv
+
+    @pytest.mark.parametrize("argv, message", [
+        (["sample", "--density", "{density}", "--n", "5", "--dim", "3"],
+         "--density cannot be combined with --dim"),
+        (["gap", "--density", "{density}", "--dim", "3"],
+         "--density cannot be combined with --dim"),
+        (["converge", "--density", "{density}", "--dim", "5"],
+         "--density cannot be combined with --dim"),
+        (["betti", "--fixture", "square4", "--r", "1.05", "--L", "50", "--lambda", "3",
+          "--seed", "4"], "--fixture cannot be combined with --L and --lambda and --seed"),
+        (["complex", "--n", "20", "--lambda", "9", "--L", "3", "--boundary", "plain"],
+         "--n cannot be combined with --lambda and --L and --boundary"),
+        (["rate", "--j", "1", "--k", "5"], "--j cannot be combined with --k"),
+        (["checks", "--only", "strips", "--theta", "7", "--eps", "3", "--boundary", "plain"],
+         "--only strips cannot be combined with --theta and --eps and --boundary"),
+        (["checks", "--boxes", "2", "--only", "scaling"],
+         "--only scaling cannot be combined with --boxes"),
+        (["checks", "--only", "perturbation", "--theta", "3"],
+         "--only perturbation cannot be combined with --theta"),
+        (["sample", "--fixture", "square4", "--dim", "3"],
+         "--fixture cannot be combined with --dim"),
+    ], ids=["sample-density-dim", "gap-density-dim", "converge-density-dim",
+            "betti-fixture", "complex-n", "rate-j-k", "checks-strips", "checks-scaling",
+            "checks-perturbation", "sample-fixture-dim"])
+    def test_flag_the_branch_ignores_rejected(self, tmp_path, capsys, density, argv,
+                                              message):
+        argv = [a.format(density=density) for a in argv]
+        assert main(argv + ["--out", str(tmp_path / "x")]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["d.json"]
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"command": "betti", "fixture": "square4", "seed": 4},
+         "--fixture cannot be combined with --seed"),
+        ({"command": "rate", "k": 2, "j": 1}, "--j cannot be combined with --k"),
+        ({"command": "checks", "only": "scaling", "eps": 0.2},
+         "--only scaling cannot be combined with --eps"),
+    ], ids=["betti-fixture-seed", "rate-j-k", "checks-only-eps"])
+    def test_config_key_the_branch_ignores_rejected(self, tmp_path, capsys, doc, message):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**doc, "out": str(tmp_path / "x")}))
+        assert main(["--config", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not list(tmp_path.glob("x.*"))
+
+    def test_null_config_key_beside_a_selector_accepted(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"seed": None, "L": None}))
+        assert main(["betti", "--config", str(path), "--fixture", "square4", "--r", "1.05",
+                     "--out", str(tmp_path / "sq")]) == 0
+        assert capsys.readouterr().out == "beta: 1 1\n"
 
     @pytest.mark.parametrize("argv", [
         ["rate", "--theta", "7"],
@@ -690,6 +763,81 @@ class TestPlotData:
         table = GapTable(rows=(), k=1, r=1.0, reps=2, master_seed=0)
         with pytest.raises(CliError):
             emit_plot_data(table, tmp_path / "x.dat")
+
+
+@pytest.mark.skipif(np.__version__ != "2.4.6",
+                    reason="digests recorded with numpy 2.4.6; streams differ by version")
+class TestGoldenArtifacts:
+    """One command line per command and cloud source, each passing only
+    flags its branch reads: the SHA-256 of its exit status, stdout,
+    artifacts (.csv, .json, .dat) and curve cache files must equal the
+    digest recorded before the per-branch flag checks existed."""
+
+    DENSITY = ('{"dim": 2, "lower": [0, 0], "upper": [1, 1], '
+               '"cells_per_axis": [2, 1], "values": [1.5, 0.5]}\n')
+    SCHEDULE = ["--n-schedule", "20,40", "--reps", "3", "--r", "0.6"]
+    TARGET = ["--s-max", "0.8", "--s-step", "0.4", "--curve-L", "16", "--curve-reps", "2"]
+    CASES = {
+        "sample-poisson": (["sample", "--lambda", "2", "--L", "9", "--dim", "3", "--seed", "3"],
+            "33091b06066767715eff81533a44a5f1b59d110917fde7c098bbe1f5809bb785"),
+        "sample-n": (["sample", "--n", "6", "--dim", "3", "--seed", "4"],
+            "6fb2320cbaf78b030e1a89574893fbf8eee7f7af2d3bc7a98afa1eac502f82a1"),
+        "sample-density": (["sample", "--density", "{density}", "--n", "5", "--seed", "5"],
+            "e462e90f9d337464e9f137787cf57d724c302eb3790ca90f06b92b0521d356e9"),
+        "sample-fixture": (["sample", "--fixture", "square4"],
+            "3df52ad778ab51d1b4b092ac5fb227fcf21996f022b7bb36343e55b263e81492"),
+        "complex-poisson": (["complex", "--lambda", "1", "--L", "25", "--r", "1", "--k", "2",
+                             "--boundary", "torus", "--seed", "6"],
+            "214d9333bd93b53af645a662a6ee80c3b2735a2e4499a0cd40a37aa558e8bf8d"),
+        "complex-n": (["complex", "--n", "20", "--r", "0.3", "--seed", "7"],
+            "ea6586ffba5ef0b1ed7ee0ed15f159b24ee1db6f3d94687ecf2c8b09a01850d0"),
+        "complex-density": (["complex", "--density", "{density}", "--n", "15", "--r", "0.3",
+                             "--seed", "8"],
+            "05a481c824f2f1027c8be7d068c1034d6750615fcb6770b1937d8dd0a898ee6b"),
+        "complex-fixture": (["complex", "--fixture", "square4", "--r", "1.05", "--k", "0"],
+            "b7e9ac21ddbf78ec62785c990904e80fa78da847c4b899ec127345b72c4d985a"),
+        "betti-poisson": (["betti", "--lambda", "1", "--L", "25", "--r", "1", "--seed", "5"],
+            "3324376592be4cef7565f733558f5b4602e142cd7428d4752361ea19e8fa2210"),
+        "betti-n": (["betti", "--n", "20", "--r", "0.3", "--dim", "3", "--seed", "2"],
+            "a68b1b50162726f2f0ecdc541f0d70eca309626347c9f5a4a31fdc9450928684"),
+        "betti-density": (["betti", "--density", "{density}", "--n", "20", "--r", "0.3",
+                           "--seed", "3"],
+            "9a897cc9f78254cab8b7b3db0ce4962d150fbe9c7f8ca08b439bb102b79afac0"),
+        "betti-fixture": (["betti", "--fixture", "square4", "--r", "1.05"],
+            "6d00181dde04d54bf45863a7b61ee193a4a487f1869fca6698cf7df2d0b742ce"),
+        "rate-betti": (["rate", "--lambda", "1", "--L", "16", "--r", "1", "--reps", "3",
+                        "--boundary", "torus", "--seed", "2"],
+            "1a6d0b88d3be3d85c3eb7f426ec0ca58dbf15410f54988f9fa1f6709736f60ba"),
+        "rate-j": (["rate", "--j", "2", "--lambda", "1", "--L", "16", "--r", "1", "--reps", "3",
+                    "--seed", "2"],
+            "a9496942b922e56530b5476b3c32c4cdbad181d08aa54a90574462364fddf467"),
+        "curve": (["curve", "--k", "1", "--L", "16", "--reps", "2", "--s-max", "0.4",
+                   "--s-step", "0.2", "--seed", "2"],
+            "3db3b6e170cee9db1c0ec326bfd7cb64601a8e55382ba1644ce0024e82bbe5f8"),
+        "converge-uniform": (["converge", *SCHEDULE, *TARGET, "--seed", "3"],
+            "de2a5c7c0d883bd1ac945d090f105e0cfeb3ad9368556a7d022f066cc6a0e5c4"),
+        "converge-density": (["converge", "--density", "{density}", *SCHEDULE, *TARGET,
+                              "--seed", "3"],
+            "5d351302ebaa29625313c8eda51235ad7bb9e2e7f6d4b1dacc56156dcaa05242"),
+        "gap-uniform": (["gap", *SCHEDULE, "--seed", "5"],
+            "e67c1bea1165c7401a9364d8791beea73ada0b0f6df15588c13e0a2fc4283f5b"),
+        "gap-density": (["gap", "--density", "{density}", *SCHEDULE, "--seed", "5"],
+            "b9491e0a639ba3abad73a1a376d02ccbd3c3ec576adaac88f326823124477120"),
+        "checks-all": (["checks", "--L", "25", "--reps", "2", "--seed", "4"],
+            "c0a766ebcb93e0f9453c470708a411f5b8afe9c3787c3de56380c4699ae3a645"),
+    }
+
+    @pytest.mark.parametrize("label", list(CASES))
+    def test_digest(self, tmp_path, capsys, label):
+        argv, expected = self.CASES[label]
+        density = tmp_path / "d.json"
+        density.write_text(self.DENSITY)
+        code = main([a.format(density=density) for a in argv]
+                    + ["--out", str(tmp_path / label)])
+        digest = hashlib.sha256(f"{code}\n{capsys.readouterr().out}".encode())
+        for path in sorted([*tmp_path.glob(f"{label}.*"), *(tmp_path / "cache").glob("*")]):
+            digest.update(path.name.encode() + b"\n" + path.read_bytes())
+        assert digest.hexdigest() == expected
 
 
 class TestStartupImports:

@@ -508,6 +508,30 @@ class TestIntensityPerturbation:
         assert report.nested_bound_ok
         assert report.l1_distance == pytest.approx(0.3 * 9.0)
 
+    @pytest.mark.parametrize("cells", [(1, 1), (2, 2)], ids=["one-cell", "2x2"])
+    def test_f_above_g_checks_g_inside_f(self, monkeypatch, cells):
+        # f >= g cellwise: g has no excess, so every realization's K_g is a
+        # subcomplex of K_f and the bound is checked as (K_g, K_f)
+        calls = []
+        check = limits.betti_diff_bound_check
+
+        def recording(k1, k2, k):
+            calls.append((k1.vertex_count, k2.vertex_count))
+            return check(k1, k2, k)
+
+        monkeypatch.setattr(limits, "betti_diff_bound_check", recording)
+        g = IntensityGrid(Window(np.zeros(2), np.array([6.0, 6.0])), cells,
+                          np.ones(cells[0] * cells[1]))
+        bump = np.zeros(len(g.values))
+        bump[0] = 0.5
+        f = IntensityGrid(g.box, cells, g.values + bump)
+        assert g.excess_over(f).total_mass == 0 < f.excess_over(g).total_mass
+        report = intensity_perturbation_check(f, g, 1.0, 1, 6, RngStream(91))
+        assert report.nested_bound_ok
+        assert len(calls) == 6
+        assert all(n_g <= n_f for n_g, n_f in calls)
+        assert any(n_g < n_f for n_g, n_f in calls)
+
     def test_gap_shrinks_with_the_perturbation(self):
         f = self.base_intensity()
         gaps = {}
