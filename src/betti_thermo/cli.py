@@ -496,8 +496,8 @@ _COMMANDS = {
 def run(config: ExperimentConfig) -> int:
     """Dispatch a resolved config; returns the process exit status.
 
-    Every estimator call of the command shares one worker pool, forked at
-    the first replicate map that asks for workers and shut down on return.
+    Every replicate map of the command shares one worker pool, forked at
+    the first map that asks for workers and shut down on return.
     """
     with worker_pool():
         return _COMMANDS[config.command][0](config)

@@ -9,16 +9,17 @@ convergence, Poissonization gap, boundary-strip inequality, and the
 intensity-perturbation coupling.
 
 Replicates draw from per-index RNG substreams, so every estimator is
-bit-for-bit reproducible for any worker count. With workers > 1 they run on
-a process pool that lives for one worker_pool() scope: the experiments
-(limit curve, convergence table, Poissonization gap, scaling check) and
-the CLI open one around all their estimator calls, so the workers are
-forked once per experiment instead of once per call. A bare estimator call
-opens its own scope.
+bit-for-bit reproducible for any worker count. Each estimator and each
+experiment (limit curve, convergence table, Poissonization gap, scaling
+check) submits all its replicates, over every grid point or schedule
+entry, in one map. With workers > 1 that map runs on a process pool that
+lives for one worker_pool() scope; the CLI opens one around a command, so
+the maps of one command share its workers.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -327,12 +328,14 @@ _thread = threading.local()
 def worker_pool():
     """Scope in which every replicate map shares one process pool.
 
-    The first map with workers > 1 forks the pool; later maps reuse it, and
-    leaving the outermost scope shuts it down (cancelling pending work when
-    the scope exits with an exception). Nested scopes join the open one. No
-    pool outlives its scope: forked workers keep the module state of the
-    moment they were forked, so a pool kept across scopes would run stale
-    code.
+    Each experiment submits all its replicates in one map, which opens its
+    own scope; an outer scope, such as the one the CLI opens around a
+    command, lets several maps share the workers. The first map with
+    workers > 1 forks the pool, later ones reuse it, and leaving the
+    outermost scope shuts it down (cancelling pending work when the scope
+    exits with an exception). Nested scopes join the open one. No pool
+    outlives its scope: forked workers keep the module state of the moment
+    they were forked, so a pool kept across scopes would run stale code.
     """
     if getattr(_thread, "scope", None) is not None:
         yield _thread.scope
@@ -347,21 +350,55 @@ def worker_pool():
         scope.close(cancel=failed)
 
 
-def _map_replicates(kind: str, task, reps: int, workers: int) -> list:
-    # every estimator runs its replicates here, so this one check rejects
-    # a bad worker count before any cloud is sampled
+def _map_jobs(jobs, workers: int) -> list[list]:
+    """Runs every replicate of the (kind, task, reps) jobs in one map and
+    returns each job's values; replicate i draws from substream i of its
+    job's stream.
+
+    The replicates go out in job order, so workers=1 runs them in exactly
+    that order, and Executor.map returns them in it at any worker count.
+    An empty job list forks no pool.
+    """
+    # every estimator and experiment runs its replicates here, so this one
+    # check rejects a bad worker count before any cloud is sampled
     _check_workers(workers)
-    packed = [(kind, task, i) for i in range(reps)]
-    if workers == 1:
-        return [_replicate(p) for p in packed]
-    chunk = max(1, math.ceil(reps / (4 * workers)))
-    with worker_pool() as scope:
-        return list(scope.executor(workers).map(_replicate, packed, chunksize=chunk))
+    packed = [(kind, task, i) for kind, task, reps in jobs for i in range(reps)]
+    if workers == 1 or not packed:
+        values = [_replicate(p) for p in packed]
+    else:
+        chunk = max(1, math.ceil(len(packed) / (4 * workers)))
+        with worker_pool() as scope:
+            values = list(scope.executor(workers).map(_replicate, packed, chunksize=chunk))
+    flat = iter(values)
+    return [list(itertools.islice(flat, reps)) for _, _, reps in jobs]
+
+
+def _map_replicates(kind: str, task, reps: int, workers: int) -> list:
+    """The values of one job's replicates, for a single estimator call."""
+    return _map_jobs([(kind, task, reps)], workers)[0]
 
 
 def _mean_stderr(values) -> tuple[float, float]:
     arr = np.asarray(values, dtype=float)
     return float(arr.mean()), float(arr.std(ddof=1) / math.sqrt(len(arr)))
+
+
+def _record(job, values) -> EstimateRecord:
+    """The estimate of a rate or binomial job from its replicate values."""
+    kind, task, reps = job
+    mean, stderr = _mean_stderr(values)
+    if kind == "binomial":
+        _, n, r, k, rng = task
+        return EstimateRecord("expectation_per_n", k, None, r, n, mean, stderr,
+                              reps, rng.master_seed, "plain")
+    lam, r, L, degree, _, boundary_mode, rng = task
+    return EstimateRecord(kind, degree, lam, r, L, mean, stderr, reps,
+                          rng.master_seed, boundary_mode)
+
+
+def _records(jobs, workers: int) -> list[EstimateRecord]:
+    """The estimates of an experiment's jobs, from one replicate map."""
+    return [_record(job, values) for job, values in zip(jobs, _map_jobs(jobs, workers))]
 
 
 # ---------------------------------------------------------------------------
@@ -371,6 +408,7 @@ def _check_args(*, r: float | None = None, reps: int | None = None,
                 lam: float | None = None, L: float | None = None,
                 dim: int | None = None, k: int | None = None, j: int | None = None,
                 n: int | None = None, schedule: tuple[int, ...] | None = None,
+                s_grid: np.ndarray | list[float] | None = None,
                 density: DensityGrid | None = None,
                 boundary_mode: str | None = None) -> None:
     """The estimators' argument checks; each runs when its argument is given.
@@ -379,6 +417,8 @@ def _check_args(*, r: float | None = None, reps: int | None = None,
     at least 1, and a density must have room for k-cycles. A schedule is
     checked for order, then its first n like a single n.
     """
+    if s_grid is not None and (len(s_grid) < 2 or np.any(np.diff(s_grid) <= 0)):
+        raise LimitsError("s_grid must be strictly increasing with >= 2 points")
     if schedule is not None:
         if not schedule or any(b <= a for a, b in zip(schedule, schedule[1:])):
             raise LimitsError(f"n-schedule must be non-empty and increasing, got {schedule}")
@@ -416,6 +456,13 @@ def _check_args(*, r: float | None = None, reps: int | None = None,
 # ---------------------------------------------------------------------------
 # rate estimators
 
+def _betti_rate_job(lam: float, r: float, L: float, k: int, reps: int,
+                    rng: RngStream, boundary_mode: str, dim: int):
+    _check_args(lam=lam, r=r, L=L, dim=dim, reps=reps, k=k,
+                boundary_mode=boundary_mode)
+    return "betti_rate", (lam, r, L, k, dim, boundary_mode, rng), reps
+
+
 def estimate_betti_rate(lam: float, r: float, L: float, k: int, reps: int,
                         rng: RngStream, boundary_mode: str = "plain",
                         dim: int = 2, workers: int = 1) -> EstimateRecord:
@@ -424,13 +471,8 @@ def estimate_betti_rate(lam: float, r: float, L: float, k: int, reps: int,
     boundary_mode "torus" replaces the Euclidean metric with the flat
     torus on the observation window, removing boundary bias.
     """
-    _check_args(lam=lam, r=r, L=L, dim=dim, reps=reps, k=k,
-                boundary_mode=boundary_mode)
-    task = (lam, r, L, k, dim, boundary_mode, rng)
-    values = _map_replicates("betti_rate", task, reps, workers)
-    mean, stderr = _mean_stderr(values)
-    return EstimateRecord("betti_rate", k, lam, r, L, mean, stderr, reps,
-                          rng.master_seed, boundary_mode)
+    job = _betti_rate_job(lam, r, L, k, reps, rng, boundary_mode, dim)
+    return _record(job, _map_replicates(*job, workers))
 
 
 def estimate_simplex_rate(lam: float, r: float, L: float, j: int, reps: int,
@@ -439,11 +481,8 @@ def estimate_simplex_rate(lam: float, r: float, L: float, j: int, reps: int,
     """Mean of S_j(lam, r; L) / L, the per-volume j-simplex count."""
     _check_args(lam=lam, r=r, L=L, dim=dim, reps=reps, j=j,
                 boundary_mode=boundary_mode)
-    task = (lam, r, L, j, dim, boundary_mode, rng)
-    values = _map_replicates("simplex_rate", task, reps, workers)
-    mean, stderr = _mean_stderr(values)
-    return EstimateRecord("simplex_rate", j, lam, r, L, mean, stderr, reps,
-                          rng.master_seed, boundary_mode)
+    job = ("simplex_rate", (lam, r, L, j, dim, boundary_mode, rng), reps)
+    return _record(job, _map_replicates(*job, workers))
 
 
 # ---------------------------------------------------------------------------
@@ -470,8 +509,7 @@ class LimitCurve(_JsonRecord):
 
     def __post_init__(self):
         grid = np.asarray(self.s_grid, dtype=float)
-        if len(grid) < 2 or np.any(np.diff(grid) <= 0):
-            raise LimitsError("s_grid must be strictly increasing with >= 2 points")
+        _check_args(s_grid=grid)
         if len(self.values) != len(grid) or len(self.stderrs) != len(grid):
             raise LimitsError("curve values/stderrs must match the s_grid length")
         for name in ("values", "stderrs"):
@@ -508,29 +546,25 @@ class LimitCurve(_JsonRecord):
 def build_limit_curve(k: int, s_grid, L: float, reps: int, rng: RngStream,
                       boundary_mode: str = "torus", dim: int = 2,
                       workers: int = 1) -> LimitCurve:
-    """Estimate beta_hat_k(1, s) on the grid; s = 0 is exactly 0."""
+    """Estimate beta_hat_k(1, s) on the grid; s = 0 is exactly 0.
+
+    Every grid point is checked before the one map of all their replicates.
+    """
     grid = [float(s) for s in s_grid]
     if any(s < 0 for s in grid):
         raise LimitsError(f"s_grid values must be non-negative, got {min(grid)}")
-    values = []
-    stderrs = []
-    provenance = []
-    with worker_pool():
-        for idx, s in enumerate(grid):
-            if s == 0.0:
-                rec = EstimateRecord("betti_rate", k, 1.0, 0.0, L, 0.0, 0.0, reps,
-                                     rng.master_seed, boundary_mode)
-            else:
-                rec = estimate_betti_rate(1.0, s, L, k, reps, rng.substream(idx),
-                                          boundary_mode=boundary_mode, dim=dim,
-                                          workers=workers)
-            values.append(rec.mean)
-            stderrs.append(rec.stderr)
-            provenance.append(rec)
+    _check_args(s_grid=grid)
+    jobs = [_betti_rate_job(1.0, s, L, k, reps, rng.substream(idx), boundary_mode, dim)
+            for idx, s in enumerate(grid) if s != 0.0]
+    estimates = iter(_records(jobs, workers))
+    zero = EstimateRecord("betti_rate", k, 1.0, 0.0, L, 0.0, 0.0, reps,
+                          rng.master_seed, boundary_mode)
+    provenance = tuple(zero if s == 0.0 else next(estimates) for s in grid)
     return LimitCurve(k=k, dim=dim, L=L, reps=reps, master_seed=rng.master_seed,
                       boundary_mode=boundary_mode, s_grid=tuple(grid),
-                      values=tuple(values), stderrs=tuple(stderrs),
-                      provenance=tuple(provenance))
+                      values=tuple(rec.mean for rec in provenance),
+                      stderrs=tuple(rec.stderr for rec in provenance),
+                      provenance=provenance)
 
 
 def curve_cache_path(cache_dir, dim: int, k: int, L: float, reps: int,
@@ -635,16 +669,12 @@ def scaling_check(lam: float, theta: float, r: float, L: float, k: int,
     """
     if theta <= 0:
         raise LimitsError(f"theta must be positive, got {theta}")
-    with worker_pool():
-        lhs = estimate_betti_rate(lam, r, L, k, reps, rng.substream(0),
-                                  boundary_mode=boundary_mode, dim=dim, workers=workers)
-        if theta == 1.0:
-            rhs = lhs
-        else:
-            rhs = estimate_betti_rate(lam * theta, r / theta ** (1.0 / dim), L, k,
-                                      reps, rng.substream(1),
-                                      boundary_mode=boundary_mode, dim=dim,
-                                      workers=workers)
+    jobs = [_betti_rate_job(lam, r, L, k, reps, rng.substream(0), boundary_mode, dim)]
+    if theta != 1.0:
+        jobs.append(_betti_rate_job(lam * theta, r / theta ** (1.0 / dim), L, k, reps,
+                                    rng.substream(1), boundary_mode, dim))
+    estimates = _records(jobs, workers)
+    lhs, rhs = estimates[0], estimates[-1]
     scaled_mean = rhs.mean / theta
     scaled_se = rhs.stderr / theta
     delta = abs(lhs.mean - scaled_mean)
@@ -660,6 +690,12 @@ def scaling_check(lam: float, theta: float, r: float, L: float, k: int,
 # ---------------------------------------------------------------------------
 # binomial / Poissonized expectations and the convergence experiment
 
+def _binomial_job(density: DensityGrid, n: int, r: float, k: int, reps: int,
+                  rng: RngStream):
+    _check_args(n=n, r=r, k=k, reps=reps, density=density)
+    return "binomial", (density, n, r, k, rng), reps
+
+
 def estimate_binomial_expectation(density: DensityGrid, n: int, r: float,
                                   k: int, reps: int, rng: RngStream,
                                   workers: int = 1) -> EstimateRecord:
@@ -668,12 +704,8 @@ def estimate_binomial_expectation(density: DensityGrid, n: int, r: float,
     Implemented on the rescaled cloud n^(1/d) * X_n at radius r, which
     carries the same complex.
     """
-    _check_args(n=n, r=r, k=k, reps=reps, density=density)
-    task = (density, n, r, k, rng)
-    values = _map_replicates("binomial", task, reps, workers)
-    mean, stderr = _mean_stderr(values)
-    return EstimateRecord("expectation_per_n", k, None, r, n, mean,
-                          stderr, reps, rng.master_seed, "plain")
+    job = _binomial_job(density, n, r, k, reps, rng)
+    return _record(job, _map_replicates(*job, workers))
 
 
 @dataclass(frozen=True)
@@ -698,15 +730,13 @@ class ConvergenceTable(_JsonRecord):
 def convergence_table(density: DensityGrid, n_schedule, r: float, k: int,
                       reps: int, rng: RngStream, target: float,
                       target_stderr: float, workers: int = 1) -> ConvergenceTable:
-    """Runs the binomial expectation estimator over the n-schedule."""
+    """Runs the binomial expectation estimator over the n-schedule, every
+    entry's replicates in one map."""
     schedule = tuple(int(n) for n in n_schedule)
-    _check_args(schedule=schedule, r=r, k=k, reps=reps, density=density)
-    with worker_pool():
-        records = tuple(
-            estimate_binomial_expectation(density, n, r, k, reps, rng.substream(idx),
-                                          workers=workers)
-            for idx, n in enumerate(schedule)
-        )
+    _check_args(schedule=schedule)
+    jobs = [_binomial_job(density, n, r, k, reps, rng.substream(idx))
+            for idx, n in enumerate(schedule)]
+    records = tuple(_records(jobs, workers))
     return ConvergenceTable(n_schedule=schedule, records=records,
                             target=target, target_stderr=target_stderr)
 
@@ -781,10 +811,8 @@ def poissonization_gap(density: DensityGrid, n_schedule, r: float, k: int,
     schedule = tuple(int(n) for n in n_schedule)
     _check_args(schedule=schedule, r=r, k=k, reps=reps, density=density)
     rows = []
-    with worker_pool():
-        results = [_map_replicates("gap", (density, n, r, k, rng.substream(idx)),
-                                   reps, workers)
-                   for idx, n in enumerate(schedule)]
+    results = _map_jobs([("gap", (density, n, r, k, rng.substream(idx)), reps)
+                         for idx, n in enumerate(schedule)], workers)
     for n, pairs in zip(schedule, results):
         b_vals = [b for b, _ in pairs]
         p_vals = [p for _, p in pairs]

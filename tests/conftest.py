@@ -1,6 +1,7 @@
 """Shared test reporting: acceptance criteria append their pass/fail
 lines here and the terminal summary echoes them after the run. Also the
-pool_starts fixture, which counts the worker pools the estimators build."""
+pool_starts and pool_maps fixtures, which count the worker pools the
+estimators build and the maps they run on them."""
 
 import pytest
 
@@ -21,6 +22,21 @@ def pool_starts(monkeypatch):
 
     monkeypatch.setattr(limits, "ProcessPoolExecutor", CountingPool)
     return starts
+
+
+@pytest.fixture
+def pool_maps(monkeypatch):
+    """The item count of every map on a process pool limits builds, in order."""
+    maps = []
+
+    class CountingPool(limits.ProcessPoolExecutor):
+        def map(self, fn, items, **kwargs):
+            items = list(items)
+            maps.append(len(items))
+            return super().map(fn, items, **kwargs)
+
+    monkeypatch.setattr(limits, "ProcessPoolExecutor", CountingPool)
+    return maps
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -76,6 +76,19 @@ class TestRateEstimators:
                                     boundary_mode="torus", dim=1)
         assert abs(rec.mean - 0.4) < 3 * rec.stderr
 
+    # per-volume rates on the d=2 torus: edges lam^2 pi r^2 / 2, and
+    # triangles (lam^3 / 6) times the mean area of the lens of two points'
+    # r/2-balls grown by r/2 (Steiner's formula), 3 pi^2 lam^3 r^4 / 32
+    @pytest.mark.parametrize("lam, r, seed", [(1.0, 1.0, 93), (2.0, 0.7, 94)])
+    @pytest.mark.parametrize("j, closed_form", [
+        (1, lambda lam, r: lam ** 2 * math.pi * r ** 2 / 2),
+        (2, lambda lam, r: 3 * math.pi ** 2 * lam ** 3 * r ** 4 / 32),
+    ])
+    def test_planar_simplex_rate_closed_form(self, lam, r, seed, j, closed_form):
+        rec = estimate_simplex_rate(lam, r, 400.0, j, 100, RngStream(seed),
+                                    boundary_mode="torus", dim=2)
+        assert abs(rec.mean - closed_form(lam, r)) < 4 * rec.stderr
+
     def test_sparse_radius_no_cycles(self):
         rec = estimate_betti_rate(1.0, 0.05, 100.0, 1, 30, RngStream(54), dim=2)
         assert rec.mean <= 3 * rec.stderr + 1e-12
@@ -560,8 +573,9 @@ class TestIntensityPerturbation:
 
 
 class TestWorkerPool:
-    """One process pool per experiment: forked at the first replicate map
-    with workers > 1, reused by the later ones, gone when the scope ends."""
+    """One replicate map and one process pool per experiment: the pool is
+    forked at the first map with workers > 1, reused by the later ones in
+    the same scope, and gone when the scope ends."""
 
     def test_curve_forks_one_pool(self, pool_starts):
         a = build_limit_curve(1, [0.0, 0.4, 0.8, 1.2], 16.0, 3, RngStream(64))
@@ -593,6 +607,46 @@ class TestWorkerPool:
             assert pool_starts == [2, 3]
             assert len(multiprocessing.active_children()) == 3
         assert not multiprocessing.active_children()
+
+    @pytest.mark.parametrize("experiment, replicates", [
+        (lambda w: build_limit_curve(1, [0.0, 0.4, 0.8], 16.0, 3, RngStream(95),
+                                     workers=w), 6),
+        (lambda w: convergence_table(unit_uniform(), [20, 40, 60], 0.6, 1, 3,
+                                     RngStream(96), 0.0, 0.0, workers=w), 9),
+        (lambda w: poissonization_gap(unit_uniform(), [20, 40], 0.6, 1, 3,
+                                      RngStream(97), workers=w), 6),
+        (lambda w: scaling_check(1.0, 2.0, 1.0, 64.0, 1, 3, RngStream(98),
+                                 workers=w), 6),
+    ], ids=["curve", "converge", "gap", "scaling"])
+    def test_experiment_makes_one_map(self, pool_maps, experiment, replicates):
+        serial = experiment(1)
+        assert pool_maps == []
+        assert experiment(2) == serial
+        assert pool_maps == [replicates]
+
+    def test_empty_job_list_forks_nothing(self, pool_starts):
+        assert limits._map_jobs([], 2) == []
+        with pytest.raises(LimitsError, match="s_grid must be strictly increasing"):
+            build_limit_curve(1, [0.0], 16.0, 3, RngStream(99), workers=2)
+        assert pool_starts == []
+
+    @pytest.mark.parametrize("experiment, message", [
+        # s = 3 needs L > (3s)^2 = 81
+        (lambda: build_limit_curve(1, [0.5, 3.0], 16.0, 3, RngStream(100)),
+         "window volume 16.0 too small for radius 3.0"),
+        (lambda: build_limit_curve(1, [0.5, 0.4], 16.0, 3, RngStream(100)),
+         "s_grid must be strictly increasing"),
+        # the right-hand side's radius 1 / sqrt(0.1) needs L > 90
+        (lambda: scaling_check(1.0, 0.1, 1.0, 64.0, 1, 3, RngStream(100)),
+         "window volume 64.0 too small for radius 3.16"),
+    ], ids=["curve-window", "curve-order", "scaling-rhs-window"])
+    def test_whole_grid_checked_before_sampling(self, monkeypatch, experiment, message):
+        def sample(*args, **kwargs):
+            raise AssertionError("sampled before every grid point was checked")
+
+        monkeypatch.setattr(limits, "sample_poisson_homogeneous", sample)
+        with pytest.raises(LimitsError, match=message):
+            experiment()
 
     def test_serial_forks_nothing(self, pool_starts):
         build_limit_curve(1, [0.0, 0.5, 1.0], 16.0, 3, RngStream(69))
