@@ -124,13 +124,6 @@ class SimplicialComplex:
         return SimplicialComplex(self.max_dim, tuple(levels), len(levels[0]),
                                  tuple(facets))
 
-    def dumps(self) -> str:
-        """One simplex per line, space-separated indices, dimension-sorted."""
-        lines = []
-        for level in self.simplices:
-            lines.extend(" ".join(map(str, row)) for row in level.tolist())
-        return "\n".join(lines) + ("\n" if lines else "")
-
 
 def _min_image(delta: np.ndarray, period: float) -> np.ndarray:
     return delta - period * np.round(delta / period)

@@ -28,6 +28,7 @@ from betti_thermo.homology import betti_numbers
 from betti_thermo.limits import (
     boundary_strip_check,
     convergence_table,
+    curve_covers,
     estimate_betti_rate,
     estimate_simplex_rate,
     intensity_perturbation_check,
@@ -397,9 +398,9 @@ def cmd_converge(cfg: ExperimentConfig) -> int:
     density = _resolve_density(cfg)
     grid = _s_grid(cfg.s_max, cfg.s_step)
     needed = density.sup_value ** (1.0 / density.dim) * cfg.r
-    if needed > grid[-1] + 1e-9:
-        raise CliError(f"limit curve must cover s = {needed:.6g}; "
-                       f"raise --s-max (now {grid[-1]:g})")
+    if not curve_covers(grid, needed):
+        raise CliError(f"limit curve must cover s = {needed}; "
+                       f"raise --s-max (now {grid[-1]})")
     master = RngStream(cfg.seed)
     curve = load_or_build_curve(cfg.cache_dir, cfg.k, grid, cfg.curve_L,
                                 cfg.curve_reps, master.substream(1),

@@ -9,21 +9,19 @@ convergence, Poissonization gap, boundary-strip inequality, and the
 intensity-perturbation coupling.
 
 Replicates draw from per-index RNG substreams, so every estimator is
-bit-for-bit reproducible for any worker count. Each estimator and each
-experiment (limit curve, convergence table, Poissonization gap, scaling
-check) submits all its replicates, over every grid point or schedule
-entry, in one map. With workers > 1 that map runs on a process pool that
+bit-for-bit reproducible for any worker count. Every estimator and every
+experiment runs all its replicates in one map, _map_replicates(kind, tasks,
+reps, workers), with one task per grid point, schedule entry or side of the
+scaling identity. With workers > 1 that map runs on a process pool that
 lives for one worker_pool() scope; the CLI opens one around a command, so
 the maps of one command share its workers.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import os
-import tempfile
 import threading
 import typing
 from concurrent.futures import ProcessPoolExecutor
@@ -155,10 +153,15 @@ def records_csv(records) -> str:
 
 
 def write_text_atomic(path, text: str) -> None:
-    """Write via a temp file in the target directory, then rename."""
+    """Write via a temp file in the target directory, then rename.
+
+    The temp file is created with the mode open(path, "w") would give the
+    file, 0o666 less the umask.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
@@ -293,11 +296,6 @@ def _replicate(packed):
     return _REPLICATE_KINDS[kind](task, i)
 
 
-def _check_workers(workers: int) -> None:
-    if workers < 1:
-        raise LimitsError(f"workers must be at least 1, got {workers}")
-
-
 class _PoolScope:
     """The process pool of one worker_pool() scope, started on first use."""
 
@@ -350,32 +348,26 @@ def worker_pool():
         scope.close(cancel=failed)
 
 
-def _map_jobs(jobs, workers: int) -> list[list]:
-    """Runs every replicate of the (kind, task, reps) jobs in one map and
-    returns each job's values; replicate i draws from substream i of its
-    job's stream.
+def _map_replicates(kind: str, tasks, reps: int, workers: int) -> list[list]:
+    """Runs reps replicates of each task, all of one kind, in one map and
+    returns each task's values; replicate i of a task draws from substream
+    i of the task's stream.
 
-    The replicates go out in job order, so workers=1 runs them in exactly
-    that order, and Executor.map returns them in it at any worker count.
-    An empty job list forks no pool.
+    Every estimator and experiment runs its replicates here, so the
+    replicate and worker counts are checked once, before any cloud is
+    sampled. The replicates go out task by task, so workers=1 runs them in
+    exactly that order, and Executor.map returns them in it at any worker
+    count. An empty task list forks no pool.
     """
-    # every estimator and experiment runs its replicates here, so this one
-    # check rejects a bad worker count before any cloud is sampled
-    _check_workers(workers)
-    packed = [(kind, task, i) for kind, task, reps in jobs for i in range(reps)]
+    _check_args(reps=reps, workers=workers)
+    packed = [(kind, task, i) for task in tasks for i in range(reps)]
     if workers == 1 or not packed:
         values = [_replicate(p) for p in packed]
     else:
         chunk = max(1, math.ceil(len(packed) / (4 * workers)))
         with worker_pool() as scope:
             values = list(scope.executor(workers).map(_replicate, packed, chunksize=chunk))
-    flat = iter(values)
-    return [list(itertools.islice(flat, reps)) for _, _, reps in jobs]
-
-
-def _map_replicates(kind: str, task, reps: int, workers: int) -> list:
-    """The values of one job's replicates, for a single estimator call."""
-    return _map_jobs([(kind, task, reps)], workers)[0]
+    return [values[t * reps:(t + 1) * reps] for t in range(len(tasks))]
 
 
 def _mean_stderr(values) -> tuple[float, float]:
@@ -383,22 +375,20 @@ def _mean_stderr(values) -> tuple[float, float]:
     return float(arr.mean()), float(arr.std(ddof=1) / math.sqrt(len(arr)))
 
 
-def _record(job, values) -> EstimateRecord:
-    """The estimate of a rate or binomial job from its replicate values."""
-    kind, task, reps = job
-    mean, stderr = _mean_stderr(values)
-    if kind == "binomial":
-        _, n, r, k, rng = task
-        return EstimateRecord("expectation_per_n", k, None, r, n, mean, stderr,
-                              reps, rng.master_seed, "plain")
-    lam, r, L, degree, _, boundary_mode, rng = task
-    return EstimateRecord(kind, degree, lam, r, L, mean, stderr, reps,
-                          rng.master_seed, boundary_mode)
-
-
-def _records(jobs, workers: int) -> list[EstimateRecord]:
-    """The estimates of an experiment's jobs, from one replicate map."""
-    return [_record(job, values) for job, values in zip(jobs, _map_jobs(jobs, workers))]
+def _records(kind: str, tasks, reps: int, workers: int) -> list[EstimateRecord]:
+    """The estimates of rate or binomial tasks, from one replicate map."""
+    records = []
+    for task, values in zip(tasks, _map_replicates(kind, tasks, reps, workers)):
+        mean, stderr = _mean_stderr(values)
+        if kind == "binomial":
+            _, n, r, k, rng = task
+            records.append(EstimateRecord("expectation_per_n", k, None, r, n, mean,
+                                          stderr, reps, rng.master_seed, "plain"))
+        else:
+            lam, r, L, degree, _, boundary_mode, rng = task
+            records.append(EstimateRecord(kind, degree, lam, r, L, mean, stderr, reps,
+                                          rng.master_seed, boundary_mode))
+    return records
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +400,8 @@ def _check_args(*, r: float | None = None, reps: int | None = None,
                 n: int | None = None, schedule: tuple[int, ...] | None = None,
                 s_grid: np.ndarray | list[float] | None = None,
                 density: DensityGrid | None = None,
-                boundary_mode: str | None = None) -> None:
+                boundary_mode: str | None = None,
+                workers: int | None = None) -> None:
     """The estimators' argument checks; each runs when its argument is given.
 
     With a window (L and dim) k must lie in 1..d-1; without one k must be
@@ -451,16 +442,17 @@ def _check_args(*, r: float | None = None, reps: int | None = None,
     if boundary_mode is not None and boundary_mode not in ("plain", "torus"):
         raise LimitsError(
             f"boundary mode must be 'plain' or 'torus', got {boundary_mode!r}")
+    if workers is not None and workers < 1:
+        raise LimitsError(f"workers must be at least 1, got {workers}")
 
 
 # ---------------------------------------------------------------------------
 # rate estimators
 
-def _betti_rate_job(lam: float, r: float, L: float, k: int, reps: int,
-                    rng: RngStream, boundary_mode: str, dim: int):
-    _check_args(lam=lam, r=r, L=L, dim=dim, reps=reps, k=k,
-                boundary_mode=boundary_mode)
-    return "betti_rate", (lam, r, L, k, dim, boundary_mode, rng), reps
+def _betti_rate_task(lam: float, r: float, L: float, k: int, rng: RngStream,
+                     boundary_mode: str, dim: int):
+    _check_args(lam=lam, r=r, L=L, dim=dim, k=k, boundary_mode=boundary_mode)
+    return lam, r, L, k, dim, boundary_mode, rng
 
 
 def estimate_betti_rate(lam: float, r: float, L: float, k: int, reps: int,
@@ -471,22 +463,27 @@ def estimate_betti_rate(lam: float, r: float, L: float, k: int, reps: int,
     boundary_mode "torus" replaces the Euclidean metric with the flat
     torus on the observation window, removing boundary bias.
     """
-    job = _betti_rate_job(lam, r, L, k, reps, rng, boundary_mode, dim)
-    return _record(job, _map_replicates(*job, workers))
+    task = _betti_rate_task(lam, r, L, k, rng, boundary_mode, dim)
+    return _records("betti_rate", [task], reps, workers)[0]
 
 
 def estimate_simplex_rate(lam: float, r: float, L: float, j: int, reps: int,
                           rng: RngStream, boundary_mode: str = "plain",
                           dim: int = 2, workers: int = 1) -> EstimateRecord:
     """Mean of S_j(lam, r; L) / L, the per-volume j-simplex count."""
-    _check_args(lam=lam, r=r, L=L, dim=dim, reps=reps, j=j,
-                boundary_mode=boundary_mode)
-    job = ("simplex_rate", (lam, r, L, j, dim, boundary_mode, rng), reps)
-    return _record(job, _map_replicates(*job, workers))
+    _check_args(lam=lam, r=r, L=L, dim=dim, j=j, boundary_mode=boundary_mode)
+    task = (lam, r, L, j, dim, boundary_mode, rng)
+    return _records("simplex_rate", [task], reps, workers)[0]
 
 
 # ---------------------------------------------------------------------------
 # the limit curve and the thermodynamic integral
+
+def curve_covers(s_grid, s: float) -> bool:
+    """Whether a curve tabulated on s_grid can be evaluated at s: the one
+    coverage rule, with 1e-12 of slack at either end of the grid."""
+    return s_grid[0] - 1e-12 <= s <= s_grid[-1] + 1e-12
+
 
 @dataclass(frozen=True)
 class LimitCurve(_JsonRecord):
@@ -521,7 +518,7 @@ class LimitCurve(_JsonRecord):
     def weights(self, s: float) -> list[tuple[int, float]]:
         """Linear interpolation weights on the grid for the point s."""
         grid = self.s_grid
-        if s < grid[0] - 1e-12 or s > grid[-1] + 1e-12:
+        if not curve_covers(grid, s):
             raise CurveCoverageError(
                 f"curve covers s in [{grid[0]}, {grid[-1]}] but s={s} is needed"
             )
@@ -554,9 +551,9 @@ def build_limit_curve(k: int, s_grid, L: float, reps: int, rng: RngStream,
     if any(s < 0 for s in grid):
         raise LimitsError(f"s_grid values must be non-negative, got {min(grid)}")
     _check_args(s_grid=grid)
-    jobs = [_betti_rate_job(1.0, s, L, k, reps, rng.substream(idx), boundary_mode, dim)
-            for idx, s in enumerate(grid) if s != 0.0]
-    estimates = iter(_records(jobs, workers))
+    tasks = [_betti_rate_task(1.0, s, L, k, rng.substream(idx), boundary_mode, dim)
+             for idx, s in enumerate(grid) if s != 0.0]
+    estimates = iter(_records("betti_rate", tasks, reps, workers))
     zero = EstimateRecord("betti_rate", k, 1.0, 0.0, L, 0.0, 0.0, reps,
                           rng.master_seed, boundary_mode)
     provenance = tuple(zero if s == 0.0 else next(estimates) for s in grid)
@@ -589,8 +586,7 @@ def load_or_build_curve(cache_dir, k: int, s_grid, L: float, reps: int,
     estimator settings, not the grid).
     """
     # checked before the cache lookup, so a hit cannot mask a bad count or mode
-    _check_workers(workers)
-    _check_args(boundary_mode=boundary_mode)
+    _check_args(workers=workers, boundary_mode=boundary_mode)
     path = curve_cache_path(cache_dir, dim, k, L, reps, rng, boundary_mode)
     grid = tuple(float(s) for s in s_grid)
     if path.exists():
@@ -669,11 +665,11 @@ def scaling_check(lam: float, theta: float, r: float, L: float, k: int,
     """
     if theta <= 0:
         raise LimitsError(f"theta must be positive, got {theta}")
-    jobs = [_betti_rate_job(lam, r, L, k, reps, rng.substream(0), boundary_mode, dim)]
+    tasks = [_betti_rate_task(lam, r, L, k, rng.substream(0), boundary_mode, dim)]
     if theta != 1.0:
-        jobs.append(_betti_rate_job(lam * theta, r / theta ** (1.0 / dim), L, k, reps,
-                                    rng.substream(1), boundary_mode, dim))
-    estimates = _records(jobs, workers)
+        tasks.append(_betti_rate_task(lam * theta, r / theta ** (1.0 / dim), L, k,
+                                      rng.substream(1), boundary_mode, dim))
+    estimates = _records("betti_rate", tasks, reps, workers)
     lhs, rhs = estimates[0], estimates[-1]
     scaled_mean = rhs.mean / theta
     scaled_se = rhs.stderr / theta
@@ -690,10 +686,9 @@ def scaling_check(lam: float, theta: float, r: float, L: float, k: int,
 # ---------------------------------------------------------------------------
 # binomial / Poissonized expectations and the convergence experiment
 
-def _binomial_job(density: DensityGrid, n: int, r: float, k: int, reps: int,
-                  rng: RngStream):
-    _check_args(n=n, r=r, k=k, reps=reps, density=density)
-    return "binomial", (density, n, r, k, rng), reps
+def _binomial_task(density: DensityGrid, n: int, r: float, k: int, rng: RngStream):
+    _check_args(n=n, r=r, k=k, density=density)
+    return density, n, r, k, rng
 
 
 def estimate_binomial_expectation(density: DensityGrid, n: int, r: float,
@@ -704,8 +699,8 @@ def estimate_binomial_expectation(density: DensityGrid, n: int, r: float,
     Implemented on the rescaled cloud n^(1/d) * X_n at radius r, which
     carries the same complex.
     """
-    job = _binomial_job(density, n, r, k, reps, rng)
-    return _record(job, _map_replicates(*job, workers))
+    task = _binomial_task(density, n, r, k, rng)
+    return _records("binomial", [task], reps, workers)[0]
 
 
 @dataclass(frozen=True)
@@ -734,9 +729,9 @@ def convergence_table(density: DensityGrid, n_schedule, r: float, k: int,
     entry's replicates in one map."""
     schedule = tuple(int(n) for n in n_schedule)
     _check_args(schedule=schedule)
-    jobs = [_binomial_job(density, n, r, k, reps, rng.substream(idx))
-            for idx, n in enumerate(schedule)]
-    records = tuple(_records(jobs, workers))
+    tasks = [_binomial_task(density, n, r, k, rng.substream(idx))
+             for idx, n in enumerate(schedule)]
+    records = tuple(_records("binomial", tasks, reps, workers))
     return ConvergenceTable(n_schedule=schedule, records=records,
                             target=target, target_stderr=target_stderr)
 
@@ -809,10 +804,10 @@ def poissonization_gap(density: DensityGrid, n_schedule, r: float, k: int,
                        reps: int, rng: RngStream, workers: int = 1) -> GapTable:
     """Coupled binomial/Poissonized expectation gap over the n-schedule."""
     schedule = tuple(int(n) for n in n_schedule)
-    _check_args(schedule=schedule, r=r, k=k, reps=reps, density=density)
+    _check_args(schedule=schedule, r=r, k=k, density=density)
     rows = []
-    results = _map_jobs([("gap", (density, n, r, k, rng.substream(idx)), reps)
-                         for idx, n in enumerate(schedule)], workers)
+    results = _map_replicates("gap", [(density, n, r, k, rng.substream(idx))
+                                      for idx, n in enumerate(schedule)], reps, workers)
     for n, pairs in zip(schedule, results):
         b_vals = [b for b, _ in pairs]
         p_vals = [p for _, p in pairs]
@@ -872,7 +867,7 @@ def boundary_strip_check(lam: float, r: float, L: float, sub_box_count: int,
     around the internal partition faces, so the dimension-k and k+1 strip
     simplex counts bound the Betti difference.
     """
-    _check_args(lam=lam, r=r, L=L, dim=dim, reps=reps, k=k)
+    _check_args(lam=lam, r=r, L=L, dim=dim, k=k)
     m = round(sub_box_count ** (1.0 / dim))
     if m < 1 or m ** dim != sub_box_count:
         raise LimitsError(
@@ -881,7 +876,7 @@ def boundary_strip_check(lam: float, r: float, L: float, sub_box_count: int,
     side = L ** (1.0 / dim) / m
     if side <= 2 * r:
         raise LimitsError(f"box side {side} must exceed 2r = {2 * r}")
-    results = _map_replicates("strip", (lam, r, L, m, k, dim, rng), reps, workers)
+    [results] = _map_replicates("strip", [(lam, r, L, m, k, dim, rng)], reps, workers)
     return StripReport(
         lam=lam, r=r, L=L, boxes=sub_box_count, k=k, reps=reps,
         master_seed=rng.master_seed,
@@ -918,12 +913,12 @@ def intensity_perturbation_check(f: IntensityGrid, g: IntensityGrid, r: float,
     perturbations give nested complexes (checked against the difference
     bound realization by realization).
     """
-    _check_args(r=r, k=k, reps=reps)
+    _check_args(r=r, k=k)
     base = f.minimum(g)
     extra_f = f.excess_over(g)
     extra_g = g.excess_over(f)
-    results = _map_replicates(
-        "perturb", (base, extra_f, extra_g, r, k, rng), reps, workers)
+    [results] = _map_replicates(
+        "perturb", [(base, extra_f, extra_g, r, k, rng)], reps, workers)
     diffs = [d for d, _ in results]
     nested_ok = all(ok for _, ok in results)
     mean, stderr = _mean_stderr(diffs)

@@ -694,7 +694,6 @@ class TestFacets:
 def assert_same_complex(got, want):
     assert got == want
     assert got.vertex_count == want.vertex_count
-    assert got.dumps() == want.dumps()
     assert len(got.facets) == len(want.facets)
     for a, b in zip(got.facets, want.facets):
         assert a.dtype == b.dtype and a.shape == b.shape
@@ -751,22 +750,3 @@ class TestRestrict:
         assert_same_complex(empty.restrict(np.empty(0, dtype=int)), empty)
         with pytest.raises(CechError, match="one label per vertex"):
             cx.restrict(np.zeros(len(cloud) - 1, dtype=int))
-
-
-class TestDump:
-    def test_dump_lists_every_simplex_dimension_sorted(self, tmp_path):
-        cx = build_cech(equilateral(), 1.2, 2)
-        path = tmp_path / "complex.dat"
-        path.write_text(cx.dumps())
-        lines = path.read_text().splitlines()
-        assert len(lines) == sum(cx.simplex_counts())
-        sizes = [len(line.split()) for line in lines]
-        assert sizes == sorted(sizes)
-        assert lines[-1] == "0 1 2"
-
-    def test_dump_deterministic(self):
-        gen = np.random.default_rng(24)
-        pts = gen.random((20, 2))
-        a = build_cech(PointCloud(pts), 0.5, 2).dumps()
-        b = build_cech(PointCloud(pts), 0.5, 2).dumps()
-        assert a == b

@@ -312,6 +312,46 @@ class TestConvergeCommand:
         assert code == 1
         assert "raise --s-max" in capsys.readouterr().err
 
+    # the pre-check and the curve's own evaluation share one coverage rule,
+    # so a shortfall past its slack fails before the curve is built and cached
+    CURVE_ARGS = ["converge", "--s-max", "1.3", "--n-schedule", "20,40", "--reps", "2",
+                  "--curve-L", "16", "--curve-reps", "2"]
+
+    def test_coverage_shortfall_rejected_before_the_curve(self, tmp_path, capsys):
+        r = 1.3 + 5e-10
+        code = main(self.CURVE_ARGS + ["--r", repr(r), "--out", str(tmp_path / "x")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"limit curve must cover s = {r!r}; raise --s-max (now 1.3)" in err
+        assert not list(tmp_path.glob("cache/*"))
+        assert not list(tmp_path.glob("x*"))
+
+    def test_coverage_within_the_slack_runs(self, tmp_path, capsys):
+        code = main(self.CURVE_ARGS + ["--r", repr(1.3 + 5e-13),
+                                       "--out", str(tmp_path / "x")])
+        assert code in (0, 1)
+        assert capsys.readouterr().out.startswith("converge: gap(n=40)")
+        assert len(list((tmp_path / "cache").glob("curve_*.json"))) == 1
+
+
+class TestFileModes:
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
+                             ids=["umask-022", "umask-077"])
+    def test_artifact_and_cache_follow_the_umask(self, tmp_path, umask, mode):
+        old = os.umask(umask)
+        try:
+            code = main(["curve", "--L", "16", "--reps", "2", "--s-max", "0.2",
+                         "--s-step", "0.2", "--out", str(tmp_path / "c")])
+        finally:
+            os.umask(old)
+        assert code == 0
+        cache = list((tmp_path / "cache").iterdir())
+        assert len(cache) == 1 and cache[0].name.startswith("curve_")
+        files = [tmp_path / "c.curve.json", tmp_path / "c.curve.dat", cache[0]]
+        assert [oct(f.stat().st_mode & 0o777) for f in files] == [oct(mode)] * 3
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "c.curve.dat", "c.curve.json", "cache"]
+
 
 class TestGapCommand:
     def test_runs_and_reports(self, tmp_path, capsys):

@@ -495,8 +495,9 @@ class TestArgumentChecks:
          "k=1 needs ambient dimension >= 2, got 1"),
         (dict(r=1.0, boundary_mode="torsu"),
          "boundary mode must be 'plain' or 'torus', got 'torsu'"),
+        (dict(r=1.0, workers=0), "workers must be at least 1, got 0"),
     ], ids=["lam", "r", "reps", "n", "schedule", "empty-schedule", "dim", "L", "j",
-            "k-window", "k", "density", "boundary-mode"])
+            "k-window", "k", "density", "boundary-mode", "workers"])
     def test_message_names_the_value(self, kwargs, message):
         with pytest.raises(LimitsError, match=re.escape(message)):
             limits._check_args(**kwargs)
@@ -625,7 +626,7 @@ class TestWorkerPool:
         assert pool_maps == [replicates]
 
     def test_empty_job_list_forks_nothing(self, pool_starts):
-        assert limits._map_jobs([], 2) == []
+        assert limits._map_replicates("betti_rate", [], 3, 2) == []
         with pytest.raises(LimitsError, match="s_grid must be strictly increasing"):
             build_limit_curve(1, [0.0], 16.0, 3, RngStream(99), workers=2)
         assert pool_starts == []
@@ -672,6 +673,73 @@ class TestWorkerPool:
         with pytest.raises(LimitsError, match="replicate 0 failed"):
             build_limit_curve(1, [0.5, 1.0], 16.0, 8, RngStream(71), workers=2)
         assert not multiprocessing.active_children()
+
+
+def _perturbed_pair():
+    g = IntensityGrid(Window(np.zeros(2), np.array([6.0, 6.0])), (2, 2), np.ones(4))
+    return IntensityGrid(g.box, g.cells_per_axis, g.values * 1.2), g
+
+
+# each public estimator and experiment as a call with the given replicate and
+# worker counts, and the (kind, task count) of the one replicate map it makes
+MAP_CALLS = {
+    "betti-rate": (lambda reps, workers: estimate_betti_rate(
+        1.0, 1.0, 16.0, 1, reps, RngStream(110), workers=workers), "betti_rate", 1),
+    "simplex-rate": (lambda reps, workers: estimate_simplex_rate(
+        1.0, 0.5, 16.0, 1, reps, RngStream(111), workers=workers), "simplex_rate", 1),
+    "curve": (lambda reps, workers: build_limit_curve(
+        1, [0.0, 0.4, 0.8, 1.2], 16.0, reps, RngStream(112), workers=workers),
+        "betti_rate", 3),
+    "scaling": (lambda reps, workers: scaling_check(
+        1.0, 2.0, 1.0, 64.0, 1, reps, RngStream(113), workers=workers), "betti_rate", 2),
+    "scaling-theta-1": (lambda reps, workers: scaling_check(
+        1.0, 1.0, 1.0, 64.0, 1, reps, RngStream(114), workers=workers), "betti_rate", 1),
+    "binomial": (lambda reps, workers: estimate_binomial_expectation(
+        unit_uniform(), 20, 0.6, 1, reps, RngStream(115), workers=workers), "binomial", 1),
+    "converge": (lambda reps, workers: convergence_table(
+        unit_uniform(), [20, 40, 60], 0.6, 1, reps, RngStream(116), 0.0, 0.0,
+        workers=workers), "binomial", 3),
+    "gap": (lambda reps, workers: poissonization_gap(
+        unit_uniform(), [20, 40], 0.6, 1, reps, RngStream(117), workers=workers), "gap", 2),
+    "strip": (lambda reps, workers: boundary_strip_check(
+        1.0, 0.5, 64.0, 4, 1, RngStream(118), reps=reps, workers=workers), "strip", 1),
+    "perturb": (lambda reps, workers: intensity_perturbation_check(
+        *_perturbed_pair(), 1.0, 1, reps, RngStream(119), workers=workers), "perturb", 1),
+}
+
+
+class TestReplicateMap:
+    """Every public estimator and experiment runs all its replicates in one
+    call of _map_replicates, which checks the replicate and worker counts
+    before any replicate runs."""
+
+    @pytest.mark.parametrize("name", MAP_CALLS)
+    def test_one_map_per_call(self, monkeypatch, name):
+        call, kind, tasks = MAP_CALLS[name]
+        calls = []
+        map_replicates = limits._map_replicates
+
+        def spy(kind, tasks, reps, workers):
+            calls.append((kind, len(tasks), reps))
+            return map_replicates(kind, tasks, reps, workers)
+
+        monkeypatch.setattr(limits, "_map_replicates", spy)
+        call(3, 1)
+        assert calls == [(kind, tasks, 3)]
+
+    @pytest.mark.parametrize("reps, workers, message", [
+        (1, 1, "need at least 2 replicates for a standard error, got 1$"),
+        (3, 0, "workers must be at least 1, got 0$"),
+    ], ids=["reps-1", "workers-0"])
+    @pytest.mark.parametrize("name", MAP_CALLS)
+    def test_counts_checked_before_any_replicate(self, monkeypatch, name, reps,
+                                                  workers, message):
+        def replicate(packed):
+            raise AssertionError("a replicate ran before the counts were checked")
+
+        monkeypatch.setattr(limits, "_replicate", replicate)
+        with pytest.raises(LimitsError, match=message):
+            MAP_CALLS[name][0](reps, workers)
 
 
 def _record(quantity="betti_rate", lam=1.0):
