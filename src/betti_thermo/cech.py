@@ -348,9 +348,9 @@ def build_rips(cloud: PointCloud, r: float, max_dim: int,
 def _build(cloud: PointCloud, r: float, max_dim: int, period: float | None,
            filtered: bool) -> SimplicialComplex:
     if r <= 0:
-        raise CechError("radius must be positive")
+        raise CechError(f"radius must be positive, got {r}")
     if max_dim < 0:
-        raise CechError("max_dim must be non-negative")
+        raise CechError(f"max_dim must be non-negative, got {max_dim}")
     if period is not None and period <= 3.0 * r:
         raise CechError(
             f"torus period {period} too small for radius {r}: "

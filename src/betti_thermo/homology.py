@@ -267,7 +267,7 @@ def betti_numbers(complex: SimplicialComplex, max_k: int) -> tuple[int, ...]:
     so a too-shallow complex is a hard error.
     """
     if max_k < 0:
-        raise HomologyError("max_k must be non-negative")
+        raise HomologyError(f"max_k must be non-negative, got {max_k}")
     if complex.max_dim < max_k + 1:
         raise HomologyError(
             f"complex built to max_dim {complex.max_dim}; "

@@ -399,17 +399,20 @@ def _check_args(*, r: float | None = None, reps: int | None = None,
                 dim: int | None = None, k: int | None = None, j: int | None = None,
                 n: int | None = None, schedule: tuple[int, ...] | None = None,
                 s_grid: np.ndarray | list[float] | None = None,
-                density: DensityGrid | None = None,
                 boundary_mode: str | None = None,
                 workers: int | None = None) -> None:
     """The estimators' argument checks; each runs when its argument is given.
 
-    With a window (L and dim) k must lie in 1..d-1; without one k must be
-    at least 1, and a density must have room for k-cycles. A schedule is
-    checked for order, then its first n like a single n.
+    k must lie in 1..d-1 for the ambient dimension d, so k comes with dim.
+    A window of volume L comes with r and dim: its side L^(1/d), the torus
+    period, must exceed 3r. An s-grid starts at s >= 0 and strictly
+    increases. A schedule is checked for order, then its first n like a
+    single n.
     """
-    if s_grid is not None and (len(s_grid) < 2 or np.any(np.diff(s_grid) <= 0)):
-        raise LimitsError("s_grid must be strictly increasing with >= 2 points")
+    if s_grid is not None and (len(s_grid) < 2 or s_grid[0] < 0
+                               or np.any(np.diff(s_grid) <= 0)):
+        raise LimitsError("s_grid must be strictly increasing from s >= 0 with >= 2 "
+                          f"points, got {np.asarray(s_grid, dtype=float).tolist()}")
     if schedule is not None:
         if not schedule or any(b <= a for a, b in zip(schedule, schedule[1:])):
             raise LimitsError(f"n-schedule must be non-empty and increasing, got {schedule}")
@@ -420,25 +423,21 @@ def _check_args(*, r: float | None = None, reps: int | None = None,
         raise LimitsError(f"n must be at least 1, got {n}")
     if r is not None and r <= 0:
         raise LimitsError(f"radius must be positive, got {r}")
+    if dim is not None and dim < 1:
+        raise LimitsError(f"dimension must be at least 1, got {dim}")
     if L is not None:
-        if dim < 1:
-            raise LimitsError(f"dimension must be at least 1, got {dim}")
-        if L <= (3.0 * r) ** dim:
+        # L <= 0 has no real side and fails as side 0; `not >` fails nan too
+        side = max(L, 0.0) ** (1.0 / dim)
+        if not side > 3.0 * r:
             raise LimitsError(
-                f"window volume {L} too small for radius {r}: need L > (3r)^d "
-                "so no single simplex can span the window"
-            )
+                f"window volume {L} too small for radius {r}: its side {side} "
+                f"must exceed 3r = {3.0 * r}")
     if reps is not None and reps < 2:
         raise LimitsError(f"need at least 2 replicates for a standard error, got {reps}")
     if j is not None and j < 0:
         raise LimitsError(f"simplex dimension must be non-negative, got {j}")
-    if k is not None:
-        if L is not None and not 1 <= k <= dim - 1:
-            raise LimitsError(f"k must lie in 1..d-1, got k={k} in d={dim}")
-        if L is None and k < 1:
-            raise LimitsError(f"k must be at least 1, got {k}")
-    if density is not None and density.dim < k + 1:
-        raise LimitsError(f"k={k} needs ambient dimension >= {k + 1}, got {density.dim}")
+    if k is not None and not 1 <= k <= dim - 1:
+        raise LimitsError(f"k must lie in 1..d-1, got k={k} in d={dim}")
     if boundary_mode is not None and boundary_mode not in ("plain", "torus"):
         raise LimitsError(
             f"boundary mode must be 'plain' or 'torus', got {boundary_mode!r}")
@@ -548,8 +547,6 @@ def build_limit_curve(k: int, s_grid, L: float, reps: int, rng: RngStream,
     Every grid point is checked before the one map of all their replicates.
     """
     grid = [float(s) for s in s_grid]
-    if any(s < 0 for s in grid):
-        raise LimitsError(f"s_grid values must be non-negative, got {min(grid)}")
     _check_args(s_grid=grid)
     tasks = [_betti_rate_task(1.0, s, L, k, rng.substream(idx), boundary_mode, dim)
              for idx, s in enumerate(grid) if s != 0.0]
@@ -687,7 +684,7 @@ def scaling_check(lam: float, theta: float, r: float, L: float, k: int,
 # binomial / Poissonized expectations and the convergence experiment
 
 def _binomial_task(density: DensityGrid, n: int, r: float, k: int, rng: RngStream):
-    _check_args(n=n, r=r, k=k, density=density)
+    _check_args(n=n, r=r, k=k, dim=density.dim)
     return density, n, r, k, rng
 
 
@@ -804,7 +801,7 @@ def poissonization_gap(density: DensityGrid, n_schedule, r: float, k: int,
                        reps: int, rng: RngStream, workers: int = 1) -> GapTable:
     """Coupled binomial/Poissonized expectation gap over the n-schedule."""
     schedule = tuple(int(n) for n in n_schedule)
-    _check_args(schedule=schedule, r=r, k=k, density=density)
+    _check_args(schedule=schedule, r=r, k=k, dim=density.dim)
     rows = []
     results = _map_replicates("gap", [(density, n, r, k, rng.substream(idx))
                                       for idx, n in enumerate(schedule)], reps, workers)
@@ -868,7 +865,7 @@ def boundary_strip_check(lam: float, r: float, L: float, sub_box_count: int,
     simplex counts bound the Betti difference.
     """
     _check_args(lam=lam, r=r, L=L, dim=dim, k=k)
-    m = round(sub_box_count ** (1.0 / dim))
+    m = round(max(sub_box_count, 0) ** (1.0 / dim))
     if m < 1 or m ** dim != sub_box_count:
         raise LimitsError(
             f"cannot split a cube into {sub_box_count} congruent boxes in d={dim}"
@@ -913,7 +910,7 @@ def intensity_perturbation_check(f: IntensityGrid, g: IntensityGrid, r: float,
     perturbations give nested complexes (checked against the difference
     bound realization by realization).
     """
-    _check_args(r=r, k=k)
+    _check_args(r=r, k=k, dim=f.dim)
     base = f.minimum(g)
     extra_f = f.excess_over(g)
     extra_g = g.excess_over(f)

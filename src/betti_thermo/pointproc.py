@@ -52,6 +52,18 @@ class RngStream:
     master_seed: int
     path: tuple[int, ...] = ()
 
+    def __post_init__(self):
+        # numpy integers pass through operator.index; a negative or
+        # non-integer entry would otherwise fail only inside numpy
+        for value in (self.master_seed, *self.path):
+            try:
+                if operator.index(value) >= 0:
+                    continue
+            except TypeError:
+                pass
+            raise SamplerError(
+                f"seed and stream path must be non-negative integers, got {value!r}")
+
     def substream(self, index: int) -> "RngStream":
         return RngStream(self.master_seed, self.path + (int(index),))
 
@@ -71,7 +83,8 @@ class Window:
         lo = np.atleast_1d(np.asarray(self.lower, dtype=float))
         hi = np.atleast_1d(np.asarray(self.upper, dtype=float))
         if lo.ndim != 1 or lo.shape != hi.shape:
-            raise SamplerError("window bounds must be equal-length vectors")
+            raise SamplerError("window bounds must be equal-length vectors, "
+                               f"got {lo.tolist()} / {hi.tolist()}")
         _check_dim(len(lo))
         if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
             raise SamplerError(
@@ -197,12 +210,14 @@ class _Grid:
             raise DensityError(f"cells_per_axis must be integers, got "
                                f"{self.cells_per_axis!r}") from None
         if len(cells) != self.box.dim or any(c < 1 for c in cells):
-            raise DensityError("cells_per_axis must give a positive count per axis")
+            raise DensityError("cells_per_axis must give a positive count per axis, "
+                               f"got {list(cells)} in d={self.box.dim}")
         vals = np.asarray(self.values, dtype=float).ravel()
         if vals.shape[0] != int(np.prod(cells)):
             raise DensityError(f"expected {int(np.prod(cells))} cell values, got {vals.shape[0]}")
-        if not np.all(np.isfinite(vals)) or np.any(vals < 0):
-            raise DensityError("cell values must be finite and non-negative")
+        bad = vals[~(np.isfinite(vals) & (vals >= 0))]
+        if len(bad):
+            raise DensityError(f"cell values must be finite and non-negative, got {bad[0]}")
         vals.flags.writeable = False
         object.__setattr__(self, "cells_per_axis", cells)
         object.__setattr__(self, "values", vals)

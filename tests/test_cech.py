@@ -7,6 +7,7 @@ enumeration for downward closure.
 """
 
 import itertools
+import re
 from math import sqrt
 
 import numpy as np
@@ -321,6 +322,14 @@ class TestBuildCech:
             build_cech(cloud, 1.0, -1)
         with pytest.raises(CechError):
             build_cech(cloud, 1.0, 2, period=2.5)
+
+    @pytest.mark.parametrize("r, max_dim, message", [
+        (-0.5, 2, "radius must be positive, got -0.5"),
+        (1.0, -1, "max_dim must be non-negative, got -1"),
+    ], ids=["r", "max-dim"])
+    def test_message_names_the_value(self, r, max_dim, message):
+        with pytest.raises(CechError, match=re.escape(message) + "$"):
+            build_cech(equilateral(), r, max_dim)
 
     def test_empty_and_single_point(self):
         assert build_cech(PointCloud.empty(2), 1.0, 2).simplex_counts() == [0]

@@ -394,6 +394,58 @@ class TestChecksCommand:
         assert code == 0
         assert capsys.readouterr().out.startswith("scaling: pass")
 
+    @pytest.mark.parametrize("boxes", ["-4", "0"])
+    def test_box_count_below_one_rejected(self, tmp_path, capsys, boxes):
+        code = main(["checks", "--only", "strips", "--boxes", boxes, "--L", "25",
+                     "--reps", "2", "--out", str(tmp_path / "x")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == f"error: cannot split a cube into {boxes} congruent boxes in d=2\n"
+        assert not list(tmp_path.iterdir())
+
+
+class TestRejectedBeforeAnyPool:
+    """Arguments the estimators cannot use fail with a message naming the
+    value, before any sampling, artifact or worker pool."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["sample", "--seed", "-3", "--n", "4"],
+         "seed and stream path must be non-negative integers, got -3"),
+        (["rate", "--seed", "-3", "--L", "16", "--reps", "2", "--workers", "2"],
+         "seed and stream path must be non-negative integers, got -3"),
+        (["checks", "--only", "perturbation", "--dim", "2", "--k", "4", "--L", "100",
+          "--reps", "3", "--workers", "2"], "k must lie in 1..d-1, got k=4 in d=2"),
+        (["rate", "--dim", "3", "--k", "2", "--r", "1.2", "--L", "46.656",
+          "--boundary", "torus", "--reps", "2", "--workers", "2"],
+         "window volume 46.656 too small for radius 1.2"),
+    ], ids=["sample-seed", "rate-seed", "perturbation-k", "torus-side"])
+    def test_rejected(self, tmp_path, capsys, pool_starts, argv, message):
+        assert main(argv + ["--out", str(tmp_path / "x")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}")
+        assert "Traceback" not in err
+        assert not list(tmp_path.iterdir())
+        assert pool_starts == []
+
+    @pytest.mark.parametrize("fields, named", [
+        (dict(values=[1.5, -0.5]), "finite and non-negative, got -0.5"),
+        (dict(values=[float("nan"), 1.0]), "finite and non-negative, got nan"),
+        (dict(cells_per_axis=[0, 1]), "positive count per axis, got [0, 1] in d=2"),
+        (dict(lower=[0, 0, 0]), "equal-length vectors, got [0.0, 0.0, 0.0] / [1.0, 1.0]"),
+    ], ids=["negative", "nan", "cells", "bounds"])
+    def test_density_file_value_named(self, tmp_path, capsys, fields, named):
+        doc = {"dim": 2, "lower": [0, 0], "upper": [1, 1], "cells_per_axis": [2, 1],
+               "values": [1, 1], **fields}
+        density = tmp_path / "d.json"
+        density.write_text(json.dumps(doc))
+        code = main(["sample", "--density", str(density), "--n", "5",
+                     "--out", str(tmp_path / "x")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert named in err
+        assert "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["d.json"]
+
 
 class TestWorkerPool:
     """A command forks its workers once, when its first replicate map asks

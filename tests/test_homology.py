@@ -194,6 +194,10 @@ class TestBoundaryMatrix:
                         acc ^= cols_low[c]
                     assert acc == 0
 
+    def test_negative_max_k_names_the_value(self):
+        with pytest.raises(HomologyError, match="max_k must be non-negative, got -2$"):
+            betti_numbers(hollow_triangle(), -2)
+
     def test_out_of_range_rejected(self):
         with pytest.raises(HomologyError):
             boundary_matrix(hollow_triangle(), 0)

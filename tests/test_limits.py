@@ -43,7 +43,7 @@ from betti_thermo.limits import (
     thermodynamic_integral,
     worker_pool,
 )
-from betti_thermo.cech import SimplicialComplex
+from betti_thermo.cech import SimplicialComplex, build_cech
 from betti_thermo.pointproc import DensityGrid, IntensityGrid, PointCloud, RngStream, Window
 
 
@@ -88,6 +88,41 @@ class TestRateEstimators:
         rec = estimate_simplex_rate(lam, r, 400.0, j, 100, RngStream(seed),
                                     boundary_mode="torus", dim=2)
         assert abs(rec.mean - closed_form(lam, r)) < 4 * rec.stderr
+
+    # per-volume rates on the d=3 torus: edges 2 pi lam^2 r^3 / 3, and
+    # triangles lam^3 rho^6 I / 6 with rho = r/2. A third point completes a
+    # Cech triangle with two at distance t*rho when it lies in K + B_rho, K
+    # the lens of their rho-balls; Steiner's formula gives that volume from
+    # K's volume V, surface S and mean width b, and I = 465.87432...
+    # integrates it over the second point
+    @staticmethod
+    def spatial_triangle_integral() -> float:
+        def steiner(t):
+            c = t / 2
+            a = np.sqrt(1 - c * c)
+            phi = np.arccos(c)
+            V = math.pi * (4 + t) * (2 - t) ** 2 / 12
+            S = 4 * math.pi * (1 - c)
+            b = 2 * (1 - c) - c * (1 - c * c) + 2 * a * (math.pi / 4 - phi / 2 + a * c / 2)
+            return V + S + 2 * math.pi * b + 4 * math.pi / 3
+
+        # Gauss-Legendre in u with t = 2 sin u, smooth at the end t = 2
+        x, w = np.polynomial.legendre.leggauss(64)
+        u = (x + 1) * math.pi / 4
+        t = 2 * np.sin(u)
+        dt_du = 2 * np.cos(u)
+        return float(math.pi / 4 * np.sum(w * 4 * math.pi * t * t * steiner(t) * dt_du))
+
+    @pytest.mark.parametrize("lam, r, seed", [(1.0, 1.2, 95), (2.0, 0.9, 96)])
+    @pytest.mark.parametrize("j", [1, 2])
+    def test_spatial_simplex_rate_closed_form(self, lam, r, seed, j):
+        if j == 1:
+            closed_form = 2 * math.pi * lam ** 2 * r ** 3 / 3
+        else:
+            closed_form = lam ** 3 * (r / 2) ** 6 * self.spatial_triangle_integral() / 6
+        rec = estimate_simplex_rate(lam, r, 125.0, j, 200, RngStream(seed),
+                                    boundary_mode="torus", dim=3)
+        assert abs(rec.mean - closed_form) < 4 * rec.stderr
 
     def test_sparse_radius_no_cycles(self):
         rec = estimate_betti_rate(1.0, 0.05, 100.0, 1, 30, RngStream(54), dim=2)
@@ -411,6 +446,12 @@ class TestBoundaryStrips:
         with pytest.raises(LimitsError):
             boundary_strip_check(1.0, 0.8, 64.0, 3, 1, RngStream(84), reps=5, dim=2)
 
+    @pytest.mark.parametrize("count", [-4, 0])
+    def test_box_count_below_one_rejected(self, count):
+        with pytest.raises(LimitsError, match=re.escape(
+                f"cannot split a cube into {count} congruent boxes in d=2")):
+            boundary_strip_check(1.0, 0.8, 64.0, count, 1, RngStream(84), reps=5, dim=2)
+
     def test_box_side_must_exceed_two_r(self):
         with pytest.raises(LimitsError):
             boundary_strip_check(1.0, 2.05, 64.0, 4, 1, RngStream(85), reps=5, dim=2)
@@ -490,17 +531,69 @@ class TestArgumentChecks:
         (dict(r=2.0, L=30.0, dim=2), "window volume 30.0 too small for radius 2.0"),
         (dict(r=1.0, j=-1), "simplex dimension must be non-negative, got -1"),
         (dict(r=1.0, L=100.0, dim=2, k=2), "k must lie in 1..d-1, got k=2 in d=2"),
-        (dict(r=1.0, k=0), "k must be at least 1, got 0"),
-        (dict(r=1.0, k=1, density=DensityGrid.uniform(Window.unit(1))),
-         "k=1 needs ambient dimension >= 2, got 1"),
+        (dict(r=1.0, k=0, dim=2), "k must lie in 1..d-1, got k=0 in d=2"),
+        (dict(r=1.0, k=1, dim=1), "k must lie in 1..d-1, got k=1 in d=1"),
         (dict(r=1.0, boundary_mode="torsu"),
          "boundary mode must be 'plain' or 'torus', got 'torsu'"),
         (dict(r=1.0, workers=0), "workers must be at least 1, got 0"),
+        (dict(r=1e200, L=1e300, dim=2), "window volume 1e+300 too small for radius "
+         "1e+200: its side 1e+150 must exceed 3r = 3e+200"),
+        (dict(r=1.0, L=float("nan"), dim=2), "window volume nan too small for radius 1.0"),
+        (dict(s_grid=np.array([-0.1, 0.5])), "s_grid must be strictly increasing from "
+         "s >= 0 with >= 2 points, got [-0.1, 0.5]"),
+        (dict(s_grid=(0.5, 0.4)), "s_grid must be strictly increasing from "
+         "s >= 0 with >= 2 points, got [0.5, 0.4]"),
+        (dict(s_grid=[0.0]), "s_grid must be strictly increasing from "
+         "s >= 0 with >= 2 points, got [0.0]"),
     ], ids=["lam", "r", "reps", "n", "schedule", "empty-schedule", "dim", "L", "j",
-            "k-window", "k", "density", "boundary-mode", "workers"])
+            "k-window", "k", "density", "boundary-mode", "workers", "huge-r",
+            "nan-L", "s-grid-sign", "s-grid-order", "s-grid-length"])
     def test_message_names_the_value(self, kwargs, message):
         with pytest.raises(LimitsError, match=re.escape(message)):
             limits._check_args(**kwargs)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_accepted_torus_window_is_accepted_by_the_builder(self, dim):
+        # volumes at and a few floats above (3r)^d: whatever the window
+        # rule accepts, the torus builder accepts at period L^(1/d)
+        for r in np.linspace(0.1, 3.0, 59):
+            L = (3.0 * r) ** dim
+            for _ in range(6):
+                try:
+                    limits._check_args(r=r, L=L, dim=dim)
+                except LimitsError as exc:
+                    assert str(exc).startswith(f"window volume {L} too small for radius {r}")
+                else:
+                    build_cech(PointCloud.empty(dim), r, 1, period=L ** (1.0 / dim))
+                L = np.nextafter(L, math.inf)
+
+    def test_window_side_checked_before_sampling(self, monkeypatch):
+        # 46.656 lies above (3 * 1.2)^3 but its cube root rounds to 3r
+        def sample(*args, **kwargs):
+            raise AssertionError("sampled before the window was checked")
+
+        monkeypatch.setattr(limits, "sample_poisson_homogeneous", sample)
+        with pytest.raises(LimitsError, match="must exceed 3r = 3.5999999999999996$"):
+            estimate_betti_rate(1.0, 1.2, 46.656, 2, 2, RngStream(1), "torus", dim=3)
+
+    @pytest.mark.parametrize("call", [
+        lambda: intensity_perturbation_check(*_perturbed_pair(), 1.0, 2, 3, RngStream(1)),
+        lambda: estimate_binomial_expectation(unit_uniform(1), 20, 0.6, 1, 3, RngStream(1)),
+        lambda: poissonization_gap(unit_uniform(3), [20], 0.6, 3, 3, RngStream(1)),
+    ], ids=["perturbation", "binomial", "gap"])
+    def test_k_checked_against_the_dimension_before_any_replicate(self, monkeypatch,
+                                                                  call):
+        def replicate(packed):
+            raise AssertionError("a replicate ran before k was checked")
+
+        monkeypatch.setattr(limits, "_replicate", replicate)
+        with pytest.raises(LimitsError, match="k must lie in 1..d-1, got k=[0-9]+ in d="):
+            call()
+
+    def test_curve_with_a_negative_grid_point_rejected(self):
+        # so a cached curve with one fails to load and is rebuilt
+        with pytest.raises(LimitsError, match=re.escape("got [-0.5, 0.5]")):
+            synthetic_curve(lambda s: s, [-0.5, 0.5])
 
 
 class TestIntensityPerturbation:

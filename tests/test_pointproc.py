@@ -405,10 +405,29 @@ class TestRejectedValues:
         (lambda: Window.centered(-5.0, 2), "window volume must be positive, got -5.0"),
         (lambda: scale_points(PointCloud.empty(2), 0.0),
          "scale factor must be positive, got 0.0"),
-    ], ids=["n", "intensity", "volume", "scale"])
+        (lambda: RngStream(-3), "got -3"),
+        (lambda: RngStream(1.5), "got 1.5"),
+        (lambda: RngStream(4).substream(2).substream(-1), "got -1"),
+        (lambda: Window(np.zeros(3), np.ones(2)),
+         "window bounds must be equal-length vectors, got [0.0, 0.0, 0.0] / [1.0, 1.0]"),
+    ], ids=["n", "intensity", "volume", "scale", "seed", "float-seed", "path", "bounds"])
     def test_message_names_the_value(self, make, message):
         with pytest.raises(SamplerError, match=re.escape(message) + "$"):
             make()
+
+    @pytest.mark.parametrize("cells, values, message", [
+        ((2, 1), [1.5, -0.5], "cell values must be finite and non-negative, got -0.5"),
+        ((2, 1), [np.nan, 1.0], "cell values must be finite and non-negative, got nan"),
+        ((0, 1), [], "cells_per_axis must give a positive count per axis, got [0, 1] in d=2"),
+    ], ids=["negative", "nan", "cells"])
+    def test_grid_message_names_the_value(self, cells, values, message):
+        with pytest.raises(DensityError, match=re.escape(message) + "$"):
+            IntensityGrid(Window.unit(2), cells, np.array(values))
+
+    def test_numpy_integer_seed_accepted(self):
+        stream = RngStream(np.int64(5), (np.uint8(2),)).substream(np.int32(7))
+        same = RngStream(5, (2, 7))
+        assert stream.generator().random() == same.generator().random()
 
 
 class TestDeterminism:
