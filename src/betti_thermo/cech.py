@@ -129,6 +129,14 @@ def _min_image(delta: np.ndarray, period: float) -> np.ndarray:
     return delta - period * np.round(delta / period)
 
 
+def _square(x: float) -> float:
+    # a cut's x ** 2, or inf where it overflows: the complete complex
+    try:
+        return x ** 2
+    except OverflowError:
+        return np.inf
+
+
 def _ragged_pairs(left: np.ndarray, start: np.ndarray, length: np.ndarray):
     """Expand (left[i], start[i]..start[i]+length[i]-1) index runs."""
     length = np.maximum(length, 0)
@@ -251,7 +259,7 @@ class NeighborGrid:
             if self._wrap:
                 delta = _min_image(delta, self.period)
             dist2 = dist2 + delta * delta
-        keep = dist2 <= (self.r + 2 * MINIBALL_TOL) ** 2
+        keep = dist2 <= _square(self.r + 2 * MINIBALL_TOL)
         iu, jv = iu[keep], jv[keep]
         keys = np.sort(np.minimum(iu, jv) * n + np.maximum(iu, jv))
         return keys // n, keys % n
@@ -358,7 +366,7 @@ def _build(cloud: PointCloud, r: float, max_dim: int, period: float | None,
         )
     pts = cloud.points
     n = len(pts)
-    r2_cut = (0.5 * r + MINIBALL_TOL) ** 2
+    r2_cut = _square(0.5 * r + MINIBALL_TOL)
     levels = [np.arange(n, dtype=np.int64)[:, None]]
     facets = [np.empty((n, 0), dtype=np.int64)]
     top = min(max_dim, n - 1) if n else 0

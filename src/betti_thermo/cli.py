@@ -26,6 +26,7 @@ import numpy as np
 from betti_thermo.cech import SimplicialComplex, build_cech
 from betti_thermo.homology import betti_numbers
 from betti_thermo.limits import (
+    _check_args,
     boundary_strip_check,
     convergence_table,
     curve_covers,
@@ -61,6 +62,9 @@ class CliError(ValueError):
 _FIXTURES = {"square4": np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])}
 
 _CHECKS = ("scaling", "strips", "perturbation")
+
+# the most steps of a limit-curve s-grid; the default grid takes 13
+MAX_GRID_STEPS = 10 ** 4
 
 
 # the commands that describe one cloud, and those that average replicates
@@ -283,20 +287,13 @@ def _sample_cloud(cfg: ExperimentConfig) -> PointCloud:
         return PointCloud(_FIXTURES[cfg.fixture])
     rng = RngStream(cfg.seed)
     if _poisson(cfg):
+        _check_args(lam=cfg.lam, L=cfg.L)
         return sample_poisson_homogeneous(cfg.lam, Window.centered(cfg.L, cfg.dim), rng)
     if cfg.n is None:
         raise CliError("sampling from a density file needs --n")
+    if cfg.n > 0:  # n = 0 is the empty cloud, and the sampler rejects n < 0
+        _check_args(n=cfg.n)
     return sample_binomial(_resolve_density(cfg), cfg.n, rng)
-
-
-def _period_for(cfg: ExperimentConfig) -> float | None:
-    """Torus period of a Poisson cloud; validated before any sampling."""
-    if cfg.boundary != "torus":
-        return None
-    period = cfg.L ** (1.0 / cfg.dim)
-    if period <= 3.0 * cfg.r:
-        raise CliError(f"torus side {period:.6g} must exceed 3r = {3.0 * cfg.r:.6g}")
-    return period
 
 
 def _s_grid(s_max: float, s_step: float) -> tuple[float, ...]:
@@ -305,6 +302,9 @@ def _s_grid(s_max: float, s_step: float) -> tuple[float, ...]:
     if s_max < s_step:
         raise CliError(
             f"s-max must be at least one step, got {s_max} with step {s_step}")
+    if not s_max / s_step <= MAX_GRID_STEPS:
+        raise CliError(f"an s-grid to {s_max} in steps of {s_step} takes more than "
+                       f"{MAX_GRID_STEPS} steps")
     count = int(math.floor(s_max / s_step + 1e-9))
     grid = [round(i * s_step, 12) for i in range(count + 1)]
     if grid[-1] < s_max - 1e-9 * max(1.0, s_max):
@@ -338,11 +338,11 @@ def _cloud_complex(cfg: ExperimentConfig) -> tuple[SimplicialComplex, float | No
     """The Cech complex (to dimension k + 1) of the cloud complex and betti
     describe, its torus period or None, and the JSON fields the two share;
     the parameters are checked before any sampling."""
-    if cfg.r <= 0:
-        raise CliError(f"radius must be positive, got {cfg.r}")
     if cfg.k < 0:
         raise CliError(f"k must be non-negative, got {cfg.k}")
-    period = _period_for(cfg) if _poisson(cfg) else None
+    torus = _poisson(cfg) and cfg.boundary == "torus"
+    _check_args(r=cfg.r, **(dict(L=cfg.L, dim=cfg.dim) if torus else {}))
+    period = cfg.L ** (1.0 / cfg.dim) if torus else None
     cloud = _sample_cloud(cfg)
     cx = build_cech(cloud, cfg.r, cfg.k + 1, period=period)
     return cx, period, {
@@ -466,6 +466,7 @@ def cmd_checks(cfg: ExperimentConfig) -> int:
             ok = rep.holds_all
             detail = f"{rep.violations} violations in {rep.reps} realizations"
         else:
+            _check_args(lam=cfg.lam + cfg.eps, L=cfg.L)
             window = Window.centered(cfg.L, cfg.dim)
             cells = (1,) * cfg.dim
             f = IntensityGrid(window, cells, np.array([cfg.lam]))

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 import threading
 import typing
@@ -39,6 +40,7 @@ from betti_thermo.pointproc import (
     PointCloud,
     RngStream,
     Window,
+    _is_count,
     sample_binomial,
     sample_poisson_homogeneous,
     sample_poisson_intensity,
@@ -394,55 +396,84 @@ def _records(kind: str, tasks, reps: int, workers: int) -> list[EstimateRecord]:
 # ---------------------------------------------------------------------------
 # argument checks
 
-def _check_args(*, r: float | None = None, reps: int | None = None,
-                lam: float | None = None, L: float | None = None,
-                dim: int | None = None, k: int | None = None, j: int | None = None,
-                n: int | None = None, schedule: tuple[int, ...] | None = None,
-                s_grid: np.ndarray | list[float] | None = None,
-                boundary_mode: str | None = None,
-                workers: int | None = None) -> None:
-    """The estimators' argument checks; each runs when its argument is given.
+# The most points one replicate may expect to draw (lam * L, or n), 40 times
+# the largest n of the tests and examples; a run past it fails before sampling
+MAX_EXPECTED_POINTS = 10 ** 6
 
-    k must lie in 1..d-1 for the ambient dimension d, so k comes with dim.
-    A window of volume L comes with r and dim: its side L^(1/d), the torus
-    period, must exceed 3r. An s-grid starts at s >= 0 and strictly
-    increases. A schedule is checked for order, then its first n like a
-    single n.
+# what a value of each kind must be, as messages say it, and its test. A nan
+# or infinite window volume fails the window rule or the cap, which name r or lam
+_COUNT, _REAL = "an integer", "a finite number"
+_KINDS = {_COUNT: _is_count, _REAL: lambda v: isinstance(v, numbers.Real) and math.isfinite(v),
+          "a number": lambda v: isinstance(v, numbers.Real),
+          "'plain' or 'torus'": ("plain", "torus").__contains__}
+
+# argument -> (its name in messages, its kind, its bound or None, the message
+# when the bound fails); these arguments pass each entry through their row
+_SEQUENCES = ("schedule", "s_grid", "values", "stderrs")
+_ARG_RULES = {
+    "dim": ("dimension", _COUNT, lambda v: v >= 1, "dimension must be at least 1, got {}"),
+    "k": ("k", _COUNT, None, None),
+    "j": ("simplex dimension", _COUNT, lambda v: v >= 0,
+          "simplex dimension must be non-negative, got {}"),
+    "n": ("n", _COUNT, lambda v: v >= 1, "n must be at least 1, got {}"),
+    "reps": ("replicate count", _COUNT, lambda v: v >= 2,
+             "need at least 2 replicates for a standard error, got {}"),
+    "workers": ("workers", _COUNT, lambda v: v >= 1, "workers must be at least 1, got {}"),
+    "boxes": ("box count", _COUNT, None, None),
+    "lam": ("intensity", _REAL, lambda v: v >= 0, "intensity must be non-negative, got {}"),
+    "r": ("radius", _REAL, lambda v: v > 0, "radius must be positive, got {}"),
+    "L": ("window volume", "a number", None, None),
+    "theta": ("theta", _REAL, lambda v: v > 0, "theta must be positive, got {}"),
+    "s_grid": ("s-grid point", _REAL, None, None),
+    "values": ("curve value", _REAL, None, None),
+    "stderrs": ("curve stderr", _REAL, None, None),
+    "boundary_mode": ("boundary mode", "'plain' or 'torus'", None, None),
+}
+_ARG_RULES["schedule"] = _ARG_RULES["n"]
+
+
+def _check_args(**args) -> None:
+    """The estimators' argument checks, made before any replicate runs.
+
+    Each argument given passes its row of _ARG_RULES, kind then bound: a
+    count (dim, k, j, n, reps, workers, boxes, a schedule entry) passes
+    operator.index, a real (lam, r, theta, an s-grid point) is finite, and
+    neither is a bool. The rules that join arguments follow: the s-grid's
+    and schedule's order; a window of volume L, given with r and dim, has
+    side L^(1/d), the torus period, which must exceed 3r; k lies in 1..d-1
+    for the ambient dimension d; and one replicate expects at most
+    MAX_EXPECTED_POINTS points, lam * L or n (a schedule's last).
     """
-    if s_grid is not None and (len(s_grid) < 2 or s_grid[0] < 0
-                               or np.any(np.diff(s_grid) <= 0)):
+    for name, value in args.items():
+        label, kind, bound, message = _ARG_RULES[name]
+        for v in value if name in _SEQUENCES else (value,):
+            if isinstance(v, bool) or not _KINDS[kind](v):
+                raise LimitsError(f"{label} must be {kind}, got {v!r}")
+            if bound is not None and not bound(v):
+                raise LimitsError(message.format(v))
+    lam, r, L, k, dim, n, grid, schedule = map(args.get, "lam r L k dim n s_grid schedule".split())
+    if grid is not None and (len(grid) < 2 or grid[0] < 0 or np.any(np.diff(grid) <= 0)):
         raise LimitsError("s_grid must be strictly increasing from s >= 0 with >= 2 "
-                          f"points, got {np.asarray(s_grid, dtype=float).tolist()}")
+                          f"points, got {np.asarray(grid, dtype=float).tolist()}")
     if schedule is not None:
         if not schedule or any(b <= a for a, b in zip(schedule, schedule[1:])):
             raise LimitsError(f"n-schedule must be non-empty and increasing, got {schedule}")
-        n = schedule[0]
-    if lam is not None and lam < 0:
-        raise LimitsError(f"intensity must be non-negative, got {lam}")
-    if n is not None and n < 1:
-        raise LimitsError(f"n must be at least 1, got {n}")
-    if r is not None and r <= 0:
-        raise LimitsError(f"radius must be positive, got {r}")
-    if dim is not None and dim < 1:
-        raise LimitsError(f"dimension must be at least 1, got {dim}")
-    if L is not None:
+        n = schedule[-1]
+    if L is not None and r is not None:
         # L <= 0 has no real side and fails as side 0; `not >` fails nan too
         side = max(L, 0.0) ** (1.0 / dim)
         if not side > 3.0 * r:
             raise LimitsError(
                 f"window volume {L} too small for radius {r}: its side {side} "
                 f"must exceed 3r = {3.0 * r}")
-    if reps is not None and reps < 2:
-        raise LimitsError(f"need at least 2 replicates for a standard error, got {reps}")
-    if j is not None and j < 0:
-        raise LimitsError(f"simplex dimension must be non-negative, got {j}")
     if k is not None and not 1 <= k <= dim - 1:
         raise LimitsError(f"k must lie in 1..d-1, got k={k} in d={dim}")
-    if boundary_mode is not None and boundary_mode not in ("plain", "torus"):
-        raise LimitsError(
-            f"boundary mode must be 'plain' or 'torus', got {boundary_mode!r}")
-    if workers is not None and workers < 1:
-        raise LimitsError(f"workers must be at least 1, got {workers}")
+    # in floats, where an overflow is inf and fails rather than warns
+    if lam is not None and L is not None and not float(lam) * float(L) <= MAX_EXPECTED_POINTS:
+        raise LimitsError(f"intensity {lam} on window volume {L} expects more than "
+                          f"{MAX_EXPECTED_POINTS} points per replicate")
+    if n is not None and n > MAX_EXPECTED_POINTS:
+        raise LimitsError(f"n = {n} is more than {MAX_EXPECTED_POINTS} points per replicate")
 
 
 # ---------------------------------------------------------------------------
@@ -504,15 +535,9 @@ class LimitCurve(_JsonRecord):
     provenance: tuple[EstimateRecord, ...] = ()
 
     def __post_init__(self):
-        grid = np.asarray(self.s_grid, dtype=float)
-        _check_args(s_grid=grid)
-        if len(self.values) != len(grid) or len(self.stderrs) != len(grid):
+        _check_args(s_grid=self.s_grid, values=self.values, stderrs=self.stderrs)
+        if not len(self.values) == len(self.stderrs) == len(self.s_grid):
             raise LimitsError("curve values/stderrs must match the s_grid length")
-        for name in ("values", "stderrs"):
-            bad = [v for v in getattr(self, name)
-                   if not isinstance(v, (int, float)) or not math.isfinite(v)]
-            if bad:
-                raise LimitsError(f"curve {name} must be finite numbers, got {bad[0]!r}")
 
     def weights(self, s: float) -> list[tuple[int, float]]:
         """Linear interpolation weights on the grid for the point s."""
@@ -546,8 +571,8 @@ def build_limit_curve(k: int, s_grid, L: float, reps: int, rng: RngStream,
 
     Every grid point is checked before the one map of all their replicates.
     """
+    _check_args(s_grid=s_grid)
     grid = [float(s) for s in s_grid]
-    _check_args(s_grid=grid)
     tasks = [_betti_rate_task(1.0, s, L, k, rng.substream(idx), boundary_mode, dim)
              for idx, s in enumerate(grid) if s != 0.0]
     estimates = iter(_records("betti_rate", tasks, reps, workers))
@@ -583,7 +608,8 @@ def load_or_build_curve(cache_dir, k: int, s_grid, L: float, reps: int,
     estimator settings, not the grid).
     """
     # checked before the cache lookup, so a hit cannot mask a bad count or mode
-    _check_args(workers=workers, boundary_mode=boundary_mode)
+    _check_args(s_grid=s_grid, k=k, dim=dim, reps=reps, workers=workers,
+                boundary_mode=boundary_mode)
     path = curve_cache_path(cache_dir, dim, k, L, reps, rng, boundary_mode)
     grid = tuple(float(s) for s in s_grid)
     if path.exists():
@@ -614,7 +640,7 @@ def thermodynamic_integral(density: DensityGrid, r: float, k: int,
     the curve's per-grid-point errors through the accumulated linear
     weights (grid values are independent estimates).
     """
-    _check_args(r=r)
+    _check_args(r=r, k=k, dim=density.dim)
     if curve.k != k:
         raise LimitsError(f"curve tabulates k={curve.k}, requested k={k}")
     if curve.dim != density.dim:
@@ -660,8 +686,7 @@ def scaling_check(lam: float, theta: float, r: float, L: float, k: int,
     agree within 3 combined standard errors. theta = 1 reuses the same
     substream, so both sides coincide exactly.
     """
-    if theta <= 0:
-        raise LimitsError(f"theta must be positive, got {theta}")
+    _check_args(theta=theta)
     tasks = [_betti_rate_task(lam, r, L, k, rng.substream(0), boundary_mode, dim)]
     if theta != 1.0:
         tasks.append(_betti_rate_task(lam * theta, r / theta ** (1.0 / dim), L, k,
@@ -724,8 +749,9 @@ def convergence_table(density: DensityGrid, n_schedule, r: float, k: int,
                       target_stderr: float, workers: int = 1) -> ConvergenceTable:
     """Runs the binomial expectation estimator over the n-schedule, every
     entry's replicates in one map."""
-    schedule = tuple(int(n) for n in n_schedule)
+    schedule = tuple(n_schedule)
     _check_args(schedule=schedule)
+    schedule = tuple(map(int, schedule))  # numpy integers as ints, for JSON
     tasks = [_binomial_task(density, n, r, k, rng.substream(idx))
              for idx, n in enumerate(schedule)]
     records = tuple(_records("binomial", tasks, reps, workers))
@@ -800,8 +826,9 @@ class GapTable(_JsonRecord):
 def poissonization_gap(density: DensityGrid, n_schedule, r: float, k: int,
                        reps: int, rng: RngStream, workers: int = 1) -> GapTable:
     """Coupled binomial/Poissonized expectation gap over the n-schedule."""
-    schedule = tuple(int(n) for n in n_schedule)
+    schedule = tuple(n_schedule)
     _check_args(schedule=schedule, r=r, k=k, dim=density.dim)
+    schedule = tuple(map(int, schedule))
     rows = []
     results = _map_replicates("gap", [(density, n, r, k, rng.substream(idx))
                                       for idx, n in enumerate(schedule)], reps, workers)
@@ -864,7 +891,7 @@ def boundary_strip_check(lam: float, r: float, L: float, sub_box_count: int,
     around the internal partition faces, so the dimension-k and k+1 strip
     simplex counts bound the Betti difference.
     """
-    _check_args(lam=lam, r=r, L=L, dim=dim, k=k)
+    _check_args(lam=lam, r=r, L=L, dim=dim, k=k, boxes=sub_box_count)
     m = round(max(sub_box_count, 0) ** (1.0 / dim))
     if m < 1 or m ** dim != sub_box_count:
         raise LimitsError(

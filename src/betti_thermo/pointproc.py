@@ -33,6 +33,14 @@ class SamplerError(ValueError):
     """Invalid sampler arguments."""
 
 
+def _is_count(value) -> bool:
+    """Whether operator.index takes value: an int, a bool or a numpy integer."""
+    try:
+        return operator.index(value) is not None
+    except TypeError:
+        return False
+
+
 @dataclass(frozen=True)
 class RngStream:
     """Handle for a deterministic random substream.
@@ -56,16 +64,12 @@ class RngStream:
         # numpy integers pass through operator.index; a negative or
         # non-integer entry would otherwise fail only inside numpy
         for value in (self.master_seed, *self.path):
-            try:
-                if operator.index(value) >= 0:
-                    continue
-            except TypeError:
-                pass
-            raise SamplerError(
-                f"seed and stream path must be non-negative integers, got {value!r}")
+            if not _is_count(value) or value < 0:
+                raise SamplerError(
+                    f"seed and stream path must be non-negative integers, got {value!r}")
 
     def substream(self, index: int) -> "RngStream":
-        return RngStream(self.master_seed, self.path + (int(index),))
+        return RngStream(self.master_seed, self.path + (index,))
 
     def generator(self) -> np.random.Generator:
         seq = np.random.SeedSequence(self.master_seed, spawn_key=self.path)

@@ -331,6 +331,15 @@ class TestBuildCech:
         with pytest.raises(CechError, match=re.escape(message) + "$"):
             build_cech(equilateral(), r, max_dim)
 
+    @pytest.mark.parametrize("r", [1e155, 1e300, 1.7976931348623157e308])
+    def test_radius_whose_square_overflows_gives_the_complete_complex(self, r):
+        # (r/2)^2 overflowed with an OverflowError; a cut past the largest
+        # float admits every simplex
+        cloud = PointCloud(np.random.default_rng(5).random((7, 2)) * 1e3)
+        cx = build_cech(cloud, r, 3)
+        assert cx.simplex_counts() == [7, 21, 35, 35]
+        assert list(betti_numbers(cx, 2)) == [1, 0, 0]
+
     def test_empty_and_single_point(self):
         assert build_cech(PointCloud.empty(2), 1.0, 2).simplex_counts() == [0]
         one = build_cech(PointCloud(np.array([[0.5, 0.5]])), 1.0, 2)

@@ -18,9 +18,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import betti_thermo
-from betti_thermo import limits
+from betti_thermo import cli, limits
 from betti_thermo.cech import build_cech
 from betti_thermo.cli import (
     _CHECKS,
@@ -28,7 +29,9 @@ from betti_thermo.cli import (
     CliError,
     ExperimentConfig,
     _excluded,
+    _flag_name,
     _flags,
+    _scalar_type,
     build_parser,
     emit_plot_data,
     main,
@@ -930,6 +933,115 @@ class TestGoldenArtifacts:
         for path in sorted([*tmp_path.glob(f"{label}.*"), *(tmp_path / "cache").glob("*")]):
             digest.update(path.name.encode() + b"\n" + path.read_bytes())
         assert digest.hexdigest() == expected
+
+
+class TestWorkCap:
+    """A run whose replicate would expect more than MAX_EXPECTED_POINTS
+    points, or whose s-grid would take more than MAX_GRID_STEPS steps,
+    exits 1 naming the value before any sampling, artifact or pool; numpy
+    failed to allocate petabytes, or the grid's step count overflowed."""
+
+    @pytest.mark.parametrize("argv, named", [
+        (["rate", "--lambda", "1e12", "--r", "1", "--L", "100", "--reps", "2",
+          "--boundary", "torus"], "intensity 1000000000000.0 on window volume 100.0"),
+        (["sample", "--lambda", "1e12", "--L", "100"],
+         "intensity 1000000000000.0 on window volume 100.0"),
+        (["sample", "--n", "1000000000000"], "n = 1000000000000 is more than 1000000"),
+        (["checks", "--only", "perturbation", "--lambda", "1e12", "--L", "100",
+          "--reps", "2"], "intensity 1000000000000.1 on window volume 100.0"),
+        (["curve", "--s-max", "1e300", "--s-step", "1e-300"],
+         "an s-grid to 1e+300 in steps of 1e-300 takes more than 10000 steps"),
+        (["complex", "--boundary", "torus", "--dim", "0"],
+         "dimension must be at least 1, got 0"),
+    ], ids=["rate", "sample", "sample-n", "perturbation", "s-grid", "torus-dim"])
+    def test_rejected_before_sampling(self, tmp_path, capsys, pool_starts, argv, named):
+        assert main(argv + ["--out", str(tmp_path / "x")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err
+        assert "Traceback" not in err
+        assert not list(tmp_path.iterdir())
+        assert pool_starts == []
+
+    def test_radius_whose_square_overflows(self, tmp_path, capsys):
+        # the squared cuts of r = 1e300 overflowed; now they admit every simplex
+        out = str(tmp_path / "x")
+        assert main(["gap", "--n-schedule", "50,100", "--r", "1e300", "--reps", "2",
+                     "--out", out]) == 0
+        assert capsys.readouterr().out.endswith(": pass\n")
+        assert main(["betti", "--r", "1e300", "--L", "25", "--out", out]) == 0
+        assert capsys.readouterr().out == "beta: 1 0\n"
+
+
+class _Reached(Exception):
+    """Raised in place of the first sample, replicate or worker pool."""
+
+
+def _reach(*args, **kwargs):
+    raise _Reached
+
+
+class TestEveryNumericFlag:
+    """Every numeric flag of every command and branch, over the values the
+    library properties use, written as flag text: the run either reaches
+    its first sample, replicate or worker pool, or exits 1 with an error
+    line, no traceback and no artifact. Nothing is sampled for real."""
+
+    VALUES = ["nan", "inf", "-inf", "-0.0", "0", "1e308", "1e-300", "2.5", "2.0", "True", "2"]
+    CONVERGE = ["--n-schedule", "20,40", "--reps", "2", "--r", "0.6", "--s-max", "0.8",
+                "--curve-L", "16", "--curve-reps", "2"]
+    # one small valid run per branch
+    RUNS = {
+        "sample": ["sample", "--L", "16"],
+        "sample-n": ["sample", "--n", "5"],
+        "complex-torus": ["complex", "--L", "16", "--r", "1", "--boundary", "torus"],
+        "betti-n": ["betti", "--n", "5", "--r", "0.5"],
+        "rate": ["rate", "--L", "16", "--reps", "2", "--boundary", "torus"],
+        "rate-j": ["rate", "--j", "1", "--L", "16", "--reps", "2"],
+        "curve": ["curve", "--L", "16", "--reps", "2", "--s-max", "0.3"],
+        "converge": ["converge", *CONVERGE],
+        "gap": ["gap", "--n-schedule", "20,40", "--reps", "2", "--r", "0.6"],
+        **{f"checks-{name}": ["checks", "--only", name, "--L", "64", "--reps", "2"]
+           for name in _CHECKS},
+    }
+
+    @staticmethod
+    def numeric_flags(run) -> list[str]:
+        return [_flag_name(f) for f in _flags(TestEveryNumericFlag.RUNS[run][0])
+                if _scalar_type(f) in (int, float)]
+
+    def outcome(self, run, values, tmp_path, capsys) -> str:
+        argv = self.RUNS[run] + [f"{flag}={value}" for flag, value in values.items()]
+        with pytest.MonkeyPatch.context() as patch:
+            for module, name in [(limits, "_replicate"), (limits, "ProcessPoolExecutor"),
+                                 (cli, "sample_poisson_homogeneous"),
+                                 (cli, "sample_binomial")]:
+                patch.setattr(module, name, _reach)
+            try:
+                code = main(argv + ["--out", str(tmp_path / "x")])
+            except _Reached:
+                return "reached"
+        err = capsys.readouterr().err
+        assert code == 1, argv
+        assert err.startswith("error: ") and "Traceback" not in err, argv
+        assert not list(tmp_path.glob("x.*")), argv
+        return "rejected"
+
+    @pytest.mark.parametrize("run", RUNS)
+    def test_every_value_alone(self, tmp_path, capsys, run):
+        assert self.outcome(run, {}, tmp_path, capsys) == "reached"
+        for flag in self.numeric_flags(run):
+            for value in self.VALUES:
+                self.outcome(run, {flag: value}, tmp_path, capsys)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_values_together(self, tmp_path, capsys, data):
+        run = data.draw(st.sampled_from(sorted(self.RUNS)))
+        values = data.draw(st.dictionaries(st.sampled_from(self.numeric_flags(run)),
+                                           st.sampled_from(self.VALUES),
+                                           min_size=2, max_size=3))
+        self.outcome(run, values, tmp_path, capsys)
 
 
 class TestStartupImports:

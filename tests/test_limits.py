@@ -14,6 +14,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from betti_thermo import limits
 from betti_thermo.limits import (
@@ -44,7 +45,17 @@ from betti_thermo.limits import (
     worker_pool,
 )
 from betti_thermo.cech import SimplicialComplex, build_cech
-from betti_thermo.pointproc import DensityGrid, IntensityGrid, PointCloud, RngStream, Window
+from betti_thermo.homology import betti_numbers
+from betti_thermo.pointproc import (
+    DensityError,
+    DensityGrid,
+    IntensityGrid,
+    PointCloud,
+    RngStream,
+    SamplerError,
+    Window,
+    sample_poisson_homogeneous,
+)
 
 
 def unit_uniform(dim=2):
@@ -177,6 +188,56 @@ class TestRateEstimators:
         c = estimate_betti_rate(1.0, 1.0, 80.0, 1, 12, RngStream(60),
                                 boundary_mode="torus", dim=2, workers=2)
         assert a == b == c
+
+
+class TestEulerCharacteristic:
+    """E[beta_0 - beta_1 (+ beta_2)] / L of the Cech complex on the torus
+    against the Euler-characteristic density of the Boolean model of balls
+    of radius rho = r/2, whose union has the complex's homotopy type (the
+    nerve theorem): Miles' formula in d=2, Mecke & Wagner's in d=3
+    (Schneider & Weil, Stochastic and Integral Geometry, 2008, 9.1). The
+    formulas share no code with the package and check the build, the
+    boundary matrices and the GF(2) ranks together. They hold in R^d; a
+    union that wraps the torus adds homology they do not count, which is
+    negligible at these sizes."""
+
+    @staticmethod
+    def density(d, lam, r):
+        rho = r / 2
+        if d == 2:
+            a = lam * math.pi * rho ** 2
+            return lam * math.exp(-a) * (1 - a)
+        volume, surface, mean_curvature = (4 * math.pi * rho ** 3 / 3, 4 * math.pi * rho ** 2,
+                                           4 * math.pi * rho)
+        return math.exp(-lam * volume) * (
+            lam - lam ** 2 * mean_curvature * surface / (4 * math.pi)
+            + math.pi * lam ** 3 * surface ** 3 / 384)
+
+    def z_score(self, d, lam, r, L, reps, rng):
+        """The replicates' mean Euler characteristic per volume, in
+        estimated standard errors from the density."""
+        chis = []
+        for i in range(reps):
+            cloud = sample_poisson_homogeneous(lam, Window.centered(L, d), rng.substream(i))
+            cx = build_cech(cloud, r, d, period=L ** (1.0 / d))
+            chis.append(sum((-1) ** k * b for k, b in enumerate(betti_numbers(cx, d - 1))) / L)
+        mean, stderr = limits._mean_stderr(chis)
+        return (mean - self.density(d, lam, r)) / stderr
+
+    @pytest.mark.parametrize("d, lam, r, L, seed", [
+        (2, 1.0, 1.0, 400.0, 121), (2, 2.0, 1.2, 400.0, 122),
+        (3, 1.0, 1.2, 125.0, 123), (3, 2.0, 1.0, 125.0, 124),
+    ])
+    def test_matches_the_boolean_model(self, d, lam, r, L, seed):
+        assert abs(self.z_score(d, lam, r, L, 200, RngStream(seed))) < 4
+
+    def test_standard_errors_are_calibrated(self):
+        # 40 independent z-scores: their sum of squares is chi^2 with 40
+        # degrees of freedom, inside 17.9-73.4 with 99.8% probability, if
+        # the stderr is right and the substreams are independent
+        squares = sum(self.z_score(2, 1.0, 1.0, 100.0, 50, RngStream(seed)) ** 2
+                      for seed in range(300, 340))
+        assert 17.9 < squares < 73.4
 
 
 class TestLimitCurve:
@@ -595,6 +656,81 @@ class TestArgumentChecks:
         with pytest.raises(LimitsError, match=re.escape("got [-0.5, 0.5]")):
             synthetic_curve(lambda s: s, [-0.5, 0.5])
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda: estimate_betti_rate(math.nan, 1.0, 100.0, 1, 2, RngStream(1)),
+         "intensity must be a finite number, got nan"),
+        (lambda: estimate_betti_rate(math.inf, 1.0, 100.0, 1, 2, RngStream(1)),
+         "intensity must be a finite number, got inf"),
+        (lambda: estimate_betti_rate(1.0, 1.0, 100.0, 1.0, 2, RngStream(1)),
+         "k must be an integer, got 1.0"),
+        (lambda: estimate_betti_rate(1.0, 1.0, 100.0, True, 2, RngStream(1)),
+         "k must be an integer, got True"),
+        (lambda: estimate_betti_rate(1.0, 1.0, 100.0, 1, 2.0, RngStream(1)),
+         "replicate count must be an integer, got 2.0"),
+        (lambda: estimate_betti_rate(1.0, 1.0, 100.0, 1, 2, RngStream(1), workers=1.5),
+         "workers must be an integer, got 1.5"),
+        (lambda: estimate_betti_rate(1.0, 1.0, 100.0, 1, 2, RngStream(1), dim=2.0),
+         "dimension must be an integer, got 2.0"),
+        (lambda: estimate_simplex_rate(1.0, 1.0, 100.0, 1.5, 2, RngStream(1)),
+         "simplex dimension must be an integer, got 1.5"),
+        (lambda: estimate_binomial_expectation(unit_uniform(), math.inf, 1.0, 1, 2,
+                                               RngStream(1)), "n must be an integer, got inf"),
+        (lambda: estimate_binomial_expectation(unit_uniform(), math.nan, 1.0, 1, 2,
+                                               RngStream(1)), "n must be an integer, got nan"),
+        (lambda: estimate_binomial_expectation(unit_uniform(), 100.5, 1.0, 1, 2,
+                                               RngStream(1)), "n must be an integer, got 100.5"),
+        (lambda: estimate_binomial_expectation(unit_uniform(), 100, math.nan, 1, 2,
+                                               RngStream(1)),
+         "radius must be a finite number, got nan"),
+        (lambda: boundary_strip_check(1.0, 1.0, 100.0, 4.0, 1, RngStream(1), reps=2),
+         "box count must be an integer, got 4.0"),
+        (lambda: scaling_check(1.0, math.inf, 1.0, 100.0, 1, 2, RngStream(1)),
+         "theta must be a finite number, got inf"),
+        (lambda: build_limit_curve(1, [0.0, math.nan], 100.0, 2, RngStream(1)),
+         "s-grid point must be a finite number, got nan"),
+        (lambda: thermodynamic_integral(unit_uniform(), math.nan, 1,
+                                        synthetic_curve(lambda s: s, [0.0, 1.0])),
+         "radius must be a finite number, got nan"),
+        (lambda: convergence_table(unit_uniform(), [20, 40.5], 0.6, 1, 2, RngStream(1),
+                                   0.0, 0.0), "n must be an integer, got 40.5"),
+    ], ids=["nan-lam", "inf-lam", "float-k", "bool-k", "float-reps", "float-workers",
+            "float-dim", "float-j", "inf-n", "nan-n", "fractional-n", "nan-r",
+            "float-boxes", "inf-theta", "nan-s-grid", "integral-nan-r", "float-schedule"])
+    def test_wrong_kind_named_before_any_replicate(self, monkeypatch, call, message):
+        # each of these failed inside a replicate with a foreign error, was
+        # accepted (k=True wrote True into the CSV's k column; boxes=4.0
+        # reported boxes=4.0) or named a derived value (theta=inf)
+        monkeypatch.setattr(limits, "_replicate", _reach)
+        with pytest.raises(LimitsError, match=re.escape(message) + "$"):
+            call()
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: estimate_betti_rate(1e12, 1.0, 100.0, 1, 2, RngStream(1), "torus"),
+         "intensity 1000000000000.0 on window volume 100.0 expects more than 1000000 "
+         "points per replicate"),
+        (lambda: scaling_check(1e300, 1e10, 1.0, 100.0, 1, 2, RngStream(1)),
+         "intensity 1e+300 on window volume 100.0 expects more than 1000000 points"),
+        (lambda: estimate_betti_rate(1.0, 1e-300, math.inf, 1, 2, RngStream(1)),
+         "intensity 1.0 on window volume inf expects more than 1000000 points"),
+        (lambda: estimate_binomial_expectation(unit_uniform(), 10 ** 12, 1.0, 1, 2,
+                                               RngStream(1)),
+         "n = 1000000000000 is more than 1000000 points per replicate"),
+        (lambda: poissonization_gap(unit_uniform(), [20, 2 * 10 ** 6], 0.6, 1, 2,
+                                    RngStream(1)),
+         "n = 2000000 is more than 1000000 points per replicate"),
+    ], ids=["rate", "scaling-overflow", "infinite-window", "binomial", "gap-schedule"])
+    def test_work_cap(self, monkeypatch, call, message):
+        # a replicate expecting more than MAX_EXPECTED_POINTS points fails
+        # before sampling; numpy would fail to allocate petabytes
+        monkeypatch.setattr(limits, "_replicate", _reach)
+        with pytest.raises(LimitsError, match=re.escape(message)):
+            call()
+
+    def test_work_cap_admits_its_own_size(self):
+        assert limits.MAX_EXPECTED_POINTS == 10 ** 6
+        limits._check_args(lam=1.0, L=float(10 ** 6), r=1.0, dim=2)
+        limits._check_args(schedule=(1, 10 ** 6))
+
 
 class TestIntensityPerturbation:
     def base_intensity(self, scale=1.0):
@@ -833,6 +969,113 @@ class TestReplicateMap:
         monkeypatch.setattr(limits, "_replicate", replicate)
         with pytest.raises(LimitsError, match=message):
             MAP_CALLS[name][0](reps, workers)
+
+
+class _Reached(Exception):
+    """Raised in place of the first replicate or worker pool."""
+
+
+def _reach(*args, **kwargs):
+    raise _Reached
+
+
+# values for every count and real argument: non-finite, signed zero, the
+# float extremes, fractions, an integral float, a bool and a numpy integer
+FUZZ_VALUES = [math.nan, math.inf, -math.inf, -0.0, 0, 1e308, 1e-300, 2.5, 2.0, True,
+               np.int64(2)]
+# the values that are not counts, and those that are not finite reals
+NOT_COUNTS = [v for v in FUZZ_VALUES
+              if isinstance(v, bool) or not isinstance(v, (int, np.integer))]
+NOT_REALS = [v for v in FUZZ_VALUES if isinstance(v, bool) or not math.isfinite(v)]
+FUZZ_COUNTS = {"k", "j", "n", "n_schedule", "reps", "dim", "workers", "sub_box_count"}
+# the stored, not checked, reals: a table's target
+FUZZ_UNCHECKED = {"target", "target_stderr"}
+
+
+def _fuzz_cases():
+    """name -> (function, valid keyword arguments); the int, float and list
+    arguments are the counts and reals, and a list takes a value as its
+    last entry."""
+    rng = RngStream(120)
+    rate = dict(lam=1.0, r=0.5, L=16.0, reps=2, rng=rng, dim=2, workers=1)
+    curve = dict(k=1, s_grid=[0.0, 0.5], L=16.0, reps=2, rng=rng, dim=2, workers=1)
+    binomial = dict(density=unit_uniform(), r=0.6, k=1, reps=2, rng=rng, workers=1)
+    return {
+        "betti-rate": (estimate_betti_rate, {**rate, "k": 1, "boundary_mode": "torus"}),
+        "simplex-rate": (estimate_simplex_rate,
+                         {**rate, "j": 1, "boundary_mode": "torus"}),
+        "binomial": (estimate_binomial_expectation, {**binomial, "n": 20}),
+        "curve": (build_limit_curve, curve),
+        "cached-curve": (load_or_build_curve, {**curve, "cache_dir": "tmp"}),
+        "integral": (thermodynamic_integral,
+                     dict(density=unit_uniform(), r=0.5, k=1,
+                          curve=synthetic_curve(lambda s: s, [0.0, 1.0]))),
+        "converge": (convergence_table, {**binomial, "n_schedule": [20, 40],
+                                         "target": 0.0, "target_stderr": 0.0}),
+        "gap": (poissonization_gap, {**binomial, "n_schedule": [20, 40]}),
+        "scaling": (scaling_check, {**rate, "L": 64.0, "k": 1, "theta": 2.0}),
+        "strips": (boundary_strip_check, {**rate, "L": 64.0, "k": 1, "sub_box_count": 4}),
+        "perturbation": (intensity_perturbation_check,
+                         dict(zip("fg", _perturbed_pair()), r=1.0, k=1, reps=2, rng=rng,
+                              workers=1)),
+    }
+
+
+FUZZ_CASES = _fuzz_cases()
+
+
+def _fuzzed(name) -> list[str]:
+    """The count and real arguments of a case."""
+    return [arg for arg, value in FUZZ_CASES[name][1].items()
+            if isinstance(value, (int, float, list))]
+
+
+class TestEveryValueFailsFast:
+    """Every count and real argument of every public estimator and
+    experiment, over FUZZ_VALUES: the call either reaches its first
+    replicate (or worker pool) or raises this package's own error before
+    it. No foreign error escapes: no TypeError, OverflowError, MemoryError
+    or numpy error."""
+
+    @staticmethod
+    def outcome(name, overrides, tmp_path) -> str:
+        function, kwargs = FUZZ_CASES[name]
+        kwargs = dict(kwargs)
+        for arg, value in overrides.items():
+            kwargs[arg] = kwargs[arg][:-1] + [value] if isinstance(kwargs[arg], list) else value
+        if "cache_dir" in kwargs:
+            kwargs["cache_dir"] = tmp_path
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(limits, "_replicate", _reach)
+            patch.setattr(limits, "ProcessPoolExecutor", _reach)
+            try:
+                function(**kwargs)
+            except _Reached:
+                return "reached"
+            except (LimitsError, SamplerError, DensityError):
+                return "rejected"
+        assert name == "integral", "returned without running a replicate"
+        return "reached"
+
+    @pytest.mark.parametrize("name", FUZZ_CASES)
+    def test_every_value_alone(self, tmp_path, name):
+        assert self.outcome(name, {}, tmp_path) == "reached"
+        for arg in _fuzzed(name):
+            for value in FUZZ_VALUES:
+                got = self.outcome(name, {arg: value}, tmp_path)
+                wrong_kind = NOT_COUNTS if arg in FUZZ_COUNTS else NOT_REALS
+                if arg not in FUZZ_UNCHECKED and any(value is v for v in wrong_kind):
+                    assert got == "rejected", (arg, value)
+
+    @pytest.mark.parametrize("name", FUZZ_CASES)
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_values_together(self, tmp_path, name, data):
+        overrides = data.draw(st.dictionaries(st.sampled_from(_fuzzed(name)),
+                                              st.sampled_from(FUZZ_VALUES),
+                                              min_size=2, max_size=3))
+        self.outcome(name, overrides, tmp_path)
 
 
 def _record(quantity="betti_rate", lam=1.0):

@@ -429,6 +429,18 @@ class TestRejectedValues:
         same = RngStream(5, (2, 7))
         assert stream.generator().random() == same.generator().random()
 
+    @pytest.mark.parametrize("index", [1.5, 1.0, -0.0, "1"])
+    def test_non_integer_substream_index_rejected(self, index):
+        # an index was truncated by int(): substream(1.5) was substream(1)
+        with pytest.raises(SamplerError, match=re.escape(f"got {index!r}") + "$"):
+            RngStream(1).substream(index)
+
+    def test_numpy_integer_substream_index_is_the_int(self):
+        stream = RngStream(1).substream(np.int64(1))
+        assert stream == RngStream(1).substream(1)
+        assert np.array_equal(stream.generator().random(4),
+                              RngStream(1).substream(1).generator().random(4))
+
 
 class TestDeterminism:
     def test_same_stream_same_bits(self):
