@@ -337,13 +337,15 @@ def cmd_sample(cfg: ExperimentConfig) -> int:
 def _cloud_complex(cfg: ExperimentConfig) -> tuple[SimplicialComplex, float | None, dict]:
     """The Cech complex (to dimension k + 1) of the cloud complex and betti
     describe, its torus period or None, and the JSON fields the two share;
-    the parameters are checked before any sampling."""
+    the parameters are checked before any sampling, and the cloud's
+    dimension, which a density file sets, before the build."""
     if cfg.k < 0:
         raise CliError(f"k must be non-negative, got {cfg.k}")
     torus = _poisson(cfg) and cfg.boundary == "torus"
     _check_args(r=cfg.r, **(dict(L=cfg.L, dim=cfg.dim) if torus else {}))
     period = cfg.L ** (1.0 / cfg.dim) if torus else None
     cloud = _sample_cloud(cfg)
+    _check_args(dim=cloud.dim)
     cx = build_cech(cloud, cfg.r, cfg.k + 1, period=period)
     return cx, period, {
         "n_points": len(cloud),
@@ -519,9 +521,35 @@ def _attach_values(argv: list[str]) -> list[str]:
     return out
 
 
+# glibc's malloc hands freed memory at the top of its heap back to the
+# kernel, and a dense replicate frees megabytes of numpy temporaries, so the
+# next one faults those pages in again: about 2300 minor faults and 4.3 ms of
+# system time in a 16.6 ms rate-d2-dense replicate (2-CPU Xeon, numpy 2.4.6).
+# Keeping 64 MB at the top (M_TOP_PAD) removes them and leaves the peak RSS
+# as it was
+_M_TOP_PAD = -2
+_HEAP_TOP_PAD = 64 << 20
+
+
+def _keep_freed_heap() -> bool:
+    """Have the C library's malloc keep _HEAP_TOP_PAD bytes of freed memory
+    at the top of its heap. Whether it took the setting: a C library without
+    mallopt, or one that refuses it, leaves the process as it was."""
+    import ctypes
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    return mallopt(_M_TOP_PAD, _HEAP_TOP_PAD) == 1
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(
         _attach_values(sys.argv[1:] if argv is None else argv))
+    _keep_freed_heap()
     try:
         return run(resolve_config(args))
     except (ValueError, OSError) as exc:

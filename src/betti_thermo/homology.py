@@ -11,12 +11,15 @@ that is left is mostly columns with two entries, edges of a graph on the
 rows: a spanning forest of that graph gives their rank, the other
 columns are projected onto its components (the parity of their rows in
 each), and the peel runs again. A small core is eliminated with
-bit-packed columns. In
-betti_numbers d_2 skips the rows of d_1's spanning forest (clearing,
-after Chen & Kerber, "Persistent homology computation with a twist",
-EuroCG 2011): since d_1 d_2 = 0, peeling the forest's leaves writes each
-forest row as a sum of non-forest rows. A d_2 built on its own clears
-nothing unless it is given the forest. Also: the Betti-difference bound
+bit-packed columns. The peel's passes, the cleared rows, the contraction
+and Boruvka's live edges compact two or three arrays by one mask of
+roughly even truth, so each takes the mask's np.flatnonzero index once
+and gathers by it, several times faster than masking each array (timings
+in cech). In betti_numbers d_2 skips the rows of d_1's spanning forest
+(clearing, after Chen & Kerber, "Persistent homology computation with a
+twist", EuroCG 2011): since d_1 d_2 = 0, peeling the forest's leaves
+writes each forest row as a sum of non-forest rows. A d_2 built on its
+own clears nothing unless it is given the forest. Also: the Betti-difference bound
 for nested complexes (the inequality |beta_k(K1) - beta_k(K2)| bounded by
 the simplices of K2 \\ K1 in dimensions k and k+1).
 """
@@ -112,8 +115,8 @@ def _boruvka(n: int, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarr
     a, b = u, v
     forest = []
     while True:
-        live = a != b
-        if not live.any():
+        live = np.flatnonzero(a != b)
+        if not len(live):
             break
         edge, a, b = edge[live], a[live], b[live]
         # edge stays increasing, so the lowest position is the lowest edge
@@ -189,7 +192,7 @@ def _peel(col_of: np.ndarray, row_of: np.ndarray, rows: int, cols: int):
                 break
             pivot = np.zeros(cols if by_row else rows, dtype=bool)
             pivot[minor[single]] = True
-            keep = ~pivot[minor]
+            keep = np.flatnonzero(~pivot[minor])
             col_of, row_of = col_of[keep], row_of[keep]
             rank += int(np.count_nonzero(pivot))
     return col_of, row_of, rank
@@ -208,8 +211,9 @@ def _contract(col_of: np.ndarray, row_of: np.ndarray, two: np.ndarray, rows: int
     size and the projected entries, ordered by column, each row named by
     its component's root.
     """
-    forest, root = _boruvka(rows, row_of[two][0::2], row_of[two][1::2])
-    rest = ~two
+    ends = row_of[np.flatnonzero(two)]
+    forest, root = _boruvka(rows, ends[0::2], ends[1::2])
+    rest = np.flatnonzero(~two)
     keys, odd = np.unique(col_of[rest] * rows + root[row_of[rest]],
                           return_counts=True)
     keys = keys[odd % 2 == 1]
@@ -237,7 +241,7 @@ def rank_gf2(matrix: BoundaryMatrix) -> int:
     if len(matrix.cleared):
         dropped = np.zeros(matrix.rows, dtype=bool)
         dropped[np.asarray(matrix.cleared, dtype=np.int64)] = True
-        keep = ~dropped[row_of]
+        keep = np.flatnonzero(~dropped[row_of])
         col_of, row_of = col_of[keep], row_of[keep]
     col_of, row_of, rank = _peel(col_of, row_of, matrix.rows, matrix.cols)
     # a large core is mostly two-entry columns: contract them, peel what

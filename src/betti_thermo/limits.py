@@ -399,6 +399,12 @@ def _records(kind: str, tasks, reps: int, workers: int) -> list[EstimateRecord]:
 # The most points one replicate may expect to draw (lam * L, or n), 40 times
 # the largest n of the tests and examples; a run past it fails before sampling
 MAX_EXPECTED_POINTS = 10 ** 6
+# the most replicates one estimate may ask for, 5000 times the most any test,
+# example or workload runs: the replicate map lists every one before it runs
+MAX_REPS = 10 ** 6
+# the highest ambient dimension: the neighbour grid enumerates the 3^d cell
+# offsets in Python, 729 at d = 6 (364 half-offsets), 3.5e9 at d = 20
+MAX_DIM = 6
 
 # what a value of each kind must be, as messages say it, and its test. A nan
 # or infinite window volume fails the window rule or the cap, which name r or lam
@@ -409,15 +415,16 @@ _KINDS = {_COUNT: _is_count, _REAL: lambda v: isinstance(v, numbers.Real) and ma
 
 # argument -> (its name in messages, its kind, its bound or None, the message
 # when the bound fails); these arguments pass each entry through their row
-_SEQUENCES = ("schedule", "s_grid", "values", "stderrs")
+_SEQUENCES = ("schedule", "s_grid", "values", "stderrs", "masses")
 _ARG_RULES = {
-    "dim": ("dimension", _COUNT, lambda v: v >= 1, "dimension must be at least 1, got {}"),
+    "dim": ("dimension", _COUNT, lambda v: 1 <= v <= MAX_DIM,
+            f"dimension must lie in 1..{MAX_DIM}, got {{}}"),
     "k": ("k", _COUNT, None, None),
     "j": ("simplex dimension", _COUNT, lambda v: v >= 0,
           "simplex dimension must be non-negative, got {}"),
     "n": ("n", _COUNT, lambda v: v >= 1, "n must be at least 1, got {}"),
-    "reps": ("replicate count", _COUNT, lambda v: v >= 2,
-             "need at least 2 replicates for a standard error, got {}"),
+    "reps": ("replicate count", _COUNT, lambda v: 2 <= v <= MAX_REPS,
+             f"need 2..{MAX_REPS} replicates (2 for a standard error), got {{}}"),
     "workers": ("workers", _COUNT, lambda v: v >= 1, "workers must be at least 1, got {}"),
     "boxes": ("box count", _COUNT, None, None),
     "lam": ("intensity", _REAL, lambda v: v >= 0, "intensity must be non-negative, got {}"),
@@ -428,6 +435,10 @@ _ARG_RULES = {
     "values": ("curve value", _REAL, None, None),
     "stderrs": ("curve stderr", _REAL, None, None),
     "boundary_mode": ("boundary mode", "'plain' or 'torus'", None, None),
+    # in floats, so a mass that overflowed is inf and fails, as nan does
+    "masses": ("intensity grid mass", "a number", lambda v: v <= MAX_EXPECTED_POINTS,
+               f"an intensity grid of mass {{}} expects more than {MAX_EXPECTED_POINTS} "
+               "points per replicate"),
 }
 _ARG_RULES["schedule"] = _ARG_RULES["n"]
 
@@ -438,11 +449,14 @@ def _check_args(**args) -> None:
     Each argument given passes its row of _ARG_RULES, kind then bound: a
     count (dim, k, j, n, reps, workers, boxes, a schedule entry) passes
     operator.index, a real (lam, r, theta, an s-grid point) is finite, and
-    neither is a bool. The rules that join arguments follow: the s-grid's
-    and schedule's order; a window of volume L, given with r and dim, has
-    side L^(1/d), the torus period, which must exceed 3r; k lies in 1..d-1
-    for the ambient dimension d; and one replicate expects at most
-    MAX_EXPECTED_POINTS points, lam * L or n (a schedule's last).
+    neither is a bool. Bounds cap the work before it starts: dim at
+    MAX_DIM, reps at MAX_REPS, and each of the masses, the expected points
+    of an intensity grid's cloud, at MAX_EXPECTED_POINTS. The rules that
+    join arguments follow: the s-grid's and schedule's order; a window of
+    volume L, given with r and dim, has side L^(1/d), the torus period,
+    which must exceed 3r; k lies in 1..d-1 for the ambient dimension d; and
+    one replicate expects at most MAX_EXPECTED_POINTS points, lam * L or n
+    (a schedule's last).
     """
     for name, value in args.items():
         label, kind, bound, message = _ARG_RULES[name]
@@ -937,7 +951,7 @@ def intensity_perturbation_check(f: IntensityGrid, g: IntensityGrid, r: float,
     perturbations give nested complexes (checked against the difference
     bound realization by realization).
     """
-    _check_args(r=r, k=k, dim=f.dim)
+    _check_args(r=r, k=k, dim=f.dim, masses=(f.total_mass, g.total_mass))
     base = f.minimum(g)
     extra_f = f.excess_over(g)
     extra_g = g.excess_over(f)

@@ -226,9 +226,10 @@ class _Grid:
         object.__setattr__(self, "cells_per_axis", cells)
         object.__setattr__(self, "values", vals)
         # the table of numpy's weighted choice with p = masses / total: the
-        # running sum of p over its last entry. A grid of zero mass has none
+        # running sum of p over its last entry. A grid of zero or infinite
+        # mass has none
         cdf = None
-        if self.total_mass > 0:
+        if 0 < self.total_mass < np.inf:
             cdf = (self.cell_masses() / self.total_mass).cumsum()
             cdf = cdf / cdf[-1]
         object.__setattr__(self, "_cdf", cdf)
@@ -263,7 +264,9 @@ class _Grid:
 
     @property
     def total_mass(self) -> float:
-        return float(self.cell_masses().sum())
+        # inf, with no warning, where a cell's mass or the sum overflows
+        with np.errstate(over="ignore"):
+            return float(self.cell_masses().sum())
 
     def cell_masses(self) -> np.ndarray:
         return self.values * self.cell_volume
@@ -274,7 +277,7 @@ class _Grid:
         Draws n uniforms for the cells, then n * d for the offsets.
         """
         if self._cdf is None:
-            raise DensityError("cannot sample a grid of zero mass")
+            raise DensityError("cannot sample a grid of zero mass or of infinite mass")
         cells = self._cdf.searchsorted(gen.random(n), side="right")
         return self._corners[cells] + gen.random((n, self.dim)) * self.cell_sides
 

@@ -20,6 +20,7 @@ from betti_thermo.cech import (
     CechError,
     MINIBALL_TOL,
     NeighborGrid,
+    _ragged_pairs,
     build_cech,
     build_rips,
     simplices_touching,
@@ -222,6 +223,20 @@ class TestNeighborGrid:
             NeighborGrid(np.zeros((3, 2)), r)
 
 
+@example(runs=[(0, 5, 2), (1, 0, 0), (2, 9, 3), (3, 2, -4)])
+@example(runs=[(7, 3, -1)])
+@example(runs=[])
+@settings(deadline=None, derandomize=True, database=None)
+@given(st.lists(st.tuples(st.integers(0, 50), st.integers(-20, 50), st.integers(-3, 6)),
+                max_size=12))
+def test_ragged_pairs_match_a_loop(runs):
+    # zero-length and negative-length runs add no pair, and no runs none
+    want = [(left, start + t) for left, start, length in runs for t in range(length)]
+    ii, jj = _ragged_pairs(*np.array(runs, dtype=np.int64).reshape(-1, 3).T)
+    assert ii.dtype == jj.dtype == np.int64
+    assert list(zip(ii.tolist(), jj.tolist())) == want
+
+
 class TestBuildCech:
     def test_equilateral_triangle_radii(self):
         cloud = equilateral()
@@ -266,7 +281,9 @@ class TestBuildCech:
         (3, 3, 14, 0.8, None, 14),
         (3, 3, 14, 0.32, 1.0, 15),
         (2, 3, 14, 0.5, None, 15),
-    ], ids=["d2_triangles", "d3_tetrahedra", "d3_torus_tetrahedra", "d2_tetrahedra"])
+        (2, 2, 18, 0.32, 1.0, 15),
+    ], ids=["d2_triangles", "d3_tetrahedra", "d3_torus_tetrahedra", "d2_tetrahedra",
+            "d2_torus_triangles"])
     def test_no_qualifying_simplex_missed(self, d, j, n, r, period, seed):
         # brute force all (j+1)-subsets against the builder's j-simplices;
         # the torus cloud sits in a cluster across the corner of the cell,
@@ -621,6 +638,26 @@ class TestTorus:
                     want.add(t)
             assert want, f"dimension {j}"
             assert np.array_equal(cx.simplices_of(j), as_rows(want, j)), f"dimension {j}"
+
+    @pytest.mark.parametrize("d", [2, 3], ids=["triangle", "tetrahedron"])
+    def test_seam_simplex_at_the_threshold(self, d):
+        # a regular simplex whose circumcenter sits on the corner of the
+        # cell, so each vertex unwraps across a seam through its edge from
+        # vertex 0; its miniball radius R is its circumradius. At r/2 =
+        # R - offset it is in exactly when R <= r/2 + MINIBALL_TOL, on the
+        # torus as on a plain copy in the middle of the cell
+        corners = {2: [[1.0, 0.0], [-0.5, sqrt(3.0) / 2], [-0.5, -sqrt(3.0) / 2]],
+                   3: np.array([[1.0, 1.0, 1.0], [1.0, -1.0, -1.0],
+                                [-1.0, 1.0, -1.0], [-1.0, -1.0, 1.0]]) / sqrt(3.0)}
+        lifted = 0.15 * np.array(corners[d])
+        radius = min_enclosing_ball_radius(lifted)
+        for offset, inside in ((-1e-12, True), (0.5e-12, True), (1.5e-12, False),
+                               (3e-12, False)):
+            r = 2.0 * (radius - offset)
+            torus = build_cech(PointCloud(np.mod(lifted, 1.0)), r, d, period=1.0)
+            plain = build_cech(PointCloud(lifted + 0.5), r, d)
+            assert simplex_count(torus, d) == simplex_count(plain, d) == inside, offset
+            assert simplex_count(torus, d - 1) == d + 1
 
     def test_wraparound_triangle(self):
         # equilateral-ish triangle straddling the seam

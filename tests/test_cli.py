@@ -9,6 +9,7 @@ import hashlib
 import json
 import multiprocessing
 import os
+import platform
 import re
 import shlex
 import subprocess
@@ -21,7 +22,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import betti_thermo
-from betti_thermo import cli, limits
+from betti_thermo import cech, cli, limits
 from betti_thermo.cech import build_cech
 from betti_thermo.cli import (
     _CHECKS,
@@ -952,8 +953,10 @@ class TestWorkCap:
         (["curve", "--s-max", "1e300", "--s-step", "1e-300"],
          "an s-grid to 1e+300 in steps of 1e-300 takes more than 10000 steps"),
         (["complex", "--boundary", "torus", "--dim", "0"],
-         "dimension must be at least 1, got 0"),
-    ], ids=["rate", "sample", "sample-n", "perturbation", "s-grid", "torus-dim"])
+         "dimension must lie in 1..6, got 0"),
+        (["rate", "--reps", "1000000000000", "--r", "1", "--L", "100"],
+         "need 2..1000000 replicates (2 for a standard error), got 1000000000000"),
+    ], ids=["rate", "sample", "sample-n", "perturbation", "s-grid", "torus-dim", "reps"])
     def test_rejected_before_sampling(self, tmp_path, capsys, pool_starts, argv, named):
         assert main(argv + ["--out", str(tmp_path / "x")]) == 1
         err = capsys.readouterr().err
@@ -961,6 +964,25 @@ class TestWorkCap:
         assert "Traceback" not in err
         assert not list(tmp_path.iterdir())
         assert pool_starts == []
+
+    @pytest.mark.parametrize("argv", [
+        ["rate", "--dim", "20", "--r", "0.3", "--L", "100", "--reps", "2"],
+        ["complex", "--dim", "20", "--n", "5"],
+        ["betti", "--dim", "20", "--r", "0.3", "--L", "100", "--boundary", "torus"],
+    ], ids=["rate", "complex", "betti-torus"])
+    def test_dimension_capped_before_the_neighbour_grid(self, tmp_path, capsys,
+                                                        monkeypatch, argv):
+        # the grid enumerates 3^d cell offsets in Python; at d = 20 the
+        # command stalled there instead of exiting
+        def half_offsets(d):
+            raise AssertionError(f"enumerated the cell offsets of d={d}")
+
+        monkeypatch.setattr(cech, "_half_offsets", half_offsets)
+        assert main(argv + ["--out", str(tmp_path / "x")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "dimension must lie in 1..6, got 20" in err
+        assert "Traceback" not in err
+        assert not list(tmp_path.iterdir())
 
     def test_radius_whose_square_overflows(self, tmp_path, capsys):
         # the squared cuts of r = 1e300 overflowed; now they admit every simplex
@@ -1075,3 +1097,25 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
                              capture_output=True, text=True)
         assert res.returncode == 0, res.stderr
         assert res.stdout == "[]\n"
+
+
+class TestFreedHeap:
+    """Each command asks malloc to keep the heap it frees, which the next
+    dense replicate would otherwise fault in again page by page."""
+
+    def test_every_command_keeps_freed_heap(self, monkeypatch, tmp_path):
+        calls = []
+        monkeypatch.setattr(cli, "_keep_freed_heap", lambda: calls.append(True))
+        argv = ["betti", "--fixture", "square4", "--r", "1.05", "--out", str(tmp_path / "x")]
+        assert main(argv) == 0
+        assert calls == [True]
+
+    def test_taken_by_glibc_alone(self):
+        # musl's mallopt refuses every setting, and macOS has none
+        assert cli._keep_freed_heap() == (platform.libc_ver()[0] == "glibc")
+
+    def test_no_mallopt_leaves_the_process_as_it_was(self, monkeypatch):
+        import ctypes
+
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: object())
+        assert cli._keep_freed_heap() is False

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from betti_thermo import limits
+from betti_thermo import cech, limits
 from betti_thermo.limits import (
     CSV_HEADER,
     ConvergenceTable,
@@ -583,12 +583,12 @@ class TestArgumentChecks:
     @pytest.mark.parametrize("kwargs, message", [
         (dict(r=1.0, lam=-1e3), "intensity must be non-negative, got -1000.0"),
         (dict(r=0.0), "radius must be positive, got 0.0"),
-        (dict(r=1.0, reps=1), "need at least 2 replicates for a standard error, got 1"),
+        (dict(r=1.0, reps=1), "need 2..1000000 replicates (2 for a standard error), got 1"),
         (dict(r=1.0, n=0), "n must be at least 1, got 0"),
         (dict(r=1.0, schedule=(400, 200)),
          "n-schedule must be non-empty and increasing, got (400, 200)"),
         (dict(r=1.0, schedule=()), "n-schedule must be non-empty and increasing, got ()"),
-        (dict(r=1.0, L=100.0, dim=0), "dimension must be at least 1, got 0"),
+        (dict(r=1.0, L=100.0, dim=0), "dimension must lie in 1..6, got 0"),
         (dict(r=2.0, L=30.0, dim=2), "window volume 30.0 too small for radius 2.0"),
         (dict(r=1.0, j=-1), "simplex dimension must be non-negative, got -1"),
         (dict(r=1.0, L=100.0, dim=2, k=2), "k must lie in 1..d-1, got k=2 in d=2"),
@@ -718,18 +718,48 @@ class TestArgumentChecks:
         (lambda: poissonization_gap(unit_uniform(), [20, 2 * 10 ** 6], 0.6, 1, 2,
                                     RngStream(1)),
          "n = 2000000 is more than 1000000 points per replicate"),
-    ], ids=["rate", "scaling-overflow", "infinite-window", "binomial", "gap-schedule"])
+        (lambda: intensity_perturbation_check(_one_cell(1e12), _one_cell(1e12), 1.0, 1, 2,
+                                              RngStream(1)),
+         "an intensity grid of mass 100000000000000.0 expects more than 1000000 points"),
+        (lambda: intensity_perturbation_check(_one_cell(1.0), _one_cell(1e307), 1.0, 1, 2,
+                                              RngStream(1)),
+         "an intensity grid of mass inf expects more than 1000000 points"),
+        (lambda: estimate_betti_rate(1.0, 1.0, 100.0, 1, 10 ** 12, RngStream(1)),
+         "need 2..1000000 replicates (2 for a standard error), got 1000000000000"),
+    ], ids=["rate", "scaling-overflow", "infinite-window", "binomial", "gap-schedule",
+            "perturbation", "perturbation-overflow", "reps"])
     def test_work_cap(self, monkeypatch, call, message):
         # a replicate expecting more than MAX_EXPECTED_POINTS points fails
-        # before sampling; numpy would fail to allocate petabytes
+        # before sampling; numpy would fail to allocate petabytes. A grid's
+        # mass that overflows is inf, with no RuntimeWarning, and too many
+        # replicates fail before the map lists them
         monkeypatch.setattr(limits, "_replicate", _reach)
         with pytest.raises(LimitsError, match=re.escape(message)):
             call()
 
     def test_work_cap_admits_its_own_size(self):
-        assert limits.MAX_EXPECTED_POINTS == 10 ** 6
+        assert limits.MAX_EXPECTED_POINTS == limits.MAX_REPS == 10 ** 6
         limits._check_args(lam=1.0, L=float(10 ** 6), r=1.0, dim=2)
-        limits._check_args(schedule=(1, 10 ** 6))
+        limits._check_args(schedule=(1, 10 ** 6), reps=10 ** 6, masses=(10.0 ** 6,))
+
+    @pytest.mark.parametrize("call", [
+        lambda: estimate_betti_rate(1.0, 0.3, 100.0, 1, 2, RngStream(1), dim=20),
+        lambda: estimate_simplex_rate(1.0, 0.3, 100.0, 1, 2, RngStream(1), dim=7),
+    ], ids=["betti-rate", "simplex-rate"])
+    def test_dimension_capped_before_the_neighbour_grid(self, monkeypatch, call):
+        # the grid enumerates 3^d cell offsets in Python: at d = 20 that
+        # stalled for hours before any replicate finished
+        def half_offsets(d):
+            raise AssertionError(f"enumerated the cell offsets of d={d}")
+
+        monkeypatch.setattr(limits, "_replicate", _reach)
+        monkeypatch.setattr(cech, "_half_offsets", half_offsets)
+        with pytest.raises(LimitsError, match=r"dimension must lie in 1\.\.6, got (20|7)$"):
+            call()
+
+    def test_dimension_cap_admits_its_own_size(self):
+        limits._check_args(dim=limits.MAX_DIM, r=0.3, L=1.0)
+        assert len(cech._half_offsets(limits.MAX_DIM)) == 364
 
 
 class TestIntensityPerturbation:
@@ -904,6 +934,11 @@ class TestWorkerPool:
         assert not multiprocessing.active_children()
 
 
+def _one_cell(value: float) -> IntensityGrid:
+    """A one-cell intensity grid on a window of volume 100."""
+    return IntensityGrid(Window(np.zeros(2), np.full(2, 10.0)), (1, 1), np.array([value]))
+
+
 def _perturbed_pair():
     g = IntensityGrid(Window(np.zeros(2), np.array([6.0, 6.0])), (2, 2), np.ones(4))
     return IntensityGrid(g.box, g.cells_per_axis, g.values * 1.2), g
@@ -957,7 +992,7 @@ class TestReplicateMap:
         assert calls == [(kind, tasks, 3)]
 
     @pytest.mark.parametrize("reps, workers, message", [
-        (1, 1, "need at least 2 replicates for a standard error, got 1$"),
+        (1, 1, r"need 2..1000000 replicates \(2 for a standard error\), got 1$"),
         (3, 0, "workers must be at least 1, got 0$"),
     ], ids=["reps-1", "workers-0"])
     @pytest.mark.parametrize("name", MAP_CALLS)
