@@ -149,10 +149,23 @@ def _square(x: float) -> float:
         return np.inf
 
 
+# the most candidates one _ragged_pairs expansion may list: the candidate
+# pairs of a neighbour grid, or one level's candidates. Without it a dense
+# cloud or a high max_dim asked numpy for terabytes. It is about 40 times
+# the largest expansion of the tests (234k) and 190 times that of the
+# benchmark workloads (52k); at the cap, with numpy 2.4.6, a pair
+# expansion peaked at 0.44 GB and a d=2 triangle level at 2.4 GB
+MAX_CANDIDATES = 10 ** 7
+
+
 def _ragged_pairs(left: np.ndarray, start: np.ndarray, length: np.ndarray):
-    """Expand (left[i], start[i]..start[i]+length[i]-1) index runs."""
+    """Expand (left[i], start[i]..start[i]+length[i]-1) index runs; more
+    than MAX_CANDIDATES pairs in all is a CechError."""
     length = np.maximum(length, 0)
     total = int(length.sum())
+    if total > MAX_CANDIDATES:
+        raise CechError(f"one expansion lists {total} candidates, more than "
+                        f"the cap of {MAX_CANDIDATES}")
     if total == 0:
         empty = np.empty(0, dtype=np.int64)
         return empty, empty

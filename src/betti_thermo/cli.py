@@ -468,7 +468,6 @@ def cmd_checks(cfg: ExperimentConfig) -> int:
             ok = rep.holds_all
             detail = f"{rep.violations} violations in {rep.reps} realizations"
         else:
-            _check_args(lam=cfg.lam + cfg.eps, L=cfg.L)
             window = Window.centered(cfg.L, cfg.dim)
             cells = (1,) * cfg.dim
             f = IntensityGrid(window, cells, np.array([cfg.lam]))

@@ -24,10 +24,9 @@ import math
 import numbers
 import os
 import threading
-import typing
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -63,7 +62,7 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-# dataclass field -> JSON key, where the two differ; from_dict inverts it
+# dataclass field -> JSON key, where the two differ
 _JSON_KEYS = {"lam": "lambda", "k_or_j": "k", "master_seed": "seed", "records": "rows"}
 
 
@@ -75,21 +74,11 @@ def _to_json(value):
     return value
 
 
-def _from_json(hint, value):
-    if isinstance(hint, type) and issubclass(hint, _JsonRecord):
-        return hint.from_dict(value)
-    if typing.get_origin(hint) is tuple:
-        return tuple(_from_json(typing.get_args(hint)[0], v) for v in value)
-    return value
-
-
 class _JsonRecord:
     """JSON form of a frozen report dataclass.
 
     to_dict writes every field under its _JSON_KEYS name, nested records
     and tuples included, then the derived properties named in _derived.
-    from_dict reads the fields back (derived keys are ignored) and raises
-    KeyError, TypeError or ValueError on a malformed document.
     """
 
     _derived = ()
@@ -98,18 +87,6 @@ class _JsonRecord:
         names = [f.name for f in fields(self)] + list(self._derived)
         return {_JSON_KEYS.get(name, name): _to_json(getattr(self, name))
                 for name in names}
-
-    @classmethod
-    def from_dict(cls, doc: dict):
-        if not isinstance(doc, dict):
-            raise TypeError(f"{cls.__name__} needs a JSON object, got {type(doc).__name__}")
-        hints = typing.get_type_hints(cls)
-        kwargs = {}
-        for f in fields(cls):
-            key = _JSON_KEYS.get(f.name, f.name)
-            if key in doc or f.default is MISSING:
-                kwargs[f.name] = _from_json(hints[f.name], doc[key])
-        return cls(**kwargs)
 
 
 @dataclass(frozen=True)
@@ -534,8 +511,13 @@ class LimitCurve(_JsonRecord):
     """Tabulated s -> beta_hat_k(1, s) with linear interpolation.
 
     beta_hat_k(lam, r) for arbitrary intensity is lam * value(lam^(1/d) r);
-    variance propagates through the interpolation weights.
+    variance propagates through the interpolation weights. Each estimate
+    is held once, in s_grid, values and stderrs (stored as tuples);
+    provenance is derived from them, so to_dict writes it and from_dict
+    does not read it.
     """
+
+    _derived = ("provenance",)
 
     k: int
     dim: int
@@ -546,12 +528,28 @@ class LimitCurve(_JsonRecord):
     s_grid: tuple[float, ...]
     values: tuple[float, ...]
     stderrs: tuple[float, ...]
-    provenance: tuple[EstimateRecord, ...] = ()
 
     def __post_init__(self):
         _check_args(s_grid=self.s_grid, values=self.values, stderrs=self.stderrs)
         if not len(self.values) == len(self.stderrs) == len(self.s_grid):
             raise LimitsError("curve values/stderrs must match the s_grid length")
+        for name in ("s_grid", "values", "stderrs"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+
+    @classmethod
+    def from_dict(cls, doc: dict) -> "LimitCurve":
+        """The curve of a to_dict document; KeyError, TypeError or
+        ValueError if it is not one."""
+        return cls(k=doc["k"], dim=doc["dim"], L=doc["L"], reps=doc["reps"],
+                   master_seed=doc["seed"], boundary_mode=doc["boundary_mode"],
+                   s_grid=doc["s_grid"], values=doc["values"], stderrs=doc["stderrs"])
+
+    @property
+    def provenance(self) -> tuple[EstimateRecord, ...]:
+        """The betti_rate estimate of each grid point."""
+        return tuple(EstimateRecord("betti_rate", self.k, 1.0, s, self.L, value, stderr,
+                                    self.reps, self.master_seed, self.boundary_mode)
+                     for s, value, stderr in self.plot_rows())
 
     def weights(self, s: float) -> list[tuple[int, float]]:
         """Linear interpolation weights on the grid for the point s."""
@@ -590,14 +588,11 @@ def build_limit_curve(k: int, s_grid, L: float, reps: int, rng: RngStream,
     tasks = [_betti_rate_task(1.0, s, L, k, rng.substream(idx), boundary_mode, dim)
              for idx, s in enumerate(grid) if s != 0.0]
     estimates = iter(_records("betti_rate", tasks, reps, workers))
-    zero = EstimateRecord("betti_rate", k, 1.0, 0.0, L, 0.0, 0.0, reps,
-                          rng.master_seed, boundary_mode)
-    provenance = tuple(zero if s == 0.0 else next(estimates) for s in grid)
+    records = [None if s == 0.0 else next(estimates) for s in grid]
     return LimitCurve(k=k, dim=dim, L=L, reps=reps, master_seed=rng.master_seed,
-                      boundary_mode=boundary_mode, s_grid=tuple(grid),
-                      values=tuple(rec.mean for rec in provenance),
-                      stderrs=tuple(rec.stderr for rec in provenance),
-                      provenance=provenance)
+                      boundary_mode=boundary_mode, s_grid=grid,
+                      values=[0.0 if rec is None else rec.mean for rec in records],
+                      stderrs=[0.0 if rec is None else rec.stderr for rec in records])
 
 
 def curve_cache_path(cache_dir, dim: int, k: int, L: float, reps: int,

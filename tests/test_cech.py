@@ -217,6 +217,10 @@ class TestNeighborGrid:
         with pytest.raises(CechError, match="finite"):
             NeighborGrid(np.array([[0.0, 1.0], [np.nan, 0.0]]), 0.5)
 
+    def test_points_not_two_dimensional_rejected(self):
+        with pytest.raises(CechError, match=re.escape("points must be an (n, d) array")):
+            NeighborGrid(np.zeros(3), 0.5)
+
     @pytest.mark.parametrize("r", [0.0, -1.0])
     def test_non_positive_radius_rejected(self, r):
         with pytest.raises(CechError, match=f"got {r}"):
@@ -339,6 +343,16 @@ class TestBuildCech:
             build_cech(cloud, 1.0, -1)
         with pytest.raises(CechError):
             build_cech(cloud, 1.0, 2, period=2.5)
+
+    def test_level_expansion_capped(self, monkeypatch):
+        # 30 points within r/2 of each other: their 435 candidate pairs pass
+        # a cap of 1000, the 4060 triangle candidates do not
+        monkeypatch.setattr("betti_thermo.cech.MAX_CANDIDATES", 1000)
+        cloud = PointCloud(np.random.default_rng(12).random((30, 2)) * 0.1)
+        assert len(build_cech(cloud, 1.0, 1).simplices_of(1)) == 435
+        message = "one expansion lists 4060 candidates, more than the cap of 1000"
+        with pytest.raises(CechError, match=re.escape(message) + "$"):
+            build_cech(cloud, 1.0, 2)
 
     @pytest.mark.parametrize("r, max_dim, message", [
         (-0.5, 2, "radius must be positive, got -0.5"),

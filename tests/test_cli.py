@@ -533,6 +533,17 @@ class TestConfig:
         assert row.split(",")[8] == "9"  # seed still from the config
         assert not (tmp_path / "ignored.rate.csv").exists()
 
+    def test_config_not_an_object_rejected(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text('["rate"]')
+        assert main(["--config", str(path)]) == 1
+        assert capsys.readouterr().err == "error: config must be a JSON object of flag values\n"
+
+    def test_cache_dir_defaults_to_the_home_cache(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("BETTI_THERMO_CACHE")
+        monkeypatch.setenv("HOME", str(tmp_path))
+        assert cli._cache_dir() == tmp_path / ".cache" / "betti-thermo"
+
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
         path.write_text('{"command": "rate", "radius": 1.0}')
@@ -949,7 +960,8 @@ class TestWorkCap:
          "intensity 1000000000000.0 on window volume 100.0"),
         (["sample", "--n", "1000000000000"], "n = 1000000000000 is more than 1000000"),
         (["checks", "--only", "perturbation", "--lambda", "1e12", "--L", "100",
-          "--reps", "2"], "intensity 1000000000000.1 on window volume 100.0"),
+          "--reps", "2"],
+         "an intensity grid of mass 100000000000000.0 expects more than 1000000 points"),
         (["curve", "--s-max", "1e300", "--s-step", "1e-300"],
          "an s-grid to 1e+300 in steps of 1e-300 takes more than 10000 steps"),
         (["complex", "--boundary", "torus", "--dim", "0"],
@@ -981,6 +993,27 @@ class TestWorkCap:
         assert main(argv + ["--out", str(tmp_path / "x")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "dimension must lie in 1..6, got 20" in err
+        assert "Traceback" not in err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv, cap", [
+        # 10^6 points on a torus of 3 cells per axis, where every pair is a
+        # candidate: numpy failed to allocate 3.64 TiB
+        (["rate", "--lambda", "10000", "--r", "3", "--L", "100", "--reps", "2",
+          "--boundary", "torus"], None),
+        # 400 points at r = 1 in a square of side 2: about 65k candidate pairs,
+        # then 2 million triangle candidates; without a cap the levels grew
+        # until an allocation failed
+        (["complex", "--lambda", "100", "--L", "4", "--r", "1.0", "--k", "8", "--seed", "1"],
+         10 ** 5),
+    ], ids=["pairs", "level"])
+    def test_candidates_capped(self, tmp_path, capsys, monkeypatch, argv, cap):
+        if cap is not None:
+            monkeypatch.setattr(cech, "MAX_CANDIDATES", cap)
+        assert main(argv + ["--out", str(tmp_path / "x")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: one expansion lists ")
+        assert f"more than the cap of {cech.MAX_CANDIDATES}" in err
         assert "Traceback" not in err
         assert not list(tmp_path.iterdir())
 

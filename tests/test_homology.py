@@ -586,6 +586,10 @@ class TestDifferenceBound:
     def test_hollow_inside_filled(self):
         assert betti_diff_bound_check(hollow_triangle(), filled_triangle(), 1)
 
+    def test_degree_below_one_rejected(self):
+        with pytest.raises(HomologyError, match="stated for k >= 1$"):
+            betti_diff_bound_check(hollow_triangle(), filled_triangle(), 0)
+
     def test_non_nested_rejected(self):
         pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, np.sqrt(3) / 2]])
         bigger = build_cech(PointCloud(pts), 1.2, 2)

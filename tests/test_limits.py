@@ -270,6 +270,17 @@ class TestLimitCurve:
         with pytest.raises(LimitsError):
             synthetic_curve(lambda s: s, [0.0, 0.5, 0.5])
 
+    def test_provenance_is_each_point_estimated_directly(self):
+        # the derived records against an independent path to each estimate
+        rng = RngStream(66)
+        grid = (0.0, 0.5, 0.9)
+        curve = build_limit_curve(1, grid, 40.0, 4, rng, boundary_mode="torus", dim=2)
+        assert curve.provenance[0] == EstimateRecord("betti_rate", 1, 1.0, 0.0, 40.0, 0.0,
+                                                     0.0, 4, 66, "torus")
+        for i, s in enumerate(grid[1:], start=1):
+            assert curve.provenance[i] == estimate_betti_rate(
+                1.0, s, 40.0, 1, 4, rng.substream(i), boundary_mode="torus", dim=2)
+
     def test_scaling_recovery_against_direct_estimate(self):
         # beta_hat_1(4, 0.5) = 4 * curve(1.0): compare the curve route
         # with an independent direct estimate
@@ -309,6 +320,7 @@ class TestCurveCache:
         lambda doc: {**doc, "s_grid": 5},
         lambda doc: {key: v for key, v in doc.items() if key != "values"},
         lambda doc: {**doc, "stderrs": [0.0]},
+        # provenance is derived: from_dict ignores it, so the cached curve is served
         lambda doc: {**doc, "provenance": [5]},
         lambda doc: {**doc, "s_grid": [0.0, None]},
         lambda doc: {**doc, "values": [None] * len(doc["values"])},
@@ -323,6 +335,19 @@ class TestCurveCache:
         path.write_text(json.dumps(corrupt(built.to_dict())))
         assert load_or_build_curve(tmp_path, **args) == built
         assert LimitCurve.from_dict(json.loads(path.read_text())) == built
+
+    def test_provenance_rebuilt_from_the_values(self, tmp_path):
+        # a cached provenance that contradicts the values is not served
+        args = dict(k=1, s_grid=[0.0, 0.6], L=50.0, reps=8, rng=RngStream(67),
+                    boundary_mode="torus", dim=2)
+        built = load_or_build_curve(tmp_path, **args)
+        path = curve_cache_path(tmp_path, 2, 1, 50.0, 8, RngStream(67), "torus")
+        doc = json.loads(path.read_text())
+        doc["provenance"][1]["mean"] = 123.0
+        path.write_text(json.dumps(doc))
+        served = load_or_build_curve(tmp_path, **args)
+        assert served == built and served.provenance == built.provenance
+        assert served.provenance[1].mean == served.values[1] != 123.0
 
     def test_unknown_boundary_mode_rejected_on_cache_hit(self, tmp_path):
         args = dict(k=1, s_grid=[0.0, 0.6], L=50.0, reps=8, rng=RngStream(64), dim=2)
@@ -379,6 +404,18 @@ class TestThermodynamicIntegral:
         curve = synthetic_curve(lambda s: s, [0.0, 1.0], dim=3)
         with pytest.raises(LimitsError):
             thermodynamic_integral(unit_uniform(), 0.5, 1, curve)
+
+    def test_degree_mismatch_rejected(self):
+        curve = synthetic_curve(lambda s: s, [0.0, 1.0], k=2)
+        with pytest.raises(LimitsError, match="curve tabulates k=2, requested k=1$"):
+            thermodynamic_integral(unit_uniform(), 0.5, 1, curve)
+
+    def test_zero_density_cell_skipped(self):
+        # the empty cell needs the curve at s = 0, which this grid does not cover
+        curve = synthetic_curve(lambda s: 2.0 * s, [0.5, 1.0, 2.0])
+        density = DensityGrid(Window.unit(2), (2, 1), np.array([2.0, 0.0]))
+        est = thermodynamic_integral(density, 1.0, 1, curve)
+        assert est.value == pytest.approx(0.5 * 2.0 * 2.0 * math.sqrt(2.0), rel=1e-12)
 
 
 class TestScalingCheck:
@@ -1127,8 +1164,7 @@ class TestJsonSchema:
     @pytest.mark.parametrize("report, keys, nested", [
         (_record(), RECORD_KEYS, {}),
         (LimitCurve(k=1, dim=2, L=16.0, reps=2, master_seed=3, boundary_mode="torus",
-                    s_grid=(0.0, 0.5), values=(0.0, 0.1), stderrs=(0.0, 0.01),
-                    provenance=(_record(),)),
+                    s_grid=(0.0, 0.5), values=(0.0, 0.1), stderrs=(0.0, 0.01)),
          {"k", "dim", "L", "reps", "seed", "boundary_mode", "s_grid", "values",
           "stderrs", "provenance"},
          {"provenance": RECORD_KEYS}),
@@ -1185,6 +1221,24 @@ class TestJsonSchema:
         assert len(curve.provenance) == 2
         doc = json.loads(json.dumps(curve.to_dict()))
         assert LimitCurve.from_dict(doc) == curve
+
+
+def _fail_rename(src, dst):
+    raise OSError("rename failed")
+
+
+class TestAtomicWrite:
+    @pytest.mark.parametrize("text, replace, error", [
+        ("\udc80", None, UnicodeEncodeError),  # a lone surrogate does not encode
+        ("x", _fail_rename, OSError),
+    ], ids=["write", "rename"])
+    def test_failure_removes_the_temp_file(self, tmp_path, monkeypatch, text, replace,
+                                           error):
+        if replace is not None:
+            monkeypatch.setattr(limits.os, "replace", replace)
+        with pytest.raises(error):
+            limits.write_text_atomic(tmp_path / "out.txt", text)
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestCsv:

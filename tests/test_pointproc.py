@@ -227,6 +227,19 @@ class TestDensityGrid:
         with pytest.raises(DensityError, match=re.escape(message) + "$"):
             DensityGrid.from_json(path)
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("dim", 3, "dim field 3 does not match bounds of length 2"),
+        ("values", [0.0], "has zero total mass"),
+    ], ids=["dim", "zero-mass"])
+    def test_json_inconsistent_document_rejected(self, tmp_path, key, value, message):
+        doc = {"dim": 2, "lower": [0, 0], "upper": [1, 1], "cells_per_axis": [1, 1],
+               "values": [1]}
+        doc[key] = value
+        path = tmp_path / "dens.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DensityError, match=re.escape(message) + "$"):
+            DensityGrid.from_json(path)
+
     def test_uniform_helper(self):
         grid = DensityGrid.uniform(Window.centered(8.0, 3))
         assert grid.sup_value == pytest.approx(1.0 / 8.0)
@@ -410,7 +423,11 @@ class TestRejectedValues:
         (lambda: RngStream(4).substream(2).substream(-1), "got -1"),
         (lambda: Window(np.zeros(3), np.ones(2)),
          "window bounds must be equal-length vectors, got [0.0, 0.0, 0.0] / [1.0, 1.0]"),
-    ], ids=["n", "intensity", "volume", "scale", "seed", "float-seed", "path", "bounds"])
+        (lambda: PointCloud(np.zeros(3)), "points must be an (n, d) array"),
+        (lambda: superpose(PointCloud.empty(2), PointCloud.empty(3)),
+         "dimension mismatch: 2 vs 3"),
+    ], ids=["n", "intensity", "volume", "scale", "seed", "float-seed", "path", "bounds",
+            "cloud-shape", "superpose"])
     def test_message_names_the_value(self, make, message):
         with pytest.raises(SamplerError, match=re.escape(message) + "$"):
             make()
@@ -419,7 +436,8 @@ class TestRejectedValues:
         ((2, 1), [1.5, -0.5], "cell values must be finite and non-negative, got -0.5"),
         ((2, 1), [np.nan, 1.0], "cell values must be finite and non-negative, got nan"),
         ((0, 1), [], "cells_per_axis must give a positive count per axis, got [0, 1] in d=2"),
-    ], ids=["negative", "nan", "cells"])
+        ((2, 1), [1.0], "expected 2 cell values, got 1"),
+    ], ids=["negative", "nan", "cells", "count"])
     def test_grid_message_names_the_value(self, cells, values, message):
         with pytest.raises(DensityError, match=re.escape(message) + "$"):
             IntensityGrid(Window.unit(2), cells, np.array(values))
