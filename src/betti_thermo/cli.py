@@ -499,8 +499,11 @@ _COMMANDS = {
 def run(config: ExperimentConfig) -> int:
     """Dispatch a resolved config; returns the process exit status.
 
-    Every replicate map of the command shares one worker pool, forked at
-    the first map that asks for workers and shut down on return.
+    Every replicate map of the command shares one worker pool of
+    workers - 1 processes, forked at the first map that asks for workers
+    and shut down on return; each map runs one share in this process. A
+    replicate error in this process's share surfaces once the running
+    worker shares finish.
     """
     with worker_pool():
         return _COMMANDS[config.command][0](config)

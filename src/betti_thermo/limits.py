@@ -12,8 +12,9 @@ Replicates draw from per-index RNG substreams, so every estimator is
 bit-for-bit reproducible for any worker count. Every estimator and every
 experiment runs all its replicates in one map, _map_replicates(kind, tasks,
 reps, workers), with one task per grid point, schedule entry or side of the
-scaling identity. With workers > 1 that map runs on a process pool that
-lives for one worker_pool() scope; the CLI opens one around a command, so
+scaling identity. With workers > 1 the calling process runs one share of
+that map and a process pool of workers - 1 runs the rest; the pool lives
+for one worker_pool() scope, and the CLI opens one around a command, so
 the maps of one command share its workers.
 """
 
@@ -283,8 +284,9 @@ class _PoolScope:
         self._workers = 0
 
     def executor(self, workers: int) -> ProcessPoolExecutor:
-        # a call asking for another worker count replaces the pool
-        if self._executor is not None and self._workers != workers:
+        # a call asking for more workers replaces the pool; one asking for
+        # fewer, such as a map with fewer replicates than workers, reuses it
+        if self._executor is not None and self._workers < workers:
             self.close(cancel=False)
         if self._executor is None:
             self._executor = ProcessPoolExecutor(max_workers=workers)
@@ -308,9 +310,11 @@ def worker_pool():
     Each experiment submits all its replicates in one map, which opens its
     own scope; an outer scope, such as the one the CLI opens around a
     command, lets several maps share the workers. The first map with
-    workers > 1 forks the pool, later ones reuse it, and leaving the
-    outermost scope shuts it down (cancelling pending work when the scope
-    exits with an exception). Nested scopes join the open one. No pool
+    workers = w > 1 forks a pool of w - 1 processes (the calling process
+    runs the remaining share itself), later ones reuse it unless they ask
+    for more workers, and leaving the outermost scope shuts it down. That
+    waits for the shares already running, and cancels the rest when the
+    scope exits with an exception. Nested scopes join the open one. No pool
     outlives its scope: forked workers keep the module state of the moment
     they were forked, so a pool kept across scopes would run stale code.
     """
@@ -327,6 +331,11 @@ def worker_pool():
         scope.close(cancel=failed)
 
 
+def _run_share(items) -> list:
+    """The values of one share of a replicate map, in its order."""
+    return [_replicate(p) for p in items]
+
+
 def _map_replicates(kind: str, tasks, reps: int, workers: int) -> list[list]:
     """Runs reps replicates of each task, all of one kind, in one map and
     returns each task's values; replicate i of a task draws from substream
@@ -335,17 +344,26 @@ def _map_replicates(kind: str, tasks, reps: int, workers: int) -> list[list]:
     Every estimator and experiment runs its replicates here, so the
     replicate and worker counts are checked once, before any cloud is
     sampled. The replicates go out task by task, so workers=1 runs them in
-    exactly that order, and Executor.map returns them in it at any worker
-    count. An empty task list forks no pool.
+    exactly that order. Above that, with w = min(workers, replicates), the
+    j-th replicate goes to share j % w: the calling process runs share 0
+    while the w-1 processes of the worker_pool() scope run the others, one
+    submit each, and the values are put back by index. If the caller's
+    share raises, the error surfaces once the running worker shares finish.
+    An empty task list forks no pool.
     """
     _check_args(reps=reps, workers=workers)
     packed = [(kind, task, i) for task in tasks for i in range(reps)]
-    if workers == 1 or not packed:
+    workers = min(workers, len(packed))
+    if workers <= 1:
         values = [_replicate(p) for p in packed]
     else:
-        chunk = max(1, math.ceil(len(packed) / (4 * workers)))
+        values = [None] * len(packed)
         with worker_pool() as scope:
-            values = list(scope.executor(workers).map(_replicate, packed, chunksize=chunk))
+            pool = scope.executor(workers - 1)
+            shares = [pool.submit(_run_share, packed[s::workers]) for s in range(1, workers)]
+            values[::workers] = _run_share(packed[::workers])
+            for s, share in enumerate(shares, 1):
+                values[s::workers] = share.result()
     return [values[t * reps:(t + 1) * reps] for t in range(len(tasks))]
 
 
@@ -612,9 +630,10 @@ def load_or_build_curve(cache_dir, k: int, s_grid, L: float, reps: int,
                         dim: int = 2, workers: int = 1) -> LimitCurve:
     """Fetch the curve from the cache directory, building it on a miss.
 
-    A cached file with a different s-grid, or one that is not a well-formed
-    curve document, is rebuilt and overwritten (the key identifies seed and
-    estimator settings, not the grid).
+    A cached curve is served only if its k, dim, L, reps, seed, boundary
+    mode and s-grid all equal the request (the file name keys all but the
+    grid). Any other file, or one that is not a well-formed curve document,
+    is rebuilt and overwritten.
     """
     # checked before the cache lookup, so a hit cannot mask a bad count or mode
     _check_args(s_grid=s_grid, k=k, dim=dim, reps=reps, workers=workers,
@@ -626,7 +645,10 @@ def load_or_build_curve(cache_dir, k: int, s_grid, L: float, reps: int,
             curve = LimitCurve.from_dict(json.loads(path.read_text()))
         except (KeyError, TypeError, ValueError):
             curve = None
-        if curve is not None and curve.s_grid == grid:
+        request = (k, dim, L, reps, rng.master_seed, boundary_mode, grid)
+        if curve is not None and request == (curve.k, curve.dim, curve.L, curve.reps,
+                                             curve.master_seed, curve.boundary_mode,
+                                             curve.s_grid):
             return curve
     curve = build_limit_curve(k, grid, L, reps, rng, boundary_mode=boundary_mode,
                               dim=dim, workers=workers)

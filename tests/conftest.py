@@ -1,7 +1,7 @@
 """Shared test reporting: acceptance criteria append their pass/fail
 lines here and the terminal summary echoes them after the run. Also the
-pool_starts and pool_maps fixtures, which count the worker pools the
-estimators build and the maps they run on them."""
+pool_starts and pool_shares fixtures, which count the worker pools the
+estimators build and the replicate shares they submit to them."""
 
 import pytest
 
@@ -25,18 +25,18 @@ def pool_starts(monkeypatch):
 
 
 @pytest.fixture
-def pool_maps(monkeypatch):
-    """The item count of every map on a process pool limits builds, in order."""
-    maps = []
+def pool_shares(monkeypatch):
+    """The replicate count of every share submitted to a process pool limits
+    builds, in order: a map at workers=w submits w - 1 shares."""
+    shares = []
 
     class CountingPool(limits.ProcessPoolExecutor):
-        def map(self, fn, items, **kwargs):
-            items = list(items)
-            maps.append(len(items))
-            return super().map(fn, items, **kwargs)
+        def submit(self, fn, items, **kwargs):
+            shares.append(len(items))
+            return super().submit(fn, items, **kwargs)
 
     monkeypatch.setattr(limits, "ProcessPoolExecutor", CountingPool)
-    return maps
+    return shares
 
 
 def pytest_terminal_summary(terminalreporter):

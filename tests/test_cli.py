@@ -453,7 +453,9 @@ class TestRejectedBeforeAnyPool:
 
 class TestWorkerPool:
     """A command forks its workers once, when its first replicate map asks
-    for them, and none are left when main returns."""
+    for them, and none are left when main returns. At --workers w the pool
+    holds w - 1 processes: the command's own process runs one share of
+    each map."""
 
     CONVERGE = ["converge", "--n-schedule", "20,40", "--reps", "4", "--r", "0.6",
                 "--s-max", "0.8", "--curve-L", "16", "--curve-reps", "3",
@@ -467,7 +469,7 @@ class TestWorkerPool:
     @pytest.mark.parametrize("argv", [CONVERGE, CHECKS], ids=["converge", "checks"])
     def test_one_pool_per_command(self, tmp_path, pool_starts, argv):
         main(argv + ["--workers", "2", "--out", str(tmp_path / "w2")])
-        assert pool_starts == [2]
+        assert pool_starts == [1]
         assert not multiprocessing.active_children()
 
     def test_serial_command_forks_nothing(self, tmp_path, pool_starts):
@@ -479,16 +481,32 @@ class TestWorkerPool:
         assert main(self.CURVE + ["--workers", "2", "--out", str(tmp_path / "hit")]) == 0
         assert pool_starts == []
 
-    def test_replicate_error_in_worker(self, tmp_path, capsys, monkeypatch):
-        def fail(task, i):
-            raise limits.LimitsError(f"replicate {i} failed")
+    # replicate i of grid point t has map index 4t + i, so at --workers 2
+    # odd i fall in the worker's share and even i in the command's own
+    CURVE_EVEN = ["curve", "--k", "1", "--L", "16", "--reps", "4", "--s-max", "0.6",
+                  "--s-step", "0.2", "--seed", "2", "--workers", "2"]
 
-        monkeypatch.setitem(limits._REPLICATE_KINDS, "betti_rate", fail)
-        code = main(self.CURVE + ["--workers", "2", "--out", str(tmp_path / "x")])
+    def failing_run(self, tmp_path, capsys, monkeypatch, fails):
+        def replicate(task, i):
+            if fails(i):
+                raise limits.LimitsError(f"replicate {i} failed in pid {os.getpid()}")
+            return 0
+
+        monkeypatch.setitem(limits._REPLICATE_KINDS, "betti_rate", replicate)
+        code = main(self.CURVE_EVEN + ["--out", str(tmp_path / "x")])
         assert code == 1
-        assert "replicate 0 failed" in capsys.readouterr().err
         assert not multiprocessing.active_children()
         assert not list(tmp_path.glob("x*"))
+        return capsys.readouterr().err
+
+    def test_replicate_error_in_worker(self, tmp_path, capsys, monkeypatch):
+        err = self.failing_run(tmp_path, capsys, monkeypatch, lambda i: i % 2 == 1)
+        assert "replicate 1 failed in pid" in err
+        assert f"pid {os.getpid()}" not in err
+
+    def test_replicate_error_in_caller(self, tmp_path, capsys, monkeypatch):
+        err = self.failing_run(tmp_path, capsys, monkeypatch, lambda i: i == 0)
+        assert f"replicate 0 failed in pid {os.getpid()}" in err
 
     @pytest.mark.parametrize("argv", [CONVERGE, GAP, CHECKS],
                              ids=["converge", "gap", "checks"])
@@ -496,14 +514,14 @@ class TestWorkerPool:
                                                   monkeypatch, argv):
         # each run builds its own curve, in its own cache
         outputs = []
-        for workers in ("1", "2"):
+        for workers in ("1", "2", "3"):
             run = tmp_path / f"w{workers}"
             monkeypatch.setenv("BETTI_THERMO_CACHE", str(run / "cache"))
             main(argv + ["--workers", workers, "--out", str(run / "out")])
             files = {p.relative_to(run).as_posix(): p.read_bytes()
                      for p in run.rglob("*") if p.is_file()}
             outputs.append((files, capsys.readouterr().out))
-        assert outputs[0][0] and outputs[0] == outputs[1]
+        assert outputs[0][0] and outputs[0] == outputs[1] == outputs[2]
 
 
 class TestConfig:

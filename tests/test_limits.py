@@ -10,6 +10,7 @@ propagation) is checked exactly on synthetic curves.
 import json
 import math
 import multiprocessing
+import os
 import re
 
 import numpy as np
@@ -334,6 +335,26 @@ class TestCurveCache:
         path = curve_cache_path(tmp_path, 2, 1, 50.0, 8, RngStream(65), "torus")
         path.write_text(json.dumps(corrupt(built.to_dict())))
         assert load_or_build_curve(tmp_path, **args) == built
+        assert LimitCurve.from_dict(json.loads(path.read_text())) == built
+
+    @pytest.mark.parametrize("edit", [
+        {"k": 2, "reps": 999, "dim": "x"},
+        {"L": 60.0},
+        {"seed": 7},
+        {"boundary_mode": "plain"},
+    ], ids=["k-reps-dim", "L", "seed", "boundary_mode"])
+    def test_file_disagreeing_with_its_key_rebuilds(self, tmp_path, edit):
+        # a file whose fields disagree with the request it is named for is
+        # rebuilt and overwritten, not served
+        args = dict(k=1, s_grid=[0.0, 0.6], L=50.0, reps=8, rng=RngStream(68),
+                    boundary_mode="torus", dim=2)
+        built = load_or_build_curve(tmp_path, **args)
+        path = curve_cache_path(tmp_path, 2, 1, 50.0, 8, RngStream(68), "torus")
+        path.write_text(json.dumps({**built.to_dict(), **edit}))
+        served = load_or_build_curve(tmp_path, **args)
+        assert served == built
+        assert (served.k, served.reps, served.dim, served.L, served.master_seed,
+                served.boundary_mode) == (1, 8, 2, 50.0, 68, "torus")
         assert LimitCurve.from_dict(json.loads(path.read_text())) == built
 
     def test_provenance_rebuilt_from_the_values(self, tmp_path):
@@ -870,16 +891,43 @@ class TestIntensityPerturbation:
 
 
 class TestWorkerPool:
-    """One replicate map and one process pool per experiment: the pool is
-    forked at the first map with workers > 1, reused by the later ones in
-    the same scope, and gone when the scope ends."""
+    """One replicate map and one process pool per experiment: at workers=w
+    the calling process runs one share of the map and a pool of w - 1
+    processes the others. The pool is forked at the first map with
+    workers > 1, reused by the later ones in the same scope, and gone when
+    the scope ends."""
 
     def test_curve_forks_one_pool(self, pool_starts):
         a = build_limit_curve(1, [0.0, 0.4, 0.8, 1.2], 16.0, 3, RngStream(64))
         b = build_limit_curve(1, [0.0, 0.4, 0.8, 1.2], 16.0, 3, RngStream(64),
                               workers=2)
-        assert pool_starts == [2]
+        # the calling process is the second worker
+        assert pool_starts == [1]
         assert a == b
+        assert not multiprocessing.active_children()
+
+    @pytest.mark.parametrize("workers", [2, 3, 4, 7])
+    def test_shares_match_serial(self, pool_starts, workers):
+        # 6 replicates: even shares at 2 and 3 workers, uneven ones (2, 2, 1,
+        # 1) at 4, and more workers than replicates at 7
+        tasks = [(1.0, 0.5, 16.0, 1, 2, "plain", RngStream(seed)) for seed in (60, 61)]
+        serial = limits._map_replicates("simplex_rate", tasks, 3, 1)
+        assert pool_starts == []
+        assert limits._map_replicates("simplex_rate", tasks, 3, workers) == serial
+        assert pool_starts == [min(workers, 6) - 1]
+        assert not multiprocessing.active_children()
+
+    def test_caller_runs_share_zero(self, monkeypatch):
+        # replicate j of the map goes to share j % workers: share 0 runs in
+        # the calling process, each other share in one worker (an idle
+        # worker takes the next share, so two shares may share a worker)
+        monkeypatch.setitem(limits._REPLICATE_KINDS, "betti_rate",
+                            lambda task, i: os.getpid())
+        [pids] = limits._map_replicates("betti_rate", [None], 7, 3)
+        assert pids[0::3] == [os.getpid()] * 3
+        for share in (pids[1::3], pids[2::3]):
+            assert len(share) == 2 and len(set(share)) == 1
+            assert share[0] != os.getpid()
         assert not multiprocessing.active_children()
 
     def test_experiments_fork_one_pool_each(self, pool_starts):
@@ -888,7 +936,7 @@ class TestWorkerPool:
                           0.0, 0.0, workers=2)
         poissonization_gap(density, [20, 40], 0.6, 1, 3, RngStream(66), workers=2)
         scaling_check(1.0, 2.0, 1.0, 64.0, 1, 3, RngStream(67), workers=2)
-        assert pool_starts == [2, 2, 2]
+        assert pool_starts == [1, 1, 1]
         assert not multiprocessing.active_children()
 
     def test_scope_shares_one_pool_across_calls(self, pool_starts):
@@ -897,12 +945,15 @@ class TestWorkerPool:
                 assert inner is outer
             estimate_simplex_rate(1.0, 0.5, 16.0, 1, 4, RngStream(68), workers=2)
             estimate_betti_rate(1.0, 1.0, 16.0, 1, 4, RngStream(68), workers=2)
-            assert pool_starts == [2]
-            assert len(multiprocessing.active_children()) == 2
+            assert pool_starts == [1]
+            assert len(multiprocessing.active_children()) == 1
             # another worker count replaces the pool
             estimate_simplex_rate(1.0, 0.5, 16.0, 1, 4, RngStream(68), workers=3)
-            assert pool_starts == [2, 3]
-            assert len(multiprocessing.active_children()) == 3
+            assert pool_starts == [1, 2]
+            assert len(multiprocessing.active_children()) == 2
+            # a map of 2 replicates at workers=3 submits one share to it
+            estimate_simplex_rate(1.0, 0.5, 16.0, 1, 2, RngStream(68), workers=3)
+            assert pool_starts == [1, 2]
         assert not multiprocessing.active_children()
 
     @pytest.mark.parametrize("experiment, replicates", [
@@ -915,11 +966,12 @@ class TestWorkerPool:
         (lambda w: scaling_check(1.0, 2.0, 1.0, 64.0, 1, 3, RngStream(98),
                                  workers=w), 6),
     ], ids=["curve", "converge", "gap", "scaling"])
-    def test_experiment_makes_one_map(self, pool_maps, experiment, replicates):
+    def test_experiment_makes_one_map(self, pool_shares, experiment, replicates):
         serial = experiment(1)
-        assert pool_maps == []
+        assert pool_shares == []
         assert experiment(2) == serial
-        assert pool_maps == [replicates]
+        # one map at workers=2 submits one share, the odd-indexed replicates
+        assert pool_shares == [replicates // 2]
 
     def test_empty_job_list_forks_nothing(self, pool_starts):
         assert limits._map_replicates("betti_rate", [], 3, 2) == []
