@@ -412,39 +412,26 @@ def cmd_converge(cfg: ExperimentConfig) -> int:
     table = convergence_table(density, cfg.n_schedule, cfg.r, cfg.k, cfg.reps,
                               master.substream(0), target.value, target.stderr,
                               workers=cfg.workers)
-    last = table.records[-1]
-    gap = table.gaps[-1]
-    tol = 3.0 * math.hypot(last.stderr, target.stderr) + 0.1 * abs(target.value)
-    ok = gap <= tol
-    doc = table.to_dict()
-    doc["tolerance"] = tol
-    doc["passed"] = ok
     write_records_csv(_artifact(cfg, "csv"), table.records)
-    write_json(_artifact(cfg, "json"), doc)
+    write_json(_artifact(cfg, "json"), table.to_dict())
     emit_plot_data(table, _artifact(cfg, "dat"))
-    print(f"converge: gap(n={last.L_or_n:g}) = {gap:.6g} "
-          f"vs tolerance {tol:.6g}: {'pass' if ok else 'fail'}")
-    return 0 if ok else 1
+    print(f"converge: gap(n={table.n_schedule[-1]:g}) = {table.gaps[-1]:.6g} "
+          f"vs tolerance {table.tolerance:.6g}: {'pass' if table.passed else 'fail'}")
+    return 0 if table.passed else 1
 
 
 def cmd_gap(cfg: ExperimentConfig) -> int:
     density = _resolve_density(cfg)
     table = poissonization_gap(density, cfg.n_schedule, cfg.r, cfg.k, cfg.reps,
                                RngStream(cfg.seed), workers=cfg.workers)
-    bounded = table.scaled_bounded()
-    declining = table.declines()
-    ok = bounded and declining
-    doc = table.to_dict()
-    doc["scaled_bounded"] = bounded
-    doc["declines"] = declining
     write_records_csv(_artifact(cfg, "csv"), table.records())
-    write_json(_artifact(cfg, "json"), doc)
+    write_json(_artifact(cfg, "json"), table.to_dict())
     emit_plot_data(table, _artifact(cfg, "dat"))
     last = table.rows[-1]
     print(f"gap: scaled gap(n={last.n}) = {last.scaled:.6g}, "
-          f"bounded {'yes' if bounded else 'no'}, "
-          f"declining {'yes' if declining else 'no'}: {'pass' if ok else 'fail'}")
-    return 0 if ok else 1
+          f"bounded {'yes' if table.scaled_bounded else 'no'}, "
+          f"declining {'yes' if table.declines else 'no'}: {'pass' if table.passed else 'fail'}")
+    return 0 if table.passed else 1
 
 
 def cmd_checks(cfg: ExperimentConfig) -> int:
@@ -452,20 +439,18 @@ def cmd_checks(cfg: ExperimentConfig) -> int:
     if "perturbation" in names and cfg.eps < 0:
         raise CliError(f"eps must be non-negative, got {cfg.eps}")
     master = RngStream(cfg.seed)
-    doc = {}
+    reports = {}
     for name in names:
         if name == "scaling":
             rep = scaling_check(cfg.lam, cfg.theta, cfg.r, cfg.L, cfg.k, cfg.reps,
                                 master.substream(0),
                                 boundary_mode=cfg.boundary or "torus",
                                 dim=cfg.dim, workers=cfg.workers)
-            ok = rep.passed
-            detail = f"delta {rep.delta:.3g} vs 3 se {3.0 * rep.combined_stderr:.3g}"
+            detail = f"delta {rep.delta:.3g} vs 3 se {rep.tolerance:.3g}"
         elif name == "strips":
             rep = boundary_strip_check(cfg.lam, cfg.r, cfg.L, cfg.boxes, cfg.k,
                                        master.substream(1), reps=cfg.reps,
                                        dim=cfg.dim, workers=cfg.workers)
-            ok = rep.holds_all
             detail = f"{rep.violations} violations in {rep.reps} realizations"
         else:
             window = Window.centered(cfg.L, cfg.dim)
@@ -475,12 +460,11 @@ def cmd_checks(cfg: ExperimentConfig) -> int:
             rep = intensity_perturbation_check(f, g, cfg.r, cfg.k, cfg.reps,
                                                master.substream(2),
                                                workers=cfg.workers)
-            ok = rep.nested_bound_ok
             detail = f"gap {rep.gap:.3g}, L1 distance {rep.l1_distance:.3g}"
-        print(f"{name}: {'pass' if ok else 'fail'} ({detail})")
-        doc[name] = {**rep.to_dict(), "passed": ok}
-    write_json(_artifact(cfg, "json"), doc)
-    return 0 if all(entry["passed"] for entry in doc.values()) else 1
+        print(f"{name}: {'pass' if rep.passed else 'fail'} ({detail})")
+        reports[name] = rep
+    write_json(_artifact(cfg, "json"), {name: rep.to_dict() for name, rep in reports.items()})
+    return 0 if all(rep.passed for rep in reports.values()) else 1
 
 
 _COMMANDS = {

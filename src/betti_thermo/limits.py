@@ -397,6 +397,10 @@ MAX_EXPECTED_POINTS = 10 ** 6
 # the most replicates one estimate may ask for, 5000 times the most any test,
 # example or workload runs: the replicate map lists every one before it runs
 MAX_REPS = 10 ** 6
+# the most workers one map may ask for, 85 times the most any test, example or
+# workload uses: a map forks one process per worker but its own, so a mistyped
+# count would otherwise start thousands
+MAX_WORKERS = 256
 # the highest ambient dimension: the neighbour grid enumerates the 3^d cell
 # offsets in Python, 729 at d = 6 (364 half-offsets), 3.5e9 at d = 20
 MAX_DIM = 6
@@ -420,7 +424,8 @@ _ARG_RULES = {
     "n": ("n", _COUNT, lambda v: v >= 1, "n must be at least 1, got {}"),
     "reps": ("replicate count", _COUNT, lambda v: 2 <= v <= MAX_REPS,
              f"need 2..{MAX_REPS} replicates (2 for a standard error), got {{}}"),
-    "workers": ("workers", _COUNT, lambda v: v >= 1, "workers must be at least 1, got {}"),
+    "workers": ("workers", _COUNT, lambda v: 1 <= v <= MAX_WORKERS,
+                f"workers must lie in 1..{MAX_WORKERS}, got {{}}"),
     "boxes": ("box count", _COUNT, None, None),
     "lam": ("intensity", _REAL, lambda v: v >= 0, "intensity must be non-negative, got {}"),
     "r": ("radius", _REAL, lambda v: v > 0, "radius must be positive, got {}"),
@@ -445,13 +450,13 @@ def _check_args(**args) -> None:
     count (dim, k, j, n, reps, workers, boxes, a schedule entry) passes
     operator.index, a real (lam, r, theta, an s-grid point) is finite, and
     neither is a bool. Bounds cap the work before it starts: dim at
-    MAX_DIM, reps at MAX_REPS, and each of the masses, the expected points
-    of an intensity grid's cloud, at MAX_EXPECTED_POINTS. The rules that
-    join arguments follow: the s-grid's and schedule's order; a window of
-    volume L, given with r and dim, has side L^(1/d), the torus period,
-    which must exceed 3r; k lies in 1..d-1 for the ambient dimension d; and
-    one replicate expects at most MAX_EXPECTED_POINTS points, lam * L or n
-    (a schedule's last).
+    MAX_DIM, reps at MAX_REPS, workers at MAX_WORKERS, and each of the
+    masses, the expected points of an intensity grid's cloud, at
+    MAX_EXPECTED_POINTS. The rules that join arguments follow: the
+    s-grid's and schedule's order; a window of volume L, given with r and
+    dim, has side L^(1/d), the torus period, which must exceed 3r; k lies
+    in 1..d-1 for the ambient dimension d; and one replicate expects at
+    most MAX_EXPECTED_POINTS points, lam * L or n (a schedule's last).
     """
     for name, value in args.items():
         label, kind, bound, message = _ARG_RULES[name]
@@ -532,7 +537,8 @@ class LimitCurve(_JsonRecord):
     variance propagates through the interpolation weights. Each estimate
     is held once, in s_grid, values and stderrs (stored as tuples);
     provenance is derived from them, so to_dict writes it and from_dict
-    does not read it.
+    does not read it. Every field passes its estimator argument check, so
+    a document that says "k": true or "reps": 8.0 is not a curve.
     """
 
     _derived = ("provenance",)
@@ -548,7 +554,9 @@ class LimitCurve(_JsonRecord):
     stderrs: tuple[float, ...]
 
     def __post_init__(self):
-        _check_args(s_grid=self.s_grid, values=self.values, stderrs=self.stderrs)
+        _check_args(k=self.k, dim=self.dim, reps=self.reps, L=self.L,
+                    boundary_mode=self.boundary_mode, s_grid=self.s_grid,
+                    values=self.values, stderrs=self.stderrs)
         if not len(self.values) == len(self.stderrs) == len(self.s_grid):
             raise LimitsError("curve values/stderrs must match the s_grid length")
         for name in ("s_grid", "values", "stderrs"):
@@ -694,7 +702,11 @@ def thermodynamic_integral(density: DensityGrid, r: float, k: int,
 
 @dataclass(frozen=True)
 class ScalingReport(_JsonRecord):
-    """Two-sided estimate of the intensity-radius scaling identity."""
+    """Two-sided estimate of the intensity-radius scaling identity; it
+    passes when delta is within the tolerance, 3 combined standard errors.
+    The JSON form holds passed but not the tolerance."""
+
+    _derived = ("passed",)
 
     lam: float
     theta: float
@@ -705,7 +717,14 @@ class ScalingReport(_JsonRecord):
     rhs_scaled_stderr: float
     delta: float
     combined_stderr: float
-    passed: bool
+
+    @property
+    def tolerance(self) -> float:
+        return 3.0 * self.combined_stderr
+
+    @property
+    def passed(self) -> bool:
+        return self.delta <= self.tolerance
 
 
 def scaling_check(lam: float, theta: float, r: float, L: float, k: int,
@@ -713,8 +732,7 @@ def scaling_check(lam: float, theta: float, r: float, L: float, k: int,
                   dim: int = 2, workers: int = 1) -> ScalingReport:
     """Compares beta_hat_k(lam, r) with beta_hat_k(lam*theta, r/theta^(1/d))/theta.
 
-    Both sides are Monte Carlo estimates; the check passes when they
-    agree within 3 combined standard errors. theta = 1 reuses the same
+    Both sides are Monte Carlo estimates. theta = 1 reuses the same
     substream, so both sides coincide exactly.
     """
     _check_args(theta=theta)
@@ -732,7 +750,6 @@ def scaling_check(lam: float, theta: float, r: float, L: float, k: int,
         lam=lam, theta=theta, r=r, lhs=lhs, rhs=rhs,
         rhs_scaled_mean=scaled_mean, rhs_scaled_stderr=scaled_se,
         delta=delta, combined_stderr=combined,
-        passed=delta <= 3.0 * combined,
     )
 
 
@@ -758,9 +775,14 @@ def estimate_binomial_expectation(density: DensityGrid, n: int, r: float,
 
 @dataclass(frozen=True)
 class ConvergenceTable(_JsonRecord):
-    """Per-n expectation estimates against the thermodynamic target."""
+    """Per-n expectation estimates against the thermodynamic target.
 
-    _derived = ("gaps",)
+    It passes when the gap at the last n lies within the tolerance: 3
+    combined standard errors of that estimate and the target, plus a
+    tenth of the target.
+    """
+
+    _derived = ("gaps", "tolerance", "passed")
 
     n_schedule: tuple[int, ...]
     records: tuple[EstimateRecord, ...]
@@ -770,6 +792,15 @@ class ConvergenceTable(_JsonRecord):
     @property
     def gaps(self) -> tuple[float, ...]:
         return tuple(abs(rec.mean - self.target) for rec in self.records)
+
+    @property
+    def tolerance(self) -> float:
+        last = self.records[-1]
+        return 3.0 * math.hypot(last.stderr, self.target_stderr) + 0.1 * abs(self.target)
+
+    @property
+    def passed(self) -> bool:
+        return self.gaps[-1] <= self.tolerance
 
     def plot_rows(self) -> list[tuple[float, float]]:
         return [(float(n), gap) for n, gap in zip(self.n_schedule, self.gaps)]
@@ -818,9 +849,11 @@ class GapTable(_JsonRecord):
 
     Both expectations share the replicate's point sequence, so the gap
     estimate has common-random-numbers variance reduction. The lemma
-    being tested says gap(n) decays like n^(-1/2): the scaled column
-    gap * sqrt(n) must stay bounded.
+    being tested says gap(n) decays like n^(-1/2): the table passes when
+    the scaled column gap * sqrt(n) stays bounded and the raw gap declines.
     """
+
+    _derived = ("scaled_bounded", "declines", "passed")
 
     rows: tuple[GapRow, ...]
     k: int
@@ -835,6 +868,7 @@ class GapTable(_JsonRecord):
             for row in self.rows
         )
 
+    @property
     def scaled_bounded(self) -> bool:
         """gap * sqrt(n) never doubles past its first value, within noise."""
         first = self.rows[0]
@@ -844,11 +878,16 @@ class GapTable(_JsonRecord):
             for row in self.rows
         )
 
+    @property
     def declines(self) -> bool:
         """The raw gap at the last n sits below the first, within noise."""
         first, last = self.rows[0], self.rows[-1]
         slack = 3.0 * math.hypot(first.gap_stderr, last.gap_stderr)
         return last.gap <= first.gap + slack
+
+    @property
+    def passed(self) -> bool:
+        return self.scaled_bounded and self.declines
 
     def plot_rows(self) -> list[tuple[float, float, float]]:
         return [(float(row.n), row.gap, row.gap_stderr) for row in self.rows]
@@ -884,9 +923,10 @@ def poissonization_gap(density: DensityGrid, n_schedule, r: float, k: int,
 
 @dataclass(frozen=True)
 class StripReport(_JsonRecord):
-    """Per-realization check of the box-partition Betti inequality."""
+    """Per-realization check of the box-partition Betti inequality; it
+    passes when the inequality holds on every realization."""
 
-    _derived = ("holds_all", "violations", "max_slack")
+    _derived = ("passed", "violations", "max_slack")
 
     lam: float
     r: float
@@ -899,7 +939,7 @@ class StripReport(_JsonRecord):
     bounds: tuple[int, ...]
 
     @property
-    def holds_all(self) -> bool:
+    def passed(self) -> bool:
         return all(d <= b for d, b in zip(self.diffs, self.bounds))
 
     @property
@@ -945,7 +985,11 @@ def boundary_strip_check(lam: float, r: float, L: float, sub_box_count: int,
 
 @dataclass(frozen=True)
 class PerturbReport(_JsonRecord):
-    """Coupled estimate of |E beta_k(P(f)) - E beta_k(P(g))| vs the L1 distance."""
+    """Coupled estimate of |E beta_k(P(f)) - E beta_k(P(g))| vs the L1 distance.
+
+    passed holds when every realization of a one-sided perturbation kept
+    the nested Betti-difference bound (trivially so for a two-sided one).
+    """
 
     r: float
     k: int
@@ -955,7 +999,7 @@ class PerturbReport(_JsonRecord):
     gap_stderr: float
     l1_distance: float
     ratio: float
-    nested_bound_ok: bool
+    passed: bool
 
 
 def intensity_perturbation_check(f: IntensityGrid, g: IntensityGrid, r: float,
@@ -981,4 +1025,4 @@ def intensity_perturbation_check(f: IntensityGrid, g: IntensityGrid, r: float,
     ratio = abs(mean) / l1 if l1 > 0 else 0.0
     return PerturbReport(r=r, k=k, reps=reps, master_seed=rng.master_seed,
                          gap=abs(mean), gap_stderr=stderr, l1_distance=l1,
-                         ratio=ratio, nested_bound_ok=nested_ok)
+                         ratio=ratio, passed=nested_ok)

@@ -5,6 +5,7 @@ same computation done directly through the module functions with the
 same seed.
 """
 
+import dataclasses
 import hashlib
 import json
 import multiprocessing
@@ -241,7 +242,7 @@ class TestRateCommand:
     def test_workers_below_one_rejected(self, tmp_path, capsys, workers):
         code = main(["rate", "--workers", workers, "--out", str(tmp_path / "x")])
         assert code == 1
-        assert f"workers must be at least 1, got {workers}" in capsys.readouterr().err
+        assert f"workers must lie in 1..256, got {workers}" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
     def test_worker_count_does_not_change_artifact(self, tmp_path):
@@ -277,7 +278,7 @@ class TestCurveCommand:
         capsys.readouterr()
         code = main(args + ["--workers", "0", "--out", str(tmp_path / "second")])
         assert code == 1
-        assert "workers must be at least 1, got 0" in capsys.readouterr().err
+        assert "workers must lie in 1..256, got 0" in capsys.readouterr().err
         assert not list(tmp_path.glob("second*"))
 
     def test_ragged_endpoint_included(self, tmp_path):
@@ -408,6 +409,54 @@ class TestChecksCommand:
         assert not list(tmp_path.iterdir())
 
 
+class TestVerdicts:
+    """A Monte Carlo command with a verdict exits 0 exactly when every
+    "passed" in its JSON is true; the reports hold the verdicts."""
+
+    CASES = {
+        "converge": ["converge", "--n-schedule", "20,40", "--reps", "4", "--r", "0.6",
+                     "--s-max", "0.8", "--curve-L", "16", "--curve-reps", "4", "--seed", "3"],
+        "gap": ["gap", "--n-schedule", "20,40", "--reps", "4", "--r", "0.6", "--seed", "5"],
+        "checks": ["checks", "--L", "25", "--reps", "2", "--seed", "4"],
+    }
+
+    @staticmethod
+    def run(tmp_path, argv):
+        code = main(argv + ["--out", str(tmp_path / "v")])
+        doc = json.loads((tmp_path / f"v.{argv[0]}.json").read_text())
+        entries = doc.values() if argv[0] == "checks" else [doc]
+        return code, doc, [entry["passed"] for entry in entries]
+
+    @pytest.mark.parametrize("command", list(CASES))
+    def test_exit_status_is_the_verdict(self, tmp_path, capsys, command):
+        code, doc, verdicts = self.run(tmp_path, self.CASES[command])
+        assert len(verdicts) == (3 if command == "checks" else 1)
+        assert code == (0 if all(verdicts) else 1)
+        if command == "gap":
+            assert doc["passed"] == (doc["scaled_bounded"] and doc["declines"])
+        printed = capsys.readouterr().out.splitlines()
+        assert [line.split(": ")[-1].split()[0] for line in printed] == [
+            "pass" if ok else "fail" for ok in verdicts]
+
+    def test_converge_far_from_its_target_fails(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "thermodynamic_integral",
+                            lambda *args: limits.IntegralEstimate(value=100.0, stderr=0.0))
+        code, doc, verdicts = self.run(tmp_path, self.CASES["converge"])
+        assert (code, verdicts) == (1, [False])
+        assert doc["gaps"][-1] > doc["tolerance"] >= 10.0
+        assert capsys.readouterr().out.endswith(": fail\n")
+
+    def test_one_failing_check_fails_the_command(self, tmp_path, capsys, monkeypatch):
+        check = cli.intensity_perturbation_check
+        monkeypatch.setattr(cli, "intensity_perturbation_check",
+                            lambda *args, **kwargs: dataclasses.replace(
+                                check(*args, **kwargs), passed=False))
+        code, doc, verdicts = self.run(tmp_path, self.CASES["checks"])
+        assert code == 1
+        assert doc["perturbation"]["passed"] is False
+        assert "perturbation: fail" in capsys.readouterr().out
+
+
 class TestRejectedBeforeAnyPool:
     """Arguments the estimators cannot use fail with a message naming the
     value, before any sampling, artifact or worker pool."""
@@ -422,7 +471,10 @@ class TestRejectedBeforeAnyPool:
         (["rate", "--dim", "3", "--k", "2", "--r", "1.2", "--L", "46.656",
           "--boundary", "torus", "--reps", "2", "--workers", "2"],
          "window volume 46.656 too small for radius 1.2"),
-    ], ids=["sample-seed", "rate-seed", "perturbation-k", "torus-side"])
+        # two replicates would fork at most one process, were the cap missing
+        (["rate", "--L", "16", "--reps", "2", "--workers", str(limits.MAX_WORKERS + 1)],
+         f"workers must lie in 1..{limits.MAX_WORKERS}, got {limits.MAX_WORKERS + 1}"),
+    ], ids=["sample-seed", "rate-seed", "perturbation-k", "torus-side", "workers-cap"])
     def test_rejected(self, tmp_path, capsys, pool_starts, argv, message):
         assert main(argv + ["--out", str(tmp_path / "x")]) == 1
         err = capsys.readouterr().err
@@ -945,11 +997,11 @@ class TestGoldenArtifacts:
                               "--seed", "3"],
             "5d351302ebaa29625313c8eda51235ad7bb9e2e7f6d4b1dacc56156dcaa05242"),
         "gap-uniform": (["gap", *SCHEDULE, "--seed", "5"],
-            "e67c1bea1165c7401a9364d8791beea73ada0b0f6df15588c13e0a2fc4283f5b"),
+            "08fc4f1d46ac4427f8e81ade9761b30da8c1ed3347f981912afc353668485a61"),
         "gap-density": (["gap", "--density", "{density}", *SCHEDULE, "--seed", "5"],
-            "b9491e0a639ba3abad73a1a376d02ccbd3c3ec576adaac88f326823124477120"),
+            "233db4933a2dd457a7101dd2742b334adf1ffcdfb625fe6fd8ea76c8999f0ac4"),
         "checks-all": (["checks", "--L", "25", "--reps", "2", "--seed", "4"],
-            "c0a766ebcb93e0f9453c470708a411f5b8afe9c3787c3de56380c4699ae3a645"),
+            "91352a6576dce7dd7c89592c7fb9ae6cb76b495a69f402b95e5fccfa32fc68ca"),
     }
 
     @pytest.mark.parametrize("label", list(CASES))

@@ -172,7 +172,7 @@ class TestRateEstimators:
             raise AssertionError("sampled before the worker count was checked")
 
         monkeypatch.setattr(limits, "sample_poisson_homogeneous", sample)
-        with pytest.raises(LimitsError, match=f"workers must be at least 1, got {workers}$"):
+        with pytest.raises(LimitsError, match=f"workers must lie in 1..256, got {workers}$"):
             estimate_betti_rate(1.0, 1.0, 100.0, 1, 10, RngStream(59), dim=2,
                                 workers=workers)
 
@@ -337,25 +337,48 @@ class TestCurveCache:
         assert load_or_build_curve(tmp_path, **args) == built
         assert LimitCurve.from_dict(json.loads(path.read_text())) == built
 
-    @pytest.mark.parametrize("edit", [
-        {"k": 2, "reps": 999, "dim": "x"},
-        {"L": 60.0},
-        {"seed": 7},
-        {"boundary_mode": "plain"},
-    ], ids=["k-reps-dim", "L", "seed", "boundary_mode"])
-    def test_file_disagreeing_with_its_key_rebuilds(self, tmp_path, edit):
+    @staticmethod
+    def served_after_edit(tmp_path, edit, dim=2):
+        """The curve served after the cached file of a k=1 request in d=dim
+        is edited, the file as first written and as it is afterwards."""
+        args = dict(k=1, s_grid=[0.0, 0.6], L=50.0, reps=8, rng=RngStream(68),
+                    boundary_mode="torus", dim=dim)
+        built = load_or_build_curve(tmp_path, **args)
+        path = curve_cache_path(tmp_path, dim, 1, 50.0, 8, RngStream(68), "torus")
+        written = path.read_bytes()
+        path.write_text(json.dumps({**built.to_dict(), **edit}))
+        return built, load_or_build_curve(tmp_path, **args), written, path.read_bytes()
+
+    # each edit leaves a valid curve that one key field alone tells apart;
+    # k = 2 is a valid degree only in d = 3
+    @pytest.mark.parametrize("dim, edit", [
+        (3, {"k": 2}),
+        (2, {"dim": 3}),
+        (2, {"reps": 9}),
+        (2, {"L": 60.0}),
+        (2, {"seed": 7}),
+        (2, {"boundary_mode": "plain"}),
+        (2, {"s_grid": [0.0, 0.7]}),
+    ], ids=["k", "dim", "reps", "L", "seed", "boundary_mode", "s_grid"])
+    def test_file_disagreeing_with_its_key_rebuilds(self, tmp_path, dim, edit):
         # a file whose fields disagree with the request it is named for is
         # rebuilt and overwritten, not served
-        args = dict(k=1, s_grid=[0.0, 0.6], L=50.0, reps=8, rng=RngStream(68),
-                    boundary_mode="torus", dim=2)
-        built = load_or_build_curve(tmp_path, **args)
-        path = curve_cache_path(tmp_path, 2, 1, 50.0, 8, RngStream(68), "torus")
-        path.write_text(json.dumps({**built.to_dict(), **edit}))
-        served = load_or_build_curve(tmp_path, **args)
+        built, served, written, rewritten = self.served_after_edit(tmp_path, edit, dim)
+        assert LimitCurve.from_dict({**built.to_dict(), **edit}) != built
         assert served == built
-        assert (served.k, served.reps, served.dim, served.L, served.master_seed,
-                served.boundary_mode) == (1, 8, 2, 50.0, 68, "torus")
-        assert LimitCurve.from_dict(json.loads(path.read_text())) == built
+        assert rewritten == written
+
+    @pytest.mark.parametrize("edit", [{"k": True}, {"reps": 8.0}],
+                             ids=["k-true", "reps-float"])
+    def test_file_with_wrong_field_kinds_rebuilds(self, tmp_path, edit):
+        # True == 1 and 8.0 == 8, so only the kind check tells these files
+        # apart from the request; the rebuilt file says 1 and 8 again
+        built, served, written, rewritten = self.served_after_edit(tmp_path, edit)
+        with pytest.raises(LimitsError, match=r" must be an integer, got (True|8\.0)$"):
+            LimitCurve.from_dict({**built.to_dict(), **edit})
+        assert served == built
+        assert (type(served.k), type(served.reps)) == (int, int)
+        assert rewritten == written
 
     def test_provenance_rebuilt_from_the_values(self, tmp_path):
         # a cached provenance that contradicts the values is not served
@@ -427,7 +450,7 @@ class TestThermodynamicIntegral:
             thermodynamic_integral(unit_uniform(), 0.5, 1, curve)
 
     def test_degree_mismatch_rejected(self):
-        curve = synthetic_curve(lambda s: s, [0.0, 1.0], k=2)
+        curve = synthetic_curve(lambda s: s, [0.0, 1.0], k=2, dim=3)
         with pytest.raises(LimitsError, match="curve tabulates k=2, requested k=1$"):
             thermodynamic_integral(unit_uniform(), 0.5, 1, curve)
 
@@ -493,6 +516,32 @@ class TestConvergenceTable:
         rows = table.plot_rows()
         assert [int(x) for x, _ in rows] == [50, 100]
 
+    @staticmethod
+    def synthetic_table(means, stderrs=(0.375,) * 3):
+        schedule = (100, 200, 400)[:len(means)]
+        records = tuple(EstimateRecord("expectation_per_n", 1, None, 1.0, n, mean, se,
+                                       10, 5, "plain")
+                        for n, mean, se in zip(schedule, means, stderrs))
+        return ConvergenceTable(n_schedule=schedule, records=records, target=10.0,
+                                target_stderr=0.5)
+
+    def test_verdict_at_the_tolerance(self):
+        # 3 * hypot(0.375, 0.5) + 0.1 * 10 = 3 * 0.625 + 1 = 2.875, exact in floats
+        for mean in (12.875, 7.125):
+            at = self.synthetic_table([mean])
+            assert (at.gaps[-1], at.tolerance, at.passed) == (2.875, 2.875, True)
+            past = self.synthetic_table([math.nextafter(mean, mean + (mean - 10.0))])
+            assert past.gaps[-1] > past.tolerance == 2.875
+            assert not past.passed
+            assert past.to_dict()["passed"] is False
+
+    def test_verdict_reads_the_last_estimate(self):
+        # an earlier gap past the tolerance does not count, and the last
+        # stderr alone sets it: 3 * hypot(0, 0.5) + 1 = 2.5
+        assert self.synthetic_table([20.0, 12.875]).passed
+        tighter = self.synthetic_table([10.0, 12.875], stderrs=[0.375, 0.0])
+        assert tighter.tolerance == 2.5 and not tighter.passed
+
     def test_schedule_must_increase(self):
         with pytest.raises(LimitsError):
             convergence_table(unit_uniform(), [100, 50], 1.0, 1, 10,
@@ -535,29 +584,47 @@ class TestPoissonizationGap:
     def test_scaled_bounded_verdicts(self):
         # gap ~ c/sqrt(n) keeps the scaled column flat
         flat = self.synthetic_table([0.1, 0.05], [100, 400])
-        assert flat.scaled_bounded()
+        assert flat.scaled_bounded
         # a gap that grows with n blows the scaled column past doubling
         growing = self.synthetic_table([0.01, 0.05], [100, 400])
-        assert not growing.scaled_bounded()
+        assert not growing.scaled_bounded
 
     def test_declines_verdicts(self):
-        assert self.synthetic_table([0.1, 0.05], [100, 400]).declines()
-        assert not self.synthetic_table([0.01, 0.05], [100, 400]).declines()
+        assert self.synthetic_table([0.1, 0.05], [100, 400]).declines
+        assert not self.synthetic_table([0.01, 0.05], [100, 400]).declines
         # noise slack: a tiny rise within 3 combined stderr still passes
         noisy = self.synthetic_table([0.010, 0.011], [100, 400], stderr=0.01)
-        assert noisy.declines()
+        assert noisy.declines
+
+    def test_verdict_at_the_bounds(self):
+        # equal gaps at n = 100 and 400 sit on both bounds at once: the
+        # scaled column exactly doubles and the raw gap does not fall
+        at = self.synthetic_table([0.125, 0.125], [100, 400], stderr=0.0)
+        assert (at.scaled_bounded, at.declines, at.passed) == (True, True, True)
+        assert at.to_dict()["passed"] is True
+        past = self.synthetic_table([0.125, math.nextafter(0.125, 1.0)], [100, 400],
+                                    stderr=0.0)
+        assert (past.scaled_bounded, past.declines, past.passed) == (False, False, False)
+        assert past.to_dict()["passed"] is False
+
+    def test_verdict_needs_both_rules(self):
+        # falling slower than n^(-1/2), and rising within the doubling
+        slow = self.synthetic_table([0.1, 0.05], [100, 10000])
+        assert (slow.scaled_bounded, slow.declines, slow.passed) == (False, True, False)
+        rising = self.synthetic_table([0.1, 0.15], [100, 121])
+        assert (rising.scaled_bounded, rising.declines, rising.passed) == (True, False, False)
 
 
 class TestBoundaryStrips:
     def test_single_box_trivial_equality(self):
         report = boundary_strip_check(1.0, 1.0, 64.0, 1, 1, RngStream(82), reps=5, dim=2)
-        assert report.holds_all
+        assert report.passed
         assert set(report.diffs) == {0}
         assert set(report.bounds) == {0}
 
     def test_four_boxes_inequality_holds_every_time(self):
         report = boundary_strip_check(1.0, 0.8, 64.0, 4, 1, RngStream(83), reps=25, dim=2)
-        assert report.holds_all
+        assert report.passed
         assert report.violations == 0
         assert report.max_slack >= 0
 
@@ -597,7 +664,7 @@ class TestBoundaryStrips:
 
         monkeypatch.setattr(SimplicialComplex, "restrict", spy)
         report = boundary_strip_check(1.0, r, L, 16, 1, RngStream(86), reps=2)
-        assert report.holds_all
+        assert report.passed
         assert len(seen) == 2
         for labels, boxes in seen:
             assert labels == [3 * 4 + 2, 2 * 4 + 2, 3 * 4 + 2]
@@ -654,7 +721,7 @@ class TestArgumentChecks:
         (dict(r=1.0, k=1, dim=1), "k must lie in 1..d-1, got k=1 in d=1"),
         (dict(r=1.0, boundary_mode="torsu"),
          "boundary mode must be 'plain' or 'torus', got 'torsu'"),
-        (dict(r=1.0, workers=0), "workers must be at least 1, got 0"),
+        (dict(r=1.0, workers=0), "workers must lie in 1..256, got 0"),
         (dict(r=1e200, L=1e300, dim=2), "window volume 1e+300 too small for radius "
          "1e+200: its side 1e+150 must exceed 3r = 3e+200"),
         (dict(r=1.0, L=float("nan"), dim=2), "window volume nan too small for radius 1.0"),
@@ -815,6 +882,14 @@ class TestArgumentChecks:
         with pytest.raises(LimitsError, match=r"dimension must lie in 1\.\.6, got (20|7)$"):
             call()
 
+    def test_workers_capped(self):
+        # checked on the arguments alone: a map at this count would fork
+        # MAX_WORKERS processes
+        limits._check_args(workers=limits.MAX_WORKERS)
+        over = limits.MAX_WORKERS + 1
+        with pytest.raises(LimitsError, match=f"workers must lie in 1..256, got {over}$"):
+            limits._check_args(workers=over)
+
     def test_dimension_cap_admits_its_own_size(self):
         limits._check_args(dim=limits.MAX_DIM, r=0.3, L=1.0)
         assert len(cech._half_offsets(limits.MAX_DIM)) == 364
@@ -830,13 +905,13 @@ class TestIntensityPerturbation:
         report = intensity_perturbation_check(f, f, 1.0, 1, 10, RngStream(86))
         assert report.gap == 0.0
         assert report.ratio == 0.0
-        assert report.nested_bound_ok
+        assert report.passed
 
     def test_one_sided_perturbation_nested(self):
         f = self.base_intensity()
         g = IntensityGrid(f.box, f.cells_per_axis, f.values + np.array([0.3, 0.0, 0.0, 0.0]))
         report = intensity_perturbation_check(f, g, 1.0, 1, 30, RngStream(87))
-        assert report.nested_bound_ok
+        assert report.passed
         assert report.l1_distance == pytest.approx(0.3 * 9.0)
 
     @pytest.mark.parametrize("cells", [(1, 1), (2, 2)], ids=["one-cell", "2x2"])
@@ -858,7 +933,7 @@ class TestIntensityPerturbation:
         f = IntensityGrid(g.box, cells, g.values + bump)
         assert g.excess_over(f).total_mass == 0 < f.excess_over(g).total_mass
         report = intensity_perturbation_check(f, g, 1.0, 1, 6, RngStream(91))
-        assert report.nested_bound_ok
+        assert report.passed
         assert len(calls) == 6
         assert all(n_g <= n_f for n_g, n_f in calls)
         assert any(n_g < n_f for n_g, n_f in calls)
@@ -1082,7 +1157,7 @@ class TestReplicateMap:
 
     @pytest.mark.parametrize("reps, workers, message", [
         (1, 1, r"need 2..1000000 replicates \(2 for a standard error\), got 1$"),
-        (3, 0, "workers must be at least 1, got 0$"),
+        (3, 0, r"workers must lie in 1\.\.256, got 0$"),
     ], ids=["reps-1", "workers-0"])
     @pytest.mark.parametrize("name", MAP_CALLS)
     def test_counts_checked_before_any_replicate(self, monkeypatch, name, reps,
@@ -1222,29 +1297,28 @@ class TestJsonSchema:
          {"provenance": RECORD_KEYS}),
         (ScalingReport(lam=1.0, theta=2.0, r=1.0, lhs=_record(), rhs=_record(lam=2.0),
                        rhs_scaled_mean=0.015, rhs_scaled_stderr=0.0005, delta=0.015,
-                       combined_stderr=0.001, passed=False),
+                       combined_stderr=0.001),
          {"lambda", "theta", "r", "lhs", "rhs", "rhs_scaled_mean", "rhs_scaled_stderr",
           "delta", "combined_stderr", "passed"},
          {"lhs": RECORD_KEYS, "rhs": RECORD_KEYS}),
         (ConvergenceTable(n_schedule=(100,), records=(_record("expectation_per_n", None),),
                           target=0.02, target_stderr=0.001),
-         {"n_schedule", "rows", "target", "target_stderr", "gaps"},
+         {"n_schedule", "rows", "target", "target_stderr", "gaps", "tolerance", "passed"},
          {"rows": RECORD_KEYS}),
         (GapTable(rows=(GapRow(n=100, binomial_mean=0.03, poissonized_mean=0.029,
                                gap=0.001, gap_stderr=0.0005),),
                   k=1, r=1.0, reps=10, master_seed=5),
-         {"rows", "k", "r", "reps", "seed"},
+         {"rows", "k", "r", "reps", "seed", "scaled_bounded", "declines", "passed"},
          {"rows": {"n", "binomial_mean", "poissonized_mean", "gap", "gap_stderr",
                    "scaled", "scaled_stderr"}}),
         (StripReport(lam=1.0, r=1.0, L=64.0, boxes=4, k=1, reps=2, master_seed=5,
                      diffs=(0, 1), bounds=(2, 3)),
-         {"lambda", "r", "L", "boxes", "k", "reps", "seed", "holds_all", "violations",
+         {"lambda", "r", "L", "boxes", "k", "reps", "seed", "passed", "violations",
           "max_slack", "diffs", "bounds"},
          {}),
         (PerturbReport(r=1.0, k=1, reps=10, master_seed=5, gap=0.5, gap_stderr=0.1,
-                       l1_distance=2.5, ratio=0.2, nested_bound_ok=True),
-         {"r", "k", "reps", "seed", "gap", "gap_stderr", "l1_distance", "ratio",
-          "nested_bound_ok"},
+                       l1_distance=2.5, ratio=0.2, passed=True),
+         {"r", "k", "reps", "seed", "gap", "gap_stderr", "l1_distance", "ratio", "passed"},
          {}),
     ], ids=["EstimateRecord", "LimitCurve", "ScalingReport", "ConvergenceTable",
             "GapTable", "StripReport", "PerturbReport"])
@@ -1258,7 +1332,7 @@ class TestJsonSchema:
     def test_derived_values(self):
         strip = StripReport(lam=1.0, r=1.0, L=64.0, boxes=4, k=1, reps=2,
                             master_seed=5, diffs=(0, 4), bounds=(2, 3)).to_dict()
-        assert (strip["holds_all"], strip["violations"], strip["max_slack"]) == (False, 1, 2)
+        assert (strip["passed"], strip["violations"], strip["max_slack"]) == (False, 1, 2)
         table = ConvergenceTable(n_schedule=(100,), records=(_record(),),
                                  target=0.02, target_stderr=0.0).to_dict()
         assert table["gaps"] == [pytest.approx(0.01)]
