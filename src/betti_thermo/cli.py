@@ -37,7 +37,6 @@ from betti_thermo.limits import (
     poissonization_gap,
     scaling_check,
     thermodynamic_integral,
-    worker_pool,
     write_json,
     write_records_csv,
     write_text_atomic,
@@ -483,14 +482,12 @@ _COMMANDS = {
 def run(config: ExperimentConfig) -> int:
     """Dispatch a resolved config; returns the process exit status.
 
-    Every replicate map of the command shares one worker pool of
-    workers - 1 processes, forked at the first map that asks for workers
-    and shut down on return; each map runs one share in this process. A
-    replicate error in this process's share surfaces once the running
-    worker shares finish.
+    At --workers w each replicate map of the command runs one share in
+    this process and forks w - 1 processes for the others, all joined
+    before the map returns or raises; a worker that fails or dies raises
+    a LimitsError, which main prints as an error line.
     """
-    with worker_pool():
-        return _COMMANDS[config.command][0](config)
+    return _COMMANDS[config.command][0](config)
 
 
 def _attach_values(argv: list[str]) -> list[str]:

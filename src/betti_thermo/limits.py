@@ -13,9 +13,8 @@ bit-for-bit reproducible for any worker count. Every estimator and every
 experiment runs all its replicates in one map, _map_replicates(kind, tasks,
 reps, workers), with one task per grid point, schedule entry or side of the
 scaling identity. With workers > 1 the calling process runs one share of
-that map and a process pool of workers - 1 runs the rest; the pool lives
-for one worker_pool() scope, and the CLI opens one around a command, so
-the maps of one command share its workers.
+that map and forks one process for each other share; every one of them
+has exited by the time the map returns or raises.
 """
 
 from __future__ import annotations
@@ -24,10 +23,8 @@ import json
 import math
 import numbers
 import os
-import threading
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass, fields
+from multiprocessing import Pipe, Process
 from pathlib import Path
 
 import numpy as np
@@ -276,64 +273,38 @@ def _replicate(packed):
     return _REPLICATE_KINDS[kind](task, i)
 
 
-class _PoolScope:
-    """The process pool of one worker_pool() scope, started on first use."""
-
-    def __init__(self):
-        self._executor = None
-        self._workers = 0
-
-    def executor(self, workers: int) -> ProcessPoolExecutor:
-        # a call asking for more workers replaces the pool; one asking for
-        # fewer, such as a map with fewer replicates than workers, reuses it
-        if self._executor is not None and self._workers < workers:
-            self.close(cancel=False)
-        if self._executor is None:
-            self._executor = ProcessPoolExecutor(max_workers=workers)
-            self._workers = workers
-        return self._executor
-
-    def close(self, cancel: bool) -> None:
-        if self._executor is not None:
-            self._executor.shutdown(wait=True, cancel_futures=cancel)
-            self._executor = None
-
-
-# the scope open in each thread, if any
-_thread = threading.local()
-
-
-@contextmanager
-def worker_pool():
-    """Scope in which every replicate map shares one process pool.
-
-    Each experiment submits all its replicates in one map, which opens its
-    own scope; an outer scope, such as the one the CLI opens around a
-    command, lets several maps share the workers. The first map with
-    workers = w > 1 forks a pool of w - 1 processes (the calling process
-    runs the remaining share itself), later ones reuse it unless they ask
-    for more workers, and leaving the outermost scope shuts it down. That
-    waits for the shares already running, and cancels the rest when the
-    scope exits with an exception. Nested scopes join the open one. No pool
-    outlives its scope: forked workers keep the module state of the moment
-    they were forked, so a pool kept across scopes would run stale code.
-    """
-    if getattr(_thread, "scope", None) is not None:
-        yield _thread.scope
-        return
-    _thread.scope = scope = _PoolScope()
-    failed = True
+def _run_share(items, conn) -> None:
+    """A forked worker's share of a replicate map: sends (True, its values,
+    in order) or (False, the error of its first failing replicate)."""
     try:
-        yield scope
-        failed = False
-    finally:
-        _thread.scope = None
-        scope.close(cancel=failed)
+        result = (True, [_replicate(p) for p in items])
+    except Exception as exc:
+        result = (False, exc)
+    conn.send(result)
 
 
-def _run_share(items) -> list:
-    """The values of one share of a replicate map, in its order."""
-    return [_replicate(p) for p in items]
+def _fork_share(items):
+    """Forks a worker for one share; its process and the pipe it answers on."""
+    receive, send = Pipe(duplex=False)
+    child = Process(target=_run_share, args=(items, send))
+    child.start()
+    send.close()
+    return child, receive
+
+
+def _join_share(child, receive) -> tuple:
+    """A forked share's answer, once its worker has exited; a worker that
+    exited without one answers with a LimitsError naming it."""
+    try:
+        result = receive.recv()
+    except EOFError:
+        result = None
+    receive.close()
+    child.join()
+    if result is None:
+        result = (False, LimitsError(f"worker {child.pid} exited with code "
+                                     f"{child.exitcode} before returning its share"))
+    return result
 
 
 def _map_replicates(kind: str, tasks, reps: int, workers: int) -> list[list]:
@@ -346,10 +317,10 @@ def _map_replicates(kind: str, tasks, reps: int, workers: int) -> list[list]:
     sampled. The replicates go out task by task, so workers=1 runs them in
     exactly that order. Above that, with w = min(workers, replicates), the
     j-th replicate goes to share j % w: the calling process runs share 0
-    while the w-1 processes of the worker_pool() scope run the others, one
-    submit each, and the values are put back by index. If the caller's
-    share raises, the error surfaces once the running worker shares finish.
-    An empty task list forks no pool.
+    while w-1 processes, forked for this map, run one other share each, and
+    the values are put back by index. Every worker is joined before the map
+    returns or raises: the caller's own error first, then the first
+    worker's, in share order. An empty task list forks nothing.
     """
     _check_args(reps=reps, workers=workers)
     packed = [(kind, task, i) for task in tasks for i in range(reps)]
@@ -358,12 +329,17 @@ def _map_replicates(kind: str, tasks, reps: int, workers: int) -> list[list]:
         values = [_replicate(p) for p in packed]
     else:
         values = [None] * len(packed)
-        with worker_pool() as scope:
-            pool = scope.executor(workers - 1)
-            shares = [pool.submit(_run_share, packed[s::workers]) for s in range(1, workers)]
-            values[::workers] = _run_share(packed[::workers])
-            for s, share in enumerate(shares, 1):
-                values[s::workers] = share.result()
+        forked = []
+        try:
+            for s in range(1, workers):
+                forked.append(_fork_share(packed[s::workers]))
+            values[::workers] = [_replicate(p) for p in packed[::workers]]
+        finally:
+            answers = [_join_share(*share) for share in forked]
+        for s, (ok, result) in enumerate(answers, 1):
+            if not ok:
+                raise result
+            values[s::workers] = result
     return [values[t * reps:(t + 1) * reps] for t in range(len(tasks))]
 
 
@@ -639,9 +615,11 @@ def load_or_build_curve(cache_dir, k: int, s_grid, L: float, reps: int,
     """Fetch the curve from the cache directory, building it on a miss.
 
     A cached curve is served only if its k, dim, L, reps, seed, boundary
-    mode and s-grid all equal the request (the file name keys all but the
-    grid). Any other file, or one that is not a well-formed curve document,
-    is rebuilt and overwritten.
+    mode and s-grid, written as JSON, read exactly as the request's (the
+    file name keys all but the grid), so that a served curve writes the
+    bytes a rebuilt one would: "L": 50 does not stand for 50.0, nor
+    "seed": 68.0 for 68. Any other file, or one that is not a well-formed
+    curve document, is rebuilt and overwritten.
     """
     # checked before the cache lookup, so a hit cannot mask a bad count or mode
     _check_args(s_grid=s_grid, k=k, dim=dim, reps=reps, workers=workers,
@@ -653,10 +631,10 @@ def load_or_build_curve(cache_dir, k: int, s_grid, L: float, reps: int,
             curve = LimitCurve.from_dict(json.loads(path.read_text()))
         except (KeyError, TypeError, ValueError):
             curve = None
-        request = (k, dim, L, reps, rng.master_seed, boundary_mode, grid)
-        if curve is not None and request == (curve.k, curve.dim, curve.L, curve.reps,
-                                             curve.master_seed, curve.boundary_mode,
-                                             curve.s_grid):
+        request = [k, dim, L, reps, rng.master_seed, boundary_mode, grid]
+        if curve is not None and json.dumps(request) == json.dumps(
+                [curve.k, curve.dim, curve.L, curve.reps, curve.master_seed,
+                 curve.boundary_mode, curve.s_grid]):
             return curve
     curve = build_limit_curve(k, grid, L, reps, rng, boundary_mode=boundary_mode,
                               dim=dim, workers=workers)

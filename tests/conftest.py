@@ -1,7 +1,7 @@
 """Shared test reporting: acceptance criteria append their pass/fail
 lines here and the terminal summary echoes them after the run. Also the
-pool_starts and pool_shares fixtures, which count the worker pools the
-estimators build and the replicate shares they submit to them."""
+forked_shares fixture, which records the worker processes the estimators
+start and the size of the replicate share each one runs."""
 
 import pytest
 
@@ -11,31 +11,21 @@ acceptance_lines = []
 
 
 @pytest.fixture
-def pool_starts(monkeypatch):
-    """The max_workers of every process pool limits builds, in order."""
-    starts = []
-
-    class CountingPool(limits.ProcessPoolExecutor):
-        def __init__(self, max_workers=None, *args, **kwargs):
-            starts.append(max_workers)
-            super().__init__(max_workers, *args, **kwargs)
-
-    monkeypatch.setattr(limits, "ProcessPoolExecutor", CountingPool)
-    return starts
-
-
-@pytest.fixture
-def pool_shares(monkeypatch):
-    """The replicate count of every share submitted to a process pool limits
-    builds, in order: a map at workers=w submits w - 1 shares."""
+def forked_shares(monkeypatch):
+    """The replicate count of the share each worker process that limits
+    starts runs, in order: a map at workers=w starts w - 1 of them."""
     shares = []
 
-    class CountingPool(limits.ProcessPoolExecutor):
-        def submit(self, fn, items, **kwargs):
-            shares.append(len(items))
-            return super().submit(fn, items, **kwargs)
+    class CountingProcess(limits.Process):
+        def __init__(self, *, target, args):
+            super().__init__(target=target, args=args)
+            self.share = args[0]
 
-    monkeypatch.setattr(limits, "ProcessPoolExecutor", CountingPool)
+        def start(self):
+            shares.append(len(self.share))
+            super().start()
+
+    monkeypatch.setattr(limits, "Process", CountingProcess)
     return shares
 
 

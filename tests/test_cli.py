@@ -271,6 +271,20 @@ class TestCurveCommand:
         assert ((tmp_path / "c.curve.json").read_bytes()
                 == (tmp_path / "c2.curve.json").read_bytes())
 
+    @pytest.mark.parametrize("edit", [{"L": 16}, {"seed": 2.0}],
+                             ids=["L-int", "seed-float"])
+    def test_cache_file_with_its_key_in_another_kind_rebuilds(self, tmp_path, edit):
+        # the file equals the request field by field, but not as JSON
+        args = ["curve", "--k", "1", "--L", "16", "--reps", "3", "--s-max", "0.4",
+                "--s-step", "0.2", "--seed", "2"]
+        assert main(args + ["--out", str(tmp_path / "fresh")]) == 0
+        [cache] = (tmp_path / "cache").glob("curve_*.json")
+        cache.write_text(json.dumps({**json.loads(cache.read_text()), **edit}))
+        assert main(args + ["--out", str(tmp_path / "edited")]) == 0
+        for suffix in ("curve.json", "curve.dat"):
+            assert ((tmp_path / f"fresh.{suffix}").read_bytes()
+                    == (tmp_path / f"edited.{suffix}").read_bytes())
+
     def test_workers_below_one_rejected_on_cache_hit(self, tmp_path, capsys):
         args = ["curve", "--k", "1", "--L", "16", "--reps", "2", "--s-max", "0.2",
                 "--s-step", "0.2", "--seed", "4"]
@@ -417,6 +431,10 @@ class TestVerdicts:
         "converge": ["converge", "--n-schedule", "20,40", "--reps", "4", "--r", "0.6",
                      "--s-max", "0.8", "--curve-L", "16", "--curve-reps", "4", "--seed", "3"],
         "gap": ["gap", "--n-schedule", "20,40", "--reps", "4", "--r", "0.6", "--seed", "5"],
+        # at r = 0.6 the coupled clouds agree on beta_1 in every replicate, so
+        # every gap is 0; at r = 1.5 they differ, and the verdict is computed
+        "gap-nonzero": ["gap", "--n-schedule", "20,40", "--reps", "6", "--r", "1.5",
+                        "--seed", "0"],
         "checks": ["checks", "--L", "25", "--reps", "2", "--seed", "4"],
     }
 
@@ -432,11 +450,15 @@ class TestVerdicts:
         code, doc, verdicts = self.run(tmp_path, self.CASES[command])
         assert len(verdicts) == (3 if command == "checks" else 1)
         assert code == (0 if all(verdicts) else 1)
-        if command == "gap":
+        if command.startswith("gap"):
             assert doc["passed"] == (doc["scaled_bounded"] and doc["declines"])
         printed = capsys.readouterr().out.splitlines()
         assert [line.split(": ")[-1].split()[0] for line in printed] == [
             "pass" if ok else "fail" for ok in verdicts]
+
+    def test_gap_case_has_a_nonzero_gap(self, tmp_path, capsys):
+        _, doc, _ = self.run(tmp_path, self.CASES["gap-nonzero"])
+        assert any(row["gap"] > 0 for row in doc["rows"])
 
     def test_converge_far_from_its_target_fails(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli, "thermodynamic_integral",
@@ -459,7 +481,7 @@ class TestVerdicts:
 
 class TestRejectedBeforeAnyPool:
     """Arguments the estimators cannot use fail with a message naming the
-    value, before any sampling, artifact or worker pool."""
+    value, before any sampling, artifact or worker process."""
 
     @pytest.mark.parametrize("argv, message", [
         (["sample", "--seed", "-3", "--n", "4"],
@@ -475,13 +497,13 @@ class TestRejectedBeforeAnyPool:
         (["rate", "--L", "16", "--reps", "2", "--workers", str(limits.MAX_WORKERS + 1)],
          f"workers must lie in 1..{limits.MAX_WORKERS}, got {limits.MAX_WORKERS + 1}"),
     ], ids=["sample-seed", "rate-seed", "perturbation-k", "torus-side", "workers-cap"])
-    def test_rejected(self, tmp_path, capsys, pool_starts, argv, message):
+    def test_rejected(self, tmp_path, capsys, forked_shares, argv, message):
         assert main(argv + ["--out", str(tmp_path / "x")]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {message}")
         assert "Traceback" not in err
         assert not list(tmp_path.iterdir())
-        assert pool_starts == []
+        assert forked_shares == []
 
     @pytest.mark.parametrize("fields, named", [
         (dict(values=[1.5, -0.5]), "finite and non-negative, got -0.5"),
@@ -504,10 +526,9 @@ class TestRejectedBeforeAnyPool:
 
 
 class TestWorkerPool:
-    """A command forks its workers once, when its first replicate map asks
-    for them, and none are left when main returns. At --workers w the pool
-    holds w - 1 processes: the command's own process runs one share of
-    each map."""
+    """At --workers w each replicate map of a command runs one share in the
+    command's own process and forks one process for each of the w - 1
+    others, and none are left when main returns."""
 
     CONVERGE = ["converge", "--n-schedule", "20,40", "--reps", "4", "--r", "0.6",
                 "--s-max", "0.8", "--curve-L", "16", "--curve-reps", "3",
@@ -518,29 +539,35 @@ class TestWorkerPool:
     CURVE = ["curve", "--k", "1", "--L", "16", "--reps", "3", "--s-max", "0.6",
              "--s-step", "0.2", "--seed", "2"]
 
-    @pytest.mark.parametrize("argv", [CONVERGE, CHECKS], ids=["converge", "checks"])
-    def test_one_pool_per_command(self, tmp_path, pool_starts, argv):
+    # converge on a cache miss maps the curve (24 replicates), then the table
+    # (8); checks maps the scaling identity (6), the strips (3) and the
+    # perturbation (3). At --workers 2 each map forks its odd replicates
+    @pytest.mark.parametrize("argv, shares", [(CONVERGE, [12, 4]), (CHECKS, [3, 1, 1])],
+                             ids=["converge", "checks"])
+    def test_one_pool_per_command(self, tmp_path, forked_shares, argv, shares):
         main(argv + ["--workers", "2", "--out", str(tmp_path / "w2")])
-        assert pool_starts == [1]
+        assert forked_shares == shares
         assert not multiprocessing.active_children()
 
-    def test_serial_command_forks_nothing(self, tmp_path, pool_starts):
+    def test_serial_command_forks_nothing(self, tmp_path, forked_shares):
         main(self.CHECKS + ["--out", str(tmp_path / "w1")])
-        assert pool_starts == []
+        assert forked_shares == []
 
-    def test_curve_cache_hit_forks_nothing(self, tmp_path, pool_starts):
+    def test_curve_cache_hit_forks_nothing(self, tmp_path, forked_shares):
         assert main(self.CURVE + ["--out", str(tmp_path / "miss")]) == 0
         assert main(self.CURVE + ["--workers", "2", "--out", str(tmp_path / "hit")]) == 0
-        assert pool_starts == []
+        assert forked_shares == []
 
     # replicate i of grid point t has map index 4t + i, so at --workers 2
     # odd i fall in the worker's share and even i in the command's own
     CURVE_EVEN = ["curve", "--k", "1", "--L", "16", "--reps", "4", "--s-max", "0.6",
                   "--s-step", "0.2", "--seed", "2", "--workers", "2"]
 
-    def failing_run(self, tmp_path, capsys, monkeypatch, fails):
+    def failing_run(self, tmp_path, capsys, monkeypatch, fails, dies=False):
         def replicate(task, i):
             if fails(i):
+                if dies:
+                    os._exit(3)
                 raise limits.LimitsError(f"replicate {i} failed in pid {os.getpid()}")
             return 0
 
@@ -549,7 +576,9 @@ class TestWorkerPool:
         assert code == 1
         assert not multiprocessing.active_children()
         assert not list(tmp_path.glob("x*"))
-        return capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        return err
 
     def test_replicate_error_in_worker(self, tmp_path, capsys, monkeypatch):
         err = self.failing_run(tmp_path, capsys, monkeypatch, lambda i: i % 2 == 1)
@@ -559,6 +588,12 @@ class TestWorkerPool:
     def test_replicate_error_in_caller(self, tmp_path, capsys, monkeypatch):
         err = self.failing_run(tmp_path, capsys, monkeypatch, lambda i: i == 0)
         assert f"replicate 0 failed in pid {os.getpid()}" in err
+
+    def test_dead_worker_is_an_error(self, tmp_path, capsys, monkeypatch):
+        err = self.failing_run(tmp_path, capsys, monkeypatch, lambda i: i % 2 == 1,
+                               dies=True)
+        assert re.fullmatch(r"error: worker \d+ exited with code 3 before returning "
+                            r"its share\n", err)
 
     @pytest.mark.parametrize("argv", [CONVERGE, GAP, CHECKS],
                              ids=["converge", "gap", "checks"])
@@ -1039,13 +1074,13 @@ class TestWorkCap:
         (["rate", "--reps", "1000000000000", "--r", "1", "--L", "100"],
          "need 2..1000000 replicates (2 for a standard error), got 1000000000000"),
     ], ids=["rate", "sample", "sample-n", "perturbation", "s-grid", "torus-dim", "reps"])
-    def test_rejected_before_sampling(self, tmp_path, capsys, pool_starts, argv, named):
+    def test_rejected_before_sampling(self, tmp_path, capsys, forked_shares, argv, named):
         assert main(argv + ["--out", str(tmp_path / "x")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and named in err
         assert "Traceback" not in err
         assert not list(tmp_path.iterdir())
-        assert pool_starts == []
+        assert forked_shares == []
 
     @pytest.mark.parametrize("argv", [
         ["rate", "--dim", "20", "--r", "0.3", "--L", "100", "--reps", "2"],
@@ -1098,7 +1133,7 @@ class TestWorkCap:
 
 
 class _Reached(Exception):
-    """Raised in place of the first sample, replicate or worker pool."""
+    """Raised in place of the first sample, replicate or worker process."""
 
 
 def _reach(*args, **kwargs):
@@ -1108,7 +1143,7 @@ def _reach(*args, **kwargs):
 class TestEveryNumericFlag:
     """Every numeric flag of every command and branch, over the values the
     library properties use, written as flag text: the run either reaches
-    its first sample, replicate or worker pool, or exits 1 with an error
+    its first sample, replicate or worker process, or exits 1 with an error
     line, no traceback and no artifact. Nothing is sampled for real."""
 
     VALUES = ["nan", "inf", "-inf", "-0.0", "0", "1e308", "1e-300", "2.5", "2.0", "True", "2"]
@@ -1137,7 +1172,7 @@ class TestEveryNumericFlag:
     def outcome(self, run, values, tmp_path, capsys) -> str:
         argv = self.RUNS[run] + [f"{flag}={value}" for flag, value in values.items()]
         with pytest.MonkeyPatch.context() as patch:
-            for module, name in [(limits, "_replicate"), (limits, "ProcessPoolExecutor"),
+            for module, name in [(limits, "_replicate"), (limits, "Process"),
                                  (cli, "sample_poisson_homogeneous"),
                                  (cli, "sample_binomial")]:
                 patch.setattr(module, name, _reach)

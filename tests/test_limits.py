@@ -43,7 +43,6 @@ from betti_thermo.limits import (
     records_csv,
     scaling_check,
     thermodynamic_integral,
-    worker_pool,
 )
 from betti_thermo.cech import SimplicialComplex, build_cech
 from betti_thermo.homology import betti_numbers
@@ -378,6 +377,16 @@ class TestCurveCache:
             LimitCurve.from_dict({**built.to_dict(), **edit})
         assert served == built
         assert (type(served.k), type(served.reps)) == (int, int)
+        assert rewritten == written
+
+    @pytest.mark.parametrize("edit", [{"L": 50}, {"seed": 68.0}],
+                             ids=["L-int", "seed-float"])
+    def test_file_with_its_key_in_another_kind_rebuilds(self, tmp_path, edit):
+        # 50 == 50.0 and 68.0 == 68, and both are valid curve fields, but a
+        # served curve would write them back as 50 and 68.0
+        built, served, written, rewritten = self.served_after_edit(tmp_path, edit)
+        assert LimitCurve.from_dict({**built.to_dict(), **edit}) == built
+        assert (type(served.L), type(served.master_seed)) == (float, int)
         assert rewritten == written
 
     def test_provenance_rebuilt_from_the_values(self, tmp_path):
@@ -966,69 +975,49 @@ class TestIntensityPerturbation:
 
 
 class TestWorkerPool:
-    """One replicate map and one process pool per experiment: at workers=w
-    the calling process runs one share of the map and a pool of w - 1
-    processes the others. The pool is forked at the first map with
-    workers > 1, reused by the later ones in the same scope, and gone when
-    the scope ends."""
+    """One replicate map per experiment: at workers=w the calling process
+    runs one share of the map and forks one process for each of the w - 1
+    others, and every one of them has exited when the map returns."""
 
-    def test_curve_forks_one_pool(self, pool_starts):
+    def test_curve_forks_one_pool(self, forked_shares):
         a = build_limit_curve(1, [0.0, 0.4, 0.8, 1.2], 16.0, 3, RngStream(64))
         b = build_limit_curve(1, [0.0, 0.4, 0.8, 1.2], 16.0, 3, RngStream(64),
                               workers=2)
-        # the calling process is the second worker
-        assert pool_starts == [1]
+        # the calling process is the second worker: 9 replicates, 4 forked
+        assert forked_shares == [4]
         assert a == b
         assert not multiprocessing.active_children()
 
     @pytest.mark.parametrize("workers", [2, 3, 4, 7])
-    def test_shares_match_serial(self, pool_starts, workers):
+    def test_shares_match_serial(self, forked_shares, workers):
         # 6 replicates: even shares at 2 and 3 workers, uneven ones (2, 2, 1,
-        # 1) at 4, and more workers than replicates at 7
+        # 1) at 4, and more workers than replicates at 7, which forks 5
+        shares = {2: [3], 3: [2, 2], 4: [2, 1, 1], 7: [1] * 5}[workers]
         tasks = [(1.0, 0.5, 16.0, 1, 2, "plain", RngStream(seed)) for seed in (60, 61)]
         serial = limits._map_replicates("simplex_rate", tasks, 3, 1)
-        assert pool_starts == []
+        assert forked_shares == []
         assert limits._map_replicates("simplex_rate", tasks, 3, workers) == serial
-        assert pool_starts == [min(workers, 6) - 1]
+        assert forked_shares == shares
         assert not multiprocessing.active_children()
 
     def test_caller_runs_share_zero(self, monkeypatch):
         # replicate j of the map goes to share j % workers: share 0 runs in
-        # the calling process, each other share in one worker (an idle
-        # worker takes the next share, so two shares may share a worker)
+        # the calling process, each other share in a process of its own
         monkeypatch.setitem(limits._REPLICATE_KINDS, "betti_rate",
                             lambda task, i: os.getpid())
         [pids] = limits._map_replicates("betti_rate", [None], 7, 3)
         assert pids[0::3] == [os.getpid()] * 3
-        for share in (pids[1::3], pids[2::3]):
-            assert len(share) == 2 and len(set(share)) == 1
-            assert share[0] != os.getpid()
+        assert pids[1::3] == [pids[1]] * 2 and pids[2::3] == [pids[2]] * 2
+        assert len({os.getpid(), pids[1], pids[2]}) == 3
         assert not multiprocessing.active_children()
 
-    def test_experiments_fork_one_pool_each(self, pool_starts):
+    def test_experiments_fork_one_pool_each(self, forked_shares):
         density = unit_uniform()
         convergence_table(density, [20, 40, 60], 0.6, 1, 3, RngStream(65),
                           0.0, 0.0, workers=2)
         poissonization_gap(density, [20, 40], 0.6, 1, 3, RngStream(66), workers=2)
         scaling_check(1.0, 2.0, 1.0, 64.0, 1, 3, RngStream(67), workers=2)
-        assert pool_starts == [1, 1, 1]
-        assert not multiprocessing.active_children()
-
-    def test_scope_shares_one_pool_across_calls(self, pool_starts):
-        with worker_pool() as outer:
-            with worker_pool() as inner:
-                assert inner is outer
-            estimate_simplex_rate(1.0, 0.5, 16.0, 1, 4, RngStream(68), workers=2)
-            estimate_betti_rate(1.0, 1.0, 16.0, 1, 4, RngStream(68), workers=2)
-            assert pool_starts == [1]
-            assert len(multiprocessing.active_children()) == 1
-            # another worker count replaces the pool
-            estimate_simplex_rate(1.0, 0.5, 16.0, 1, 4, RngStream(68), workers=3)
-            assert pool_starts == [1, 2]
-            assert len(multiprocessing.active_children()) == 2
-            # a map of 2 replicates at workers=3 submits one share to it
-            estimate_simplex_rate(1.0, 0.5, 16.0, 1, 2, RngStream(68), workers=3)
-            assert pool_starts == [1, 2]
+        assert forked_shares == [4, 3, 3]
         assert not multiprocessing.active_children()
 
     @pytest.mark.parametrize("experiment, replicates", [
@@ -1041,18 +1030,18 @@ class TestWorkerPool:
         (lambda w: scaling_check(1.0, 2.0, 1.0, 64.0, 1, 3, RngStream(98),
                                  workers=w), 6),
     ], ids=["curve", "converge", "gap", "scaling"])
-    def test_experiment_makes_one_map(self, pool_shares, experiment, replicates):
+    def test_experiment_makes_one_map(self, forked_shares, experiment, replicates):
         serial = experiment(1)
-        assert pool_shares == []
+        assert forked_shares == []
         assert experiment(2) == serial
-        # one map at workers=2 submits one share, the odd-indexed replicates
-        assert pool_shares == [replicates // 2]
+        # one map at workers=2 forks one share, the odd-indexed replicates
+        assert forked_shares == [replicates // 2]
 
-    def test_empty_job_list_forks_nothing(self, pool_starts):
+    def test_empty_job_list_forks_nothing(self, forked_shares):
         assert limits._map_replicates("betti_rate", [], 3, 2) == []
         with pytest.raises(LimitsError, match="s_grid must be strictly increasing"):
             build_limit_curve(1, [0.0], 16.0, 3, RngStream(99), workers=2)
-        assert pool_starts == []
+        assert forked_shares == []
 
     @pytest.mark.parametrize("experiment, message", [
         # s = 3 needs L > (3s)^2 = 81
@@ -1072,15 +1061,14 @@ class TestWorkerPool:
         with pytest.raises(LimitsError, match=message):
             experiment()
 
-    def test_serial_forks_nothing(self, pool_starts):
+    def test_serial_forks_nothing(self, forked_shares):
         build_limit_curve(1, [0.0, 0.5, 1.0], 16.0, 3, RngStream(69))
-        with worker_pool():
-            estimate_betti_rate(1.0, 1.0, 16.0, 1, 3, RngStream(69))
-        assert pool_starts == []
+        estimate_betti_rate(1.0, 1.0, 16.0, 1, 3, RngStream(69))
+        assert forked_shares == []
 
     def test_later_scope_forks_current_code(self, monkeypatch):
-        # a pool kept across scopes would still run the replicate code of
-        # the moment its workers were forked
+        # a worker kept across maps would still run the replicate code of
+        # the moment it was forked
         rate = estimate_simplex_rate(1.0, 0.5, 16.0, 0, 4, RngStream(70), workers=2)
         assert rate.mean != 7.0
         monkeypatch.setitem(limits._REPLICATE_KINDS, "simplex_rate",
@@ -1095,6 +1083,27 @@ class TestWorkerPool:
         monkeypatch.setitem(limits._REPLICATE_KINDS, "betti_rate", fail)
         with pytest.raises(LimitsError, match="replicate 0 failed"):
             build_limit_curve(1, [0.5, 1.0], 16.0, 8, RngStream(71), workers=2)
+        assert not multiprocessing.active_children()
+
+    def test_first_worker_error_in_share_order(self, monkeypatch):
+        def fail(task, i):
+            if i % 3:
+                raise LimitsError(f"replicate {i} failed")
+            return 0
+
+        # shares 1 and 2 (replicates 1, 4 and 2, 5) fail, the caller's does not
+        monkeypatch.setitem(limits._REPLICATE_KINDS, "betti_rate", fail)
+        with pytest.raises(LimitsError, match="replicate 1 failed"):
+            limits._map_replicates("betti_rate", [None], 6, 3)
+        assert not multiprocessing.active_children()
+
+    def test_dead_worker_is_an_error(self, monkeypatch):
+        # the odd replicates, the worker's share at workers=2, end its process
+        monkeypatch.setitem(limits._REPLICATE_KINDS, "betti_rate",
+                            lambda task, i: os._exit(3) if i % 2 else 0)
+        with pytest.raises(LimitsError, match=r"^worker \d+ exited with code 3 "
+                                              "before returning its share$"):
+            limits._map_replicates("betti_rate", [None], 4, 2)
         assert not multiprocessing.active_children()
 
 
@@ -1171,7 +1180,7 @@ class TestReplicateMap:
 
 
 class _Reached(Exception):
-    """Raised in place of the first replicate or worker pool."""
+    """Raised in place of the first replicate or worker process."""
 
 
 def _reach(*args, **kwargs):
@@ -1232,7 +1241,7 @@ def _fuzzed(name) -> list[str]:
 class TestEveryValueFailsFast:
     """Every count and real argument of every public estimator and
     experiment, over FUZZ_VALUES: the call either reaches its first
-    replicate (or worker pool) or raises this package's own error before
+    replicate (or worker process) or raises this package's own error before
     it. No foreign error escapes: no TypeError, OverflowError, MemoryError
     or numpy error."""
 
@@ -1246,7 +1255,7 @@ class TestEveryValueFailsFast:
             kwargs["cache_dir"] = tmp_path
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(limits, "_replicate", _reach)
-            patch.setattr(limits, "ProcessPoolExecutor", _reach)
+            patch.setattr(limits, "Process", _reach)
             try:
                 function(**kwargs)
             except _Reached:
