@@ -49,6 +49,9 @@ from betti_thermo.pointproc import PointCloud
 # absolute slack on the miniball-radius <= r/2 comparison; keeps the
 # complex monotone in r under floating point
 MINIBALL_TOL = 1e-12
+# the builder's version in limit-curve cache file names: bump it whenever a
+# change can make any complex differ, so no cached curve outlives its builder
+ALGORITHM_VERSION = 1
 
 
 class CechError(ValueError):

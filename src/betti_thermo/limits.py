@@ -12,9 +12,11 @@ Replicates draw from per-index RNG substreams, so every estimator is
 bit-for-bit reproducible for any worker count. Every estimator and every
 experiment runs all its replicates in one map, _map_replicates(kind, tasks,
 reps, workers), with one task per grid point, schedule entry or side of the
-scaling identity. With workers > 1 the calling process runs one share of
-that map and forks one process for each other share; every one of them
-has exited by the time the map returns or raises.
+scaling identity: a partial over a module-level _rep_* body, called as
+task(i) for replicate i. kind only labels trace spans and picks _records'
+record shape. With workers > 1 the calling process runs one share of that
+map and forks one process for each other share; every one of them has
+exited by the time the map returns or raises.
 """
 
 from __future__ import annotations
@@ -23,13 +25,15 @@ import json
 import math
 import numbers
 import os
+import pickle
 from dataclasses import dataclass, fields
+from functools import partial
 from multiprocessing import Pipe, Process
 from pathlib import Path
 
 import numpy as np
 
-from betti_thermo.cech import build_cech, simplices_touching
+from betti_thermo.cech import ALGORITHM_VERSION, build_cech, simplices_touching
 from betti_thermo.homology import betti_diff_bound_check, betti_numbers
 from betti_thermo.pointproc import (
     DensityGrid,
@@ -170,32 +174,28 @@ def _betti_k(cloud: PointCloud, r: float, k: int, period: float | None) -> int:
     return betti_numbers(cx, k)[k]
 
 
-def _rep_betti_rate(task, i: int):
-    lam, r, L, k, dim, mode, stream = task
+def _rep_betti_rate(lam, r, L, k, dim, mode, stream, i: int):
     cloud = sample_poisson_homogeneous(lam, Window.centered(L, dim), stream.substream(i))
     return _betti_k(cloud, r, k, _torus_period(L, dim, mode)) / L
 
 
-def _rep_simplex_rate(task, i: int):
-    lam, r, L, j, dim, mode, stream = task
+def _rep_simplex_rate(lam, r, L, j, dim, mode, stream, i: int):
     cloud = sample_poisson_homogeneous(lam, Window.centered(L, dim), stream.substream(i))
     cx = build_cech(cloud, r, j, period=_torus_period(L, dim, mode))
     return len(cx.simplices_of(j)) / L
 
 
-def _rep_binomial(task, i: int):
-    density, n, r, k, stream = task
+def _rep_binomial(density, n, r, k, stream, i: int):
     cloud = scale_points(sample_binomial(density, n, stream.substream(i)),
                          n ** (1.0 / density.dim))
     return _betti_k(cloud, r, k, None) / n
 
 
-def _rep_gap(task, i: int):
+def _rep_gap(density, n, r, k, stream, i: int):
     # shared point sequence: binomial keeps the first n draws, the
     # Poissonized process the first N ~ Poisson(n); common random numbers.
     # Deduplication keeps first occurrences in order, also after scaling,
     # so the shorter sequence's cloud is a prefix of the longer one's
-    density, n, r, k, stream = task
     gen = stream.substream(i).generator()
     count = int(gen.poisson(n))
     pts = density.sample(max(n, count), gen)
@@ -209,8 +209,7 @@ def _rep_gap(task, i: int):
     return (b / n, p / n)
 
 
-def _rep_strip(task, i: int):
-    lam, r, L, m, k, dim, stream = task
+def _rep_strip(lam, r, L, m, k, dim, stream, i: int):
     window = Window.centered(L, dim)
     cloud = sample_poisson_homogeneous(lam, window, stream.substream(i))
     cx = build_cech(cloud, r, k + 1)
@@ -239,8 +238,7 @@ def _strip_mask(points: np.ndarray, window: Window, m: int, pad: float) -> np.nd
     return window.contains(points) & near
 
 
-def _rep_perturb(task, i: int):
-    base, extra_f, extra_g, r, k, stream = task
+def _rep_perturb(base, extra_f, extra_g, r, k, stream, i: int):
     sub = stream.substream(i)
     shared = sample_poisson_intensity(base, sub.substream(0))
     cloud_f = superpose(shared, sample_poisson_intensity(extra_f, sub.substream(1)))
@@ -258,28 +256,24 @@ def _rep_perturb(task, i: int):
     return (bf - bg, nested_ok)
 
 
-_REPLICATE_KINDS = {
-    "betti_rate": _rep_betti_rate,
-    "simplex_rate": _rep_simplex_rate,
-    "binomial": _rep_binomial,
-    "gap": _rep_gap,
-    "strip": _rep_strip,
-    "perturb": _rep_perturb,
-}
-
-
 def _replicate(packed):
-    kind, task, i = packed
-    return _REPLICATE_KINDS[kind](task, i)
+    _, task, i = packed
+    return task(i)
 
 
 def _run_share(items, conn) -> None:
     """A forked worker's share of a replicate map: sends (True, its values,
-    in order) or (False, the error of its first failing replicate)."""
+    in order) or (False, the error of its first failing replicate). An
+    error that does not survive pickling is sent as a LimitsError naming
+    this worker and the error's type and text."""
     try:
         result = (True, [_replicate(p) for p in items])
     except Exception as exc:
         result = (False, exc)
+        try:
+            pickle.loads(pickle.dumps(exc))
+        except Exception:
+            result = (False, LimitsError(f"worker {os.getpid()} raised {type(exc).__name__}: {exc}"))
     conn.send(result)
 
 
@@ -308,38 +302,36 @@ def _join_share(child, receive) -> tuple:
 
 
 def _map_replicates(kind: str, tasks, reps: int, workers: int) -> list[list]:
-    """Runs reps replicates of each task, all of one kind, in one map and
-    returns each task's values; replicate i of a task draws from substream
-    i of the task's stream.
+    """Runs replicates 0..reps-1 of each task in one map and returns each
+    task's values: task(i) draws from substream i of the task's stream.
+    kind, the tasks' replicate body, is only a label of trace spans until
+    the benchmark reads the library's own records.
 
     Every estimator and experiment runs its replicates here, so the
     replicate and worker counts are checked once, before any cloud is
-    sampled. The replicates go out task by task, so workers=1 runs them in
-    exactly that order. Above that, with w = min(workers, replicates), the
-    j-th replicate goes to share j % w: the calling process runs share 0
-    while w-1 processes, forked for this map, run one other share each, and
-    the values are put back by index. Every worker is joined before the map
-    returns or raises: the caller's own error first, then the first
-    worker's, in share order. An empty task list forks nothing.
+    sampled. The replicates go out task by task; with w = max(1,
+    min(workers, replicates)), the j-th goes to share j % w. The calling
+    process runs share 0 in order, so w = 1 forks nothing, while w-1
+    processes, forked for this map, run one other share each; the values
+    are put back by index. Every worker is joined before the map returns
+    or raises: the caller's own error first, then the first worker's, in
+    share order.
     """
     _check_args(reps=reps, workers=workers)
     packed = [(kind, task, i) for task in tasks for i in range(reps)]
-    workers = min(workers, len(packed))
-    if workers <= 1:
-        values = [_replicate(p) for p in packed]
-    else:
-        values = [None] * len(packed)
-        forked = []
-        try:
-            for s in range(1, workers):
-                forked.append(_fork_share(packed[s::workers]))
-            values[::workers] = [_replicate(p) for p in packed[::workers]]
-        finally:
-            answers = [_join_share(*share) for share in forked]
-        for s, (ok, result) in enumerate(answers, 1):
-            if not ok:
-                raise result
-            values[s::workers] = result
+    w = max(1, min(workers, len(packed)))
+    values = [None] * len(packed)
+    forked = []
+    try:
+        for s in range(1, w):
+            forked.append(_fork_share(packed[s::w]))
+        values[::w] = [_replicate(p) for p in packed[::w]]
+    finally:
+        answers = [_join_share(*share) for share in forked]
+    for s, (ok, result) in enumerate(answers, 1):
+        if not ok:
+            raise result
+        values[s::w] = result
     return [values[t * reps:(t + 1) * reps] for t in range(len(tasks))]
 
 
@@ -354,11 +346,11 @@ def _records(kind: str, tasks, reps: int, workers: int) -> list[EstimateRecord]:
     for task, values in zip(tasks, _map_replicates(kind, tasks, reps, workers)):
         mean, stderr = _mean_stderr(values)
         if kind == "binomial":
-            _, n, r, k, rng = task
+            _, n, r, k, rng = task.args
             records.append(EstimateRecord("expectation_per_n", k, None, r, n, mean,
                                           stderr, reps, rng.master_seed, "plain"))
         else:
-            lam, r, L, degree, _, boundary_mode, rng = task
+            lam, r, L, degree, _, boundary_mode, rng = task.args
             records.append(EstimateRecord(kind, degree, lam, r, L, mean, stderr, reps,
                                           rng.master_seed, boundary_mode))
     return records
@@ -472,7 +464,7 @@ def _check_args(**args) -> None:
 def _betti_rate_task(lam: float, r: float, L: float, k: int, rng: RngStream,
                      boundary_mode: str, dim: int):
     _check_args(lam=lam, r=r, L=L, dim=dim, k=k, boundary_mode=boundary_mode)
-    return lam, r, L, k, dim, boundary_mode, rng
+    return partial(_rep_betti_rate, lam, r, L, k, dim, boundary_mode, rng)
 
 
 def estimate_betti_rate(lam: float, r: float, L: float, k: int, reps: int,
@@ -492,7 +484,7 @@ def estimate_simplex_rate(lam: float, r: float, L: float, j: int, reps: int,
                           dim: int = 2, workers: int = 1) -> EstimateRecord:
     """Mean of S_j(lam, r; L) / L, the per-volume j-simplex count."""
     _check_args(lam=lam, r=r, L=L, dim=dim, j=j, boundary_mode=boundary_mode)
-    task = (lam, r, L, j, dim, boundary_mode, rng)
+    task = partial(_rep_simplex_rate, lam, r, L, j, dim, boundary_mode, rng)
     return _records("simplex_rate", [task], reps, workers)[0]
 
 
@@ -599,13 +591,14 @@ def build_limit_curve(k: int, s_grid, L: float, reps: int, rng: RngStream,
 
 def curve_cache_path(cache_dir, dim: int, k: int, L: float, reps: int,
                      rng: RngStream, boundary_mode: str) -> Path:
-    """Cache file of a limit curve. The name carries the numpy version,
-    since sampled streams are reproducible only within one version."""
+    """Cache file of a limit curve. The name carries the complex builder's
+    ALGORITHM_VERSION and the numpy version, since a curve is reproducible
+    only within one of each."""
     seed_tag = str(rng.master_seed)
     if rng.path:
         seed_tag += "p" + "-".join(str(p) for p in rng.path)
     name = (f"curve_d{dim}_k{k}_L{_fmt(L)}_reps{reps}_seed{seed_tag}_{boundary_mode}"
-            f"_numpy{np.__version__}.json")
+            f"_cech{ALGORITHM_VERSION}_numpy{np.__version__}.json")
     return Path(cache_dir) / name
 
 
@@ -736,7 +729,7 @@ def scaling_check(lam: float, theta: float, r: float, L: float, k: int,
 
 def _binomial_task(density: DensityGrid, n: int, r: float, k: int, rng: RngStream):
     _check_args(n=n, r=r, k=k, dim=density.dim)
-    return density, n, r, k, rng
+    return partial(_rep_binomial, density, n, r, k, rng)
 
 
 def estimate_binomial_expectation(density: DensityGrid, n: int, r: float,
@@ -878,7 +871,7 @@ def poissonization_gap(density: DensityGrid, n_schedule, r: float, k: int,
     _check_args(schedule=schedule, r=r, k=k, dim=density.dim)
     schedule = tuple(map(int, schedule))
     rows = []
-    results = _map_replicates("gap", [(density, n, r, k, rng.substream(idx))
+    results = _map_replicates("gap", [partial(_rep_gap, density, n, r, k, rng.substream(idx))
                                       for idx, n in enumerate(schedule)], reps, workers)
     for n, pairs in zip(schedule, results):
         b_vals = [b for b, _ in pairs]
@@ -949,7 +942,8 @@ def boundary_strip_check(lam: float, r: float, L: float, sub_box_count: int,
     side = L ** (1.0 / dim) / m
     if side <= 2 * r:
         raise LimitsError(f"box side {side} must exceed 2r = {2 * r}")
-    [results] = _map_replicates("strip", [(lam, r, L, m, k, dim, rng)], reps, workers)
+    [results] = _map_replicates("strip", [partial(_rep_strip, lam, r, L, m, k, dim, rng)],
+                                reps, workers)
     return StripReport(
         lam=lam, r=r, L=L, boxes=sub_box_count, k=k, reps=reps,
         master_seed=rng.master_seed,
@@ -995,7 +989,7 @@ def intensity_perturbation_check(f: IntensityGrid, g: IntensityGrid, r: float,
     extra_f = f.excess_over(g)
     extra_g = g.excess_over(f)
     [results] = _map_replicates(
-        "perturb", [(base, extra_f, extra_g, r, k, rng)], reps, workers)
+        "perturb", [partial(_rep_perturb, base, extra_f, extra_g, r, k, rng)], reps, workers)
     diffs = [d for d, _ in results]
     nested_ok = all(ok for _, ok in results)
     mean, stderr = _mean_stderr(diffs)

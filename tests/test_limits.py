@@ -7,10 +7,12 @@ errors with fixed seeds. Arithmetic (interpolation, integral, error
 propagation) is checked exactly on synthetic curves.
 """
 
+import functools
 import json
 import math
 import multiprocessing
 import os
+import pickle
 import re
 
 import numpy as np
@@ -411,15 +413,20 @@ class TestCurveCache:
             load_or_build_curve(tmp_path, boundary_mode="torsu", **args)
 
     def test_other_numpy_version_misses(self, tmp_path, monkeypatch):
+        # so does a curve of another complex builder version
         args = dict(k=1, s_grid=[0.0, 0.6], L=50.0, reps=8, rng=RngStream(64),
                     boundary_mode="torus", dim=2)
         load_or_build_curve(tmp_path, **args)
-        ours = curve_cache_path(tmp_path, 2, 1, 50.0, 8, RngStream(64), "torus")
-        monkeypatch.setattr(np, "__version__", "0.0.0")
-        theirs = curve_cache_path(tmp_path, 2, 1, 50.0, 8, RngStream(64), "torus")
-        assert theirs != ours and not theirs.exists()
-        load_or_build_curve(tmp_path, **args)
-        assert sorted(tmp_path.iterdir()) == sorted([ours, theirs])
+        paths = [curve_cache_path(tmp_path, 2, 1, 50.0, 8, RngStream(64), "torus")]
+        for owner, name, value in [(np, "__version__", "0.0.0"),
+                                   (limits, "ALGORITHM_VERSION", cech.ALGORITHM_VERSION + 1)]:
+            with monkeypatch.context() as patch:
+                patch.setattr(owner, name, value)
+                theirs = curve_cache_path(tmp_path, 2, 1, 50.0, 8, RngStream(64), "torus")
+                assert theirs not in paths and not theirs.exists()
+                load_or_build_curve(tmp_path, **args)
+            paths.append(theirs)
+        assert sorted(tmp_path.iterdir()) == sorted(paths)
 
     def test_distinct_stream_paths_get_distinct_files(self, tmp_path):
         a = curve_cache_path(tmp_path, 2, 1, 50.0, 8, RngStream(66, (0,)), "torus")
@@ -993,19 +1000,18 @@ class TestWorkerPool:
         # 6 replicates: even shares at 2 and 3 workers, uneven ones (2, 2, 1,
         # 1) at 4, and more workers than replicates at 7, which forks 5
         shares = {2: [3], 3: [2, 2], 4: [2, 1, 1], 7: [1] * 5}[workers]
-        tasks = [(1.0, 0.5, 16.0, 1, 2, "plain", RngStream(seed)) for seed in (60, 61)]
+        tasks = [functools.partial(limits._rep_simplex_rate, 1.0, 0.5, 16.0, 1, 2, "plain",
+                                   RngStream(seed)) for seed in (60, 61)]
         serial = limits._map_replicates("simplex_rate", tasks, 3, 1)
         assert forked_shares == []
         assert limits._map_replicates("simplex_rate", tasks, 3, workers) == serial
         assert forked_shares == shares
         assert not multiprocessing.active_children()
 
-    def test_caller_runs_share_zero(self, monkeypatch):
+    def test_caller_runs_share_zero(self):
         # replicate j of the map goes to share j % workers: share 0 runs in
         # the calling process, each other share in a process of its own
-        monkeypatch.setitem(limits._REPLICATE_KINDS, "betti_rate",
-                            lambda task, i: os.getpid())
-        [pids] = limits._map_replicates("betti_rate", [None], 7, 3)
+        [pids] = limits._map_replicates("betti_rate", [lambda i: os.getpid()], 7, 3)
         assert pids[0::3] == [os.getpid()] * 3
         assert pids[1::3] == [pids[1]] * 2 and pids[2::3] == [pids[2]] * 2
         assert len({os.getpid(), pids[1], pids[2]}) == 3
@@ -1071,40 +1077,71 @@ class TestWorkerPool:
         # the moment it was forked
         rate = estimate_simplex_rate(1.0, 0.5, 16.0, 0, 4, RngStream(70), workers=2)
         assert rate.mean != 7.0
-        monkeypatch.setitem(limits._REPLICATE_KINDS, "simplex_rate",
-                            lambda task, i: 7.0)
+        monkeypatch.setattr(limits, "_rep_simplex_rate", lambda *task: 7.0)
         rate = estimate_simplex_rate(1.0, 0.5, 16.0, 0, 4, RngStream(70), workers=2)
         assert rate.mean == 7.0
 
     def test_replicate_error_shuts_pool_down(self, monkeypatch):
-        def fail(task, i):
-            raise LimitsError(f"replicate {i} failed")
+        def fail(*task):
+            raise LimitsError(f"replicate {task[-1]} failed")
 
-        monkeypatch.setitem(limits._REPLICATE_KINDS, "betti_rate", fail)
+        monkeypatch.setattr(limits, "_rep_betti_rate", fail)
         with pytest.raises(LimitsError, match="replicate 0 failed"):
             build_limit_curve(1, [0.5, 1.0], 16.0, 8, RngStream(71), workers=2)
         assert not multiprocessing.active_children()
 
-    def test_first_worker_error_in_share_order(self, monkeypatch):
-        def fail(task, i):
+    def test_first_worker_error_in_share_order(self):
+        def fail(i):
             if i % 3:
                 raise LimitsError(f"replicate {i} failed")
             return 0
 
         # shares 1 and 2 (replicates 1, 4 and 2, 5) fail, the caller's does not
-        monkeypatch.setitem(limits._REPLICATE_KINDS, "betti_rate", fail)
         with pytest.raises(LimitsError, match="replicate 1 failed"):
-            limits._map_replicates("betti_rate", [None], 6, 3)
+            limits._map_replicates("betti_rate", [fail], 6, 3)
         assert not multiprocessing.active_children()
 
-    def test_dead_worker_is_an_error(self, monkeypatch):
+    def test_dead_worker_is_an_error(self):
         # the odd replicates, the worker's share at workers=2, end its process
-        monkeypatch.setitem(limits._REPLICATE_KINDS, "betti_rate",
-                            lambda task, i: os._exit(3) if i % 2 else 0)
         with pytest.raises(LimitsError, match=r"^worker \d+ exited with code 3 "
                                               "before returning its share$"):
-            limits._map_replicates("betti_rate", [None], 4, 2)
+            limits._map_replicates("betti_rate", [lambda i: os._exit(3) if i % 2 else 0],
+                                   4, 2)
         assert not multiprocessing.active_children()
+
+    @pytest.mark.parametrize("error, message", [
+        (lambda i: _TwoArgError(i, "two arguments"),
+         "_TwoArgError: replicate 1: two arguments"),
+        (lambda i: _LambdaError(i), "_LambdaError: replicate 1 holds a lambda"),
+    ], ids=["does-not-unpickle", "does-not-pickle"])
+    def test_worker_error_that_does_not_survive_pickling(self, capfd, error, message):
+        def fail(i):
+            if i % 3:
+                raise error(i)
+            return 0
+
+        # shares 1 and 2 fail; the error of share 1 names its worker
+        with pytest.raises(LimitsError, match=rf"^worker (\d+) raised {message}$") as info:
+            limits._map_replicates("betti_rate", [fail], 6, 3)
+        assert int(re.match(r"worker (\d+)", str(info.value))[1]) != os.getpid()
+        assert not multiprocessing.active_children()
+        assert "Traceback" not in capfd.readouterr().err
+
+
+class _TwoArgError(Exception):
+    """An error that pickles but does not unpickle: its args hold one
+    message, but its __init__ takes two arguments."""
+
+    def __init__(self, replicate, reason):
+        super().__init__(f"replicate {replicate}: {reason}")
+
+
+class _LambdaError(Exception):
+    """An error that does not pickle: it holds a lambda."""
+
+    def __init__(self, replicate):
+        super().__init__(f"replicate {replicate} holds a lambda")
+        self.replicate = lambda: replicate
 
 
 def _one_cell(value: float) -> IntensityGrid:
@@ -1158,6 +1195,13 @@ class TestReplicateMap:
 
         def spy(kind, tasks, reps, workers):
             calls.append((kind, len(tasks), reps))
+            for task in tasks:
+                # a partial over a module-level body: fork hands tasks to the
+                # workers without pickling them, so this keeps closures out
+                assert isinstance(task, functools.partial)
+                assert task.func.__name__.startswith("_rep_")
+                assert getattr(limits, task.func.__name__) is task.func
+                assert pickle.loads(pickle.dumps(task))(0) == task(0)
             return map_replicates(kind, tasks, reps, workers)
 
         monkeypatch.setattr(limits, "_map_replicates", spy)
