@@ -6,10 +6,14 @@ complex keeps every clique of the r-neighbor graph. Both are downward
 closed. A complex stores each dimension as one sorted int array of vertex
 rows and one int array of facet indices. Construction is neighbor-grid
 edge enumeration (a dense cell-start table, so all half-offsets of all
-points are looked up in one pass) followed by level-wise expansion over
-CSR upper-neighbour lists: each accepted simplex is extended by the
-neighbours above its last vertex, and a candidate enters only if all its
-facets are in the level below, which for Rips is the clique test. As in
+points are looked up in one pass; what the table needs besides the points,
+its strides and half-offset steps and on a torus its cell sides and the
+padded cell -> cell index that fills the seam's padding in one gather, is
+memoized read-only per period and cells per axis) followed by
+level-wise expansion over CSR upper-neighbour lists: each accepted
+simplex is extended by the neighbours above its last vertex, and a
+candidate enters only if all its facets are in the level below, which
+for Rips is the clique test. As in
 the simplex tree of Boissonnat & Maria, a simplex is keyed by its parent
 (the facet without its last vertex) and its last vertex, so a
 candidate's facets are np.searchsorted lookups of int64 keys built from
@@ -24,15 +28,19 @@ and every level keeps its simplices' spokes, the edges (v0, vi) from the
 first vertex, so the filter reads vertex i as v0 plus its spoke's delta:
 the nearest image around the first vertex, which reproduces torus balls
 exactly as long as period > 3r. Where one mask of unpredictable, roughly
-even truth compacts two or more arrays, they are gathered by its
-np.flatnonzero index instead: on a 2-CPU Xeon with numpy 2.4.6, at
-p = 0.5 on 42.5k int64 the mask took 302-355 us per array, the index
-47-55 us once and 34-35 us per array. At p = 0.96 the mask took 69 us,
-the index 55 + 77 us, so the filter's own keep, nearly all True, stays a
-mask. Membership depends
-only on the vertex set, so SimplicialComplex.restrict gives the complex
-of part of a cloud, and simplices_touching counts the simplices with a
-vertex in a marked part.
+even truth compacts two or more arrays, they are gathered by its index,
+mask.nonzero()[0], instead: on a 2-CPU Xeon with numpy 2.4.6, at p = 0.5
+on 42.5k int64 the mask took 282-355 us per array, the index 36-55 us
+once and 23-35 us per array. At p = 0.96 the mask took 55-69 us, the
+index 42-55 + 56-77 us, so the filter's own keep, nearly all True, stays
+a mask. The replicate path calls ndarray methods (nonzero, repeat,
+cumsum, round, sort, searchsorted) rather than numpy's Python-level
+wrappers, which a small replicate calls about 40 times: on a 100-entry
+array np.flatnonzero took 2.1 us against 0.5 us for .nonzero()[0], and
+np.repeat 2.6 against 1.5 us. Membership depends only on the vertex
+set, so SimplicialComplex.restrict gives the complex of part of a cloud,
+and simplices_touching counts the simplices with a vertex in a marked
+part.
 """
 
 from __future__ import annotations
@@ -41,6 +49,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 from math import prod
+from typing import NamedTuple
 
 import numpy as np
 
@@ -120,7 +129,7 @@ class SimplicialComplex:
         labels = np.asarray(labels)
         if labels.shape != (self.vertex_count,):
             raise CechError(f"need one label per vertex, got shape {labels.shape}")
-        vertex = np.cumsum(labels >= 0) - 1
+        vertex = (labels >= 0).cumsum() - 1
         levels, facets = [], []
         index = vertex  # facets[0] has no columns: any index array serves
         for j, (rows, up) in enumerate(zip(self.simplices, self.facets)):
@@ -130,7 +139,7 @@ class SimplicialComplex:
                 break
             levels.append(vertex[rows[kept]])
             facets.append(levels[1] if j == 1 else index[up[kept]])
-            index = np.cumsum(kept) - 1
+            index = kept.cumsum() - 1
         return SimplicialComplex(self.max_dim, tuple(levels), len(levels[0]),
                                  tuple(facets))
 
@@ -141,7 +150,7 @@ def _min_image(delta: np.ndarray, period: float) -> np.ndarray:
     pairs_within applies it to every candidate pair, and _build once to
     every edge, whose deltas then unwrap all the simplices above it.
     """
-    return delta - period * np.round(delta / period)
+    return delta - period * (delta / period).round()
 
 
 def _square(x: float) -> float:
@@ -174,9 +183,9 @@ def _ragged_pairs(left: np.ndarray, start: np.ndarray, length: np.ndarray):
         return empty, empty
     # pair t of run i is start[i] + (t - first pair of run i): one repeated
     # offset per run
-    first = np.cumsum(length) - length
-    jj = np.arange(total, dtype=np.int64) + np.repeat(start - first, length)
-    return np.repeat(left, length), jj
+    first = length.cumsum() - length
+    jj = np.arange(total, dtype=np.int64) + (start - first).repeat(length)
+    return left.repeat(length), jj
 
 
 @functools.lru_cache(maxsize=None)
@@ -195,6 +204,42 @@ def _half_offsets(d: int) -> np.ndarray:
 # cells are widened until the padded cell table has at most this many
 # cells per point (or the fewest cells the adjacency rule allows)
 _CELLS_PER_POINT = 4
+
+
+class _GridLayout(NamedTuple):
+    cells: np.ndarray
+    size: int
+    strides: np.ndarray
+    steps: np.ndarray
+    sides: np.ndarray | None
+    source: np.ndarray | None
+
+
+@functools.lru_cache(maxsize=256)
+def _grid_layout(cells: tuple[int, ...], period: float | None) -> _GridLayout:
+    """What a NeighborGrid's table needs besides its points, read-only and
+    shared by every grid of the same cells per axis and period: the cell
+    counts, the padded table's size and strides, and the flat step of each
+    half-offset. On a torus also the cell sides and, for every padded cell,
+    the padded index of the cell it repeats: padded coordinate p of an
+    axis with c cells shows cell (p - 1) mod c, stored at (p - 1) mod c + 1.
+    A box grid's sides follow its cloud's span, so it has neither.
+    """
+    shape = [c + 2 for c in cells]
+    strides = np.cumprod([1] + shape[:0:-1])[::-1]
+    sides = source = None
+    if period is not None:
+        sides = np.array([period / c for c in cells])
+        source = np.zeros(1, dtype=np.int64)
+        for c, size, stride in zip(cells, shape, strides):
+            shown = (np.arange(size) - 1) % c + 1
+            source = (source[:, None] + shown * stride).ravel()
+    layout = _GridLayout(np.array(cells), prod(shape), strides,
+                         _half_offsets(len(cells)) @ strides, sides, source)
+    for part in layout:
+        if isinstance(part, np.ndarray):
+            part.flags.writeable = False
+    return layout
 
 
 class NeighborGrid:
@@ -247,27 +292,25 @@ class NeighborGrid:
         while prod(c + 2 for c in cells) > budget:
             a = max(range(d), key=cells.__getitem__)
             cells[a] = max(cells[a] // 2, fewest)
+        layout = _grid_layout(tuple(cells), self.period)
         if self._wrap:
-            sides = np.array([self.period / c for c in cells])
-            coords = np.floor(pts / sides).astype(np.int64) % np.array(cells)
+            coords = np.floor(pts / layout.sides).astype(np.int64) % layout.cells
         else:
             sides = np.maximum([s / c for s, c in zip(span, cells)], width)
             coords = np.floor((pts - origin) / sides).astype(np.int64)
-            coords = np.minimum(coords, np.array(cells) - 1)
-        shape = [c + 2 for c in cells]
-        strides = np.cumprod([1] + shape[:0:-1])[::-1]
-        flat = (coords + 1) @ strides
-        order = np.argsort(flat)
-        count = np.bincount(flat, minlength=prod(shape))
-        start = np.cumsum(count) - count
+            coords = np.minimum(coords, layout.cells - 1)
+        flat = (coords + 1) @ layout.strides
+        order = flat.argsort()
+        count = np.bincount(flat, minlength=layout.size)
+        start = count.cumsum() - count
         if self._wrap:
-            start = _wrap_pad(start.reshape(shape))
-            count = _wrap_pad(count.reshape(shape))
+            # the padding cells repeat the cells across the seam
+            start, count = start[layout.source], count[layout.source]
         self._order = order
         self._cell = flat[order]
         self._start = start
         self._count = count
-        self._steps = _half_offsets(d) @ strides
+        self._steps = layout.steps
 
     def pairs_within(self) -> tuple[np.ndarray, np.ndarray]:
         """All unordered pairs at distance <= r + 2*MINIBALL_TOL.
@@ -287,9 +330,10 @@ class NeighborGrid:
             if self._wrap:
                 delta = _min_image(delta, self.period)
             dist2 = dist2 + delta * delta
-        keep = np.flatnonzero(dist2 <= _square(self.r + 2 * MINIBALL_TOL))
+        keep = (dist2 <= _square(self.r + 2 * MINIBALL_TOL)).nonzero()[0]
         iu, jv = iu[keep], jv[keep]
-        keys = np.sort(np.minimum(iu, jv) * n + np.maximum(iu, jv))
+        keys = np.minimum(iu, jv) * n + np.maximum(iu, jv)
+        keys.sort()
         return keys // n, keys % n
 
     def _candidate_pairs(self) -> tuple[np.ndarray, np.ndarray]:
@@ -298,25 +342,12 @@ class NeighborGrid:
         cell = self._cell
         pos = np.arange(len(cell), dtype=np.int64)
         nb = (cell[:, None] + self._steps).ravel()
-        left = np.concatenate((pos, np.repeat(pos, len(self._steps))))
+        left = np.concatenate((pos, pos.repeat(len(self._steps))))
         start = np.concatenate((pos + 1, self._start[nb]))
         length = np.concatenate((self._start[cell] + self._count[cell] - pos - 1,
                                  self._count[nb]))
         upos, vpos = _ragged_pairs(left, start, length)
         return self._order[upos], self._order[vpos]
-
-
-def _wrap_pad(table: np.ndarray) -> np.ndarray:
-    """Fill the padding cells of a padded cell table, in place, with the
-    cells across the seam on every axis (flat torus adjacency), and
-    return the table flattened."""
-    for a in range(table.ndim):
-        lead = [slice(None)] * table.ndim
-        lead[a] = 0
-        table[tuple(lead)] = table.take(-2, axis=a)
-        lead[a] = -1
-        table[tuple(lead)] = table.take(1, axis=a)
-    return table.ravel()
 
 
 def _batch_triangle_r2(pa, pb, pc) -> np.ndarray:
@@ -405,7 +436,7 @@ def _build(cloud: PointCloud, r: float, max_dim: int, period: float | None,
         facets.append(levels[1])
         # CSR upper-neighbour lists: the edges are sorted by (u, v), so
         # vertex a's neighbours above it are ev[starts[a]:starts[a + 1]]
-        starts = np.searchsorted(eu, np.arange(n + 1))
+        starts = eu.searchsorted(np.arange(n + 1))
         # the miniball filter reads one contiguous coordinate array per axis,
         # and verts[i] holds vertex i of every simplex of the last level
         axes = [np.ascontiguousarray(x) for x in pts.T]
@@ -432,7 +463,7 @@ def _build(cloud: PointCloud, r: float, max_dim: int, period: float | None,
             cols = [parent]
             for c in range(1, 2 if j == 2 else j + 1):
                 at, found = sorted_lookup(prev_keys, up[cols[0], c - 1] * n + ev[pos])
-                found = np.flatnonzero(found)
+                found = found.nonzero()[0]
                 cols = [col[found] for col in cols] + [at[found]]
                 pos = pos[found]
             if j == 2:
@@ -481,7 +512,7 @@ def sorted_lookup(sorted_keys: np.ndarray, keys: np.ndarray):
     (positions of absent keys are meaningless)."""
     if not len(sorted_keys):
         return np.zeros(len(keys), dtype=np.int64), np.zeros(len(keys), dtype=bool)
-    pos = np.minimum(np.searchsorted(sorted_keys, keys), len(sorted_keys) - 1)
+    pos = np.minimum(sorted_keys.searchsorted(keys), len(sorted_keys) - 1)
     return pos, sorted_keys[pos] == keys
 
 

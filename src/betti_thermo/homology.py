@@ -3,8 +3,10 @@
 beta_k = S_k - rank(d_k) - rank(d_{k+1}). Boundary matrices are int
 arrays of facet indices, the complex's own facets arrays as the builder
 recorded them, so no facet is looked up. Ranks: d_1 is a graph's incidence
-matrix, and the edges of a spanning forest, found by numpy Boruvka (hook
-and jump) rounds when d_1 is built, are its column basis. Every other
+matrix, and the edges of a spanning forest, found by numpy Boruvka rounds
+when d_1 is built, are its column basis. A round hooks each component
+onto a neighbour, then jumps pointers among the roots it hooked only and
+sends every vertex to its new root with one gather. Every other
 rank peels each row or column with a single entry off as one pivot
 (rank = 1 + rank of the minor without that row and column). A large core
 that is left is mostly columns with two entries, edges of a graph on the
@@ -13,15 +15,16 @@ columns are projected onto its components (the parity of their rows in
 each), and the peel runs again. A small core is eliminated with
 bit-packed columns. The peel's passes, the cleared rows, the contraction
 and Boruvka's live edges compact two or three arrays by one mask of
-roughly even truth, so each takes the mask's np.flatnonzero index once
-and gathers by it, several times faster than masking each array (timings
-in cech). In betti_numbers d_2 skips the rows of d_1's spanning forest
-(clearing, after Chen & Kerber, "Persistent homology computation with a
-twist", EuroCG 2011): since d_1 d_2 = 0, peeling the forest's leaves
-writes each forest row as a sum of non-forest rows. A d_2 built on its
-own clears nothing unless it is given the forest. Also: the Betti-difference bound
-for nested complexes (the inequality |beta_k(K1) - beta_k(K2)| bounded by
-the simplices of K2 \\ K1 in dimensions k and k+1).
+roughly even truth, so each takes the mask's index (ndarray.nonzero)
+once and gathers by it, several times faster than masking each array
+(timings in cech). In betti_numbers d_2 skips the rows of d_1's
+spanning forest (clearing, after Chen & Kerber, "Persistent homology
+computation with a twist", EuroCG 2011): since d_1 d_2 = 0, peeling the
+forest's leaves writes each forest row as a sum of non-forest rows. A
+d_2 built on its own clears nothing unless it is given the forest.
+Also: the Betti-difference bound for nested complexes (the inequality
+|beta_k(K1) - beta_k(K2)| bounded by the simplices of K2 \\ K1 in
+dimensions k and k+1).
 """
 
 from __future__ import annotations
@@ -102,43 +105,55 @@ def _boruvka(n: int, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarr
     That forest is the minimum spanning forest under the weight e of edge
     e, which Boruvka rounds find in numpy: every component with a live
     edge (one to another component) hooks onto the component at the other
-    end of its lowest-numbered live edge, and pointer jumping then sends
-    every vertex to its new root. Two components that pick the same edge
-    hook the higher root onto the lower; with distinct weights no other
-    cycle can form. Every component with a live edge merges in each round,
-    so there are at most log2(n) + 1 rounds.
+    end of its lowest-numbered live edge. Two components that pick the same
+    edge hook the higher root onto the lower; with distinct weights no
+    other cycle can form. Every component with a live edge merges in each
+    round, so there are at most log2(n) + 1 rounds. Each round starts with
+    every vertex pointing at its root, so the hooked roots form trees of
+    roots: pointer jumping over the hooked roots alone sends each to its
+    new root, and one more gather sends every vertex there. The live edges
+    are compacted only in a round where some have died.
     """
     parent = np.arange(n)
+    best = np.empty(n, dtype=np.int64)
     edge = np.arange(len(u))
     # a and b are the roots at the ends of each edge; it is live while
     # they differ
     a, b = u, v
     forest = []
-    while True:
-        live = np.flatnonzero(a != b)
-        if not len(live):
-            break
-        edge, a, b = edge[live], a[live], b[live]
+    while len(a):
+        live = a != b
+        if np.count_nonzero(live) < len(live):
+            live = live.nonzero()[0]
+            if not len(live):
+                break
+            edge, a, b = edge[live], a[live], b[live]
         # edge stays increasing, so the lowest position is the lowest edge
-        pos = np.arange(len(edge))
-        best = np.full(n, len(edge))
+        m = len(edge)
+        pos = np.arange(m)
+        best.fill(m)
         np.minimum.at(best, a, pos)
         np.minimum.at(best, b, pos)
-        roots = np.flatnonzero(best < len(edge))
+        roots = (best < m).nonzero()[0]
         chosen = best[roots]
-        other = np.where(a[chosen] == roots, b[chosen], a[chosen])
+        # each root is one end of its chosen edge; other is the far end
+        other = a[chosen] + b[chosen] - roots
         hook = (best[other] != chosen) | (roots > other)
-        parent[roots[hook]] = other[hook]
+        hooked, up = roots[hook], other[hook]
+        parent[hooked] = up
         forest.append(edge[chosen[hook]])
         while True:
-            jumped = parent[parent]
-            if np.array_equal(jumped, parent):
+            top = parent[up]
+            if not np.count_nonzero(top != up):
                 break
-            parent = jumped
+            parent[hooked] = up = top
+        parent = parent[parent]
         a, b = parent[a], parent[b]
     if not forest:
         return np.empty(0, dtype=np.int64), parent
-    return np.sort(np.concatenate(forest)), parent
+    forest = np.concatenate(forest)
+    forest.sort()
+    return forest, parent
 
 
 def _rank_bit_columns(columns) -> int:
@@ -161,13 +176,13 @@ def _entries(matrix: BoundaryMatrix) -> tuple[np.ndarray, np.ndarray]:
     """Column and row index of every nonzero entry, ordered by column."""
     columns = matrix.columns
     if isinstance(columns, np.ndarray):
-        lengths = np.full(len(columns), columns.shape[1])
+        lengths = columns.shape[1]
         rows = columns.ravel()
     else:
         lengths = [len(col) for col in columns]
         rows = np.fromiter(chain.from_iterable(columns), dtype=np.int64,
                            count=sum(lengths))
-    return np.repeat(np.arange(len(columns)), lengths), np.asarray(rows, dtype=np.int64)
+    return np.arange(len(columns)).repeat(lengths), np.asarray(rows, dtype=np.int64)
 
 
 def _peel(col_of: np.ndarray, row_of: np.ndarray, rows: int, cols: int):
@@ -180,19 +195,31 @@ def _peel(col_of: np.ndarray, row_of: np.ndarray, rows: int, cols: int):
     a column, which can leave only rows with one. So the columns peel to
     the end first, then the rows, and none of either is left. Columns go
     first because d_2 with d_1's forest cleared peels mostly by column.
-    Entries keep their order. Returns the entries of the core that is
-    left and the number of pivots taken.
+    The entries come in column order and keep it, so a column pass finds
+    the singleton columns by comparing each entry's column with its
+    neighbours', several times faster than counting them; a row pass
+    counts its rows with bincount. Returns the entries of the core that
+    is left and the number of pivots taken.
     """
     rank = 0
     for by_row in (False, True):
         while len(col_of):
-            major, minor = (row_of, col_of) if by_row else (col_of, row_of)
-            single = np.bincount(major)[major] == 1
-            if not single.any():
+            if by_row:
+                minor = col_of
+                single = np.bincount(row_of)[row_of] == 1
+            else:
+                minor = row_of
+                # entry e starts a column when change[e], ends one when
+                # change[e + 1]
+                change = np.empty(len(col_of) + 1, dtype=bool)
+                change[0] = change[-1] = True
+                np.not_equal(col_of[1:], col_of[:-1], out=change[1:-1])
+                single = change[:-1] & change[1:]
+            if not np.count_nonzero(single):
                 break
             pivot = np.zeros(cols if by_row else rows, dtype=bool)
             pivot[minor[single]] = True
-            keep = np.flatnonzero(~pivot[minor])
+            keep = (~pivot[minor]).nonzero()[0]
             col_of, row_of = col_of[keep], row_of[keep]
             rank += int(np.count_nonzero(pivot))
     return col_of, row_of, rank
@@ -211,9 +238,9 @@ def _contract(col_of: np.ndarray, row_of: np.ndarray, two: np.ndarray, rows: int
     size and the projected entries, ordered by column, each row named by
     its component's root.
     """
-    ends = row_of[np.flatnonzero(two)]
+    ends = row_of[two.nonzero()[0]]
     forest, root = _boruvka(rows, ends[0::2], ends[1::2])
-    rest = np.flatnonzero(~two)
+    rest = (~two).nonzero()[0]
     keys, odd = np.unique(col_of[rest] * rows + root[row_of[rest]],
                           return_counts=True)
     keys = keys[odd % 2 == 1]
@@ -224,7 +251,7 @@ def _renumber(index: np.ndarray, size: int) -> np.ndarray:
     """The indices (each below size) renumbered 0, 1, ..., keeping order."""
     used = np.zeros(size, dtype=bool)
     used[index] = True
-    return (np.cumsum(used) - 1)[index]
+    return (used.cumsum() - 1)[index]
 
 
 def rank_gf2(matrix: BoundaryMatrix) -> int:
@@ -241,7 +268,7 @@ def rank_gf2(matrix: BoundaryMatrix) -> int:
     if len(matrix.cleared):
         dropped = np.zeros(matrix.rows, dtype=bool)
         dropped[np.asarray(matrix.cleared, dtype=np.int64)] = True
-        keep = np.flatnonzero(~dropped[row_of])
+        keep = (~dropped[row_of]).nonzero()[0]
         col_of, row_of = col_of[keep], row_of[keep]
     col_of, row_of, rank = _peel(col_of, row_of, matrix.rows, matrix.cols)
     # a large core is mostly two-entry columns: contract them, peel what
@@ -291,13 +318,15 @@ def betti_numbers(complex: SimplicialComplex, max_k: int) -> tuple[int, ...]:
 
 
 def betti_diff_bound_check(k1: SimplicialComplex, k2: SimplicialComplex,
-                           k: int) -> bool:
+                           k: int, betti: tuple[int, int] | None = None) -> bool:
     """Betti-difference bound for nested complexes.
 
     Verifies K1 is a subcomplex of K2 (simplex by simplex; non-nested
     inputs are rejected), then checks
     |beta_k(K1) - beta_k(K2)| <= #k-simplices + #(k+1)-simplices of K2 \\ K1.
-    Both complexes must have been built with max_dim >= k + 1.
+    Both complexes must have been built with max_dim >= k + 1. A caller
+    that has already computed (beta_k(K1), beta_k(K2)) passes them as
+    betti, so they are not computed again.
     """
     if k < 1:
         raise HomologyError("the difference bound is stated for k >= 1")
@@ -314,8 +343,9 @@ def betti_diff_bound_check(k1: SimplicialComplex, k2: SimplicialComplex,
         index, found = sorted_lookup(keys, sought)
         if not found.all():
             raise HomologyError("first complex is not contained in the second")
-    b1 = betti_numbers(k1, k)[k]
-    b2 = betti_numbers(k2, k)[k]
+    if betti is None:
+        betti = (betti_numbers(k1, k)[k], betti_numbers(k2, k)[k])
+    b1, b2 = betti
     extra = 0
     for j in (k, k + 1):
         extra += len(k2.simplices_of(j)) - len(k1.simplices_of(j))

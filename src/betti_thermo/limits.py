@@ -42,7 +42,6 @@ from betti_thermo.pointproc import (
     RngStream,
     Window,
     _is_count,
-    sample_binomial,
     sample_poisson_homogeneous,
     sample_poisson_intensity,
     scale_points,
@@ -174,34 +173,37 @@ def _betti_k(cloud: PointCloud, r: float, k: int, period: float | None) -> int:
     return betti_numbers(cx, k)[k]
 
 
-def _rep_betti_rate(lam, r, L, k, dim, mode, stream, i: int):
-    cloud = sample_poisson_homogeneous(lam, Window.centered(L, dim), stream.substream(i))
-    return _betti_k(cloud, r, k, _torus_period(L, dim, mode)) / L
+# the rate and strip bodies take the window of volume L, Window.centered(L,
+# dim), built once per task rather than validated again in every replicate
+
+def _rep_betti_rate(lam, r, L, k, window, mode, stream, i: int):
+    cloud = sample_poisson_homogeneous(lam, window, stream.substream(i))
+    return _betti_k(cloud, r, k, _torus_period(L, window.dim, mode)) / L
 
 
-def _rep_simplex_rate(lam, r, L, j, dim, mode, stream, i: int):
-    cloud = sample_poisson_homogeneous(lam, Window.centered(L, dim), stream.substream(i))
-    cx = build_cech(cloud, r, j, period=_torus_period(L, dim, mode))
+def _rep_simplex_rate(lam, r, L, j, window, mode, stream, i: int):
+    cloud = sample_poisson_homogeneous(lam, window, stream.substream(i))
+    cx = build_cech(cloud, r, j, period=_torus_period(L, window.dim, mode))
     return len(cx.simplices_of(j)) / L
 
 
 def _rep_binomial(density, n, r, k, stream, i: int):
-    cloud = scale_points(sample_binomial(density, n, stream.substream(i)),
-                         n ** (1.0 / density.dim))
-    return _betti_k(cloud, r, k, None) / n
+    # the raw draw is scaled into one cloud, checked and deduplicated once
+    pts = density.sample(n, stream.substream(i).generator())
+    return _betti_k(scale_points(pts, n ** (1.0 / density.dim)), r, k, None) / n
 
 
 def _rep_gap(density, n, r, k, stream, i: int):
     # shared point sequence: binomial keeps the first n draws, the
     # Poissonized process the first N ~ Poisson(n); common random numbers.
-    # Deduplication keeps first occurrences in order, also after scaling,
-    # so the shorter sequence's cloud is a prefix of the longer one's
+    # Deduplication keeps first occurrences in order, so the shorter
+    # sequence's cloud is a prefix of the longer one's
     gen = stream.substream(i).generator()
     count = int(gen.poisson(n))
     pts = density.sample(max(n, count), gen)
     scale = n ** (1.0 / density.dim)
-    cx = build_cech(scale_points(PointCloud(pts), scale), r, k + 1)
-    short = len(scale_points(PointCloud(pts[:min(n, count)]), scale))
+    cx = build_cech(scale_points(pts, scale), r, k + 1)
+    short = len(scale_points(pts[:min(n, count)], scale))
     prefix = np.where(np.arange(cx.vertex_count) < short, 0, -1)
     whole = betti_numbers(cx, k)[k]
     part = betti_numbers(cx.restrict(prefix), k)[k]
@@ -209,8 +211,7 @@ def _rep_gap(density, n, r, k, stream, i: int):
     return (b / n, p / n)
 
 
-def _rep_strip(lam, r, L, m, k, dim, stream, i: int):
-    window = Window.centered(L, dim)
+def _rep_strip(lam, r, L, m, k, window, stream, i: int):
     cloud = sample_poisson_homogeneous(lam, window, stream.substream(i))
     cx = build_cech(cloud, r, k + 1)
     whole = betti_numbers(cx, k)[k]
@@ -218,7 +219,7 @@ def _rep_strip(lam, r, L, m, k, dim, stream, i: int):
     # each point lies in exactly one box, numbered row-major; restricted to
     # these labels the complex is the disjoint union of the boxes' complexes
     cell = np.floor((cloud.points - window.lower) / side).astype(np.int64)
-    box = np.ravel_multi_index(tuple(np.clip(cell, 0, m - 1).T), (m,) * dim)
+    box = np.ravel_multi_index(tuple(np.clip(cell, 0, m - 1).T), (m,) * window.dim)
     boxes_total = betti_numbers(cx.restrict(box), k)[k]
     strip = _strip_mask(cloud.points, window, m, r + 1e-9)
     bound = sum(simplices_touching(cx, strip, j) for j in (k, k + 1))
@@ -250,9 +251,9 @@ def _rep_perturb(base, extra_f, extra_g, r, k, stream, i: int):
     nested_ok = True
     # one-sided perturbations give nested complexes realization by realization
     if extra_f.total_mass == 0:
-        nested_ok = betti_diff_bound_check(kf, kg, k)
+        nested_ok = betti_diff_bound_check(kf, kg, k, betti=(bf, bg))
     elif extra_g.total_mass == 0:
-        nested_ok = betti_diff_bound_check(kg, kf, k)
+        nested_ok = betti_diff_bound_check(kg, kf, k, betti=(bg, bf))
     return (bf - bg, nested_ok)
 
 
@@ -464,7 +465,7 @@ def _check_args(**args) -> None:
 def _betti_rate_task(lam: float, r: float, L: float, k: int, rng: RngStream,
                      boundary_mode: str, dim: int):
     _check_args(lam=lam, r=r, L=L, dim=dim, k=k, boundary_mode=boundary_mode)
-    return partial(_rep_betti_rate, lam, r, L, k, dim, boundary_mode, rng)
+    return partial(_rep_betti_rate, lam, r, L, k, Window.centered(L, dim), boundary_mode, rng)
 
 
 def estimate_betti_rate(lam: float, r: float, L: float, k: int, reps: int,
@@ -484,7 +485,8 @@ def estimate_simplex_rate(lam: float, r: float, L: float, j: int, reps: int,
                           dim: int = 2, workers: int = 1) -> EstimateRecord:
     """Mean of S_j(lam, r; L) / L, the per-volume j-simplex count."""
     _check_args(lam=lam, r=r, L=L, dim=dim, j=j, boundary_mode=boundary_mode)
-    task = partial(_rep_simplex_rate, lam, r, L, j, dim, boundary_mode, rng)
+    task = partial(_rep_simplex_rate, lam, r, L, j, Window.centered(L, dim),
+                   boundary_mode, rng)
     return _records("simplex_rate", [task], reps, workers)[0]
 
 
@@ -942,8 +944,8 @@ def boundary_strip_check(lam: float, r: float, L: float, sub_box_count: int,
     side = L ** (1.0 / dim) / m
     if side <= 2 * r:
         raise LimitsError(f"box side {side} must exceed 2r = {2 * r}")
-    [results] = _map_replicates("strip", [partial(_rep_strip, lam, r, L, m, k, dim, rng)],
-                                reps, workers)
+    task = partial(_rep_strip, lam, r, L, m, k, Window.centered(L, dim), rng)
+    [results] = _map_replicates("strip", [task], reps, workers)
     return StripReport(
         lam=lam, r=r, L=L, boxes=sub_box_count, k=k, reps=reps,
         master_seed=rng.master_seed,

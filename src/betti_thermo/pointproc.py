@@ -395,8 +395,15 @@ def superpose(a: PointCloud, b: PointCloud) -> PointCloud:
     return PointCloud(np.concatenate([a.points, b.points]))
 
 
-def scale_points(cloud: PointCloud, theta: float) -> PointCloud:
-    """Map every point x to theta * x (theta P(lam) has the law of P(lam / theta^d))."""
+def scale_points(cloud: PointCloud | np.ndarray, theta: float) -> PointCloud:
+    """Map every point x to theta * x (theta P(lam) has the law of P(lam / theta^d)).
+
+    cloud may also be an (n, d) array of points, such as a sampler's raw
+    draw, which then becomes a cloud once, scaled. Scaling can only merge
+    points, and deduplication keeps first occurrences, so that is the
+    cloud of the draw, scaled.
+    """
     if theta <= 0:
         raise SamplerError(f"scale factor must be positive, got {theta}")
-    return PointCloud(cloud.points * theta)
+    points = cloud.points if isinstance(cloud, PointCloud) else np.asarray(cloud, dtype=float)
+    return PointCloud(points * theta)

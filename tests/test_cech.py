@@ -20,6 +20,7 @@ from betti_thermo.cech import (
     CechError,
     MINIBALL_TOL,
     NeighborGrid,
+    _grid_layout,
     _ragged_pairs,
     build_cech,
     build_rips,
@@ -212,6 +213,46 @@ class TestNeighborGrid:
             pts = gen.random((n, d)) * 4.0
             self.assert_pairs(pts, 0.7)
             self.assert_pairs(pts, 0.7, period=4.0)
+
+    def test_one_period_different_cells(self):
+        # the torus layout is kept per (period, cells): clouds of different
+        # sizes on one period widen to different cells, and each grid
+        # matches brute force, also once the memo has served the other
+        gen = np.random.default_rng(81)
+        for d, period, r in [(2, 10.0, 0.3), (3, 6.0, 0.4)]:
+            clouds = [gen.random((n, d)) * period for n in (70, 700, 70)]
+            sizes = [len(NeighborGrid(pts, r, period)._start) for pts in clouds]
+            assert sizes[0] == sizes[2] != sizes[1]
+            for pts in clouds:
+                self.assert_pairs(pts, r, period)
+            self.assert_pairs(clouds[0][:40], r, period)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_three_cells_per_axis_just_above_three_r(self, d):
+        # a period just above 3r keeps 3 cells per axis, whose padded table
+        # repeats each one on both sides of the seam
+        gen = np.random.default_rng(82 + d)
+        r = 0.5
+        period = 3 * r + 1e-9
+        for n in (70, 150):
+            pts = gen.random((n, d)) * period
+            assert len(NeighborGrid(pts, r, period)._start) == 5 ** d
+            self.assert_pairs(pts, r, period)
+
+    def test_layout_arrays_are_read_only(self):
+        pts = np.random.default_rng(83).random((100, 2)) * 8.0
+        grid = NeighborGrid(pts, 0.5, 8.0)
+        layout = _grid_layout((15, 15), 8.0)
+        assert grid._steps is layout.steps
+        for part in (layout.cells, layout.strides, layout.steps, layout.sides,
+                     layout.source):
+            assert not part.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                part[0] = 0
+        # the padding repeats the cells across the seam: padded cell
+        # (0, 0) shows cell (14, 14), stored at padded (15, 15)
+        assert layout.source[0] == 15 * 17 + 15
+        assert layout.source[17 * 17 - 1] == 1 * 17 + 1
 
     def test_non_finite_points_rejected(self):
         with pytest.raises(CechError, match="finite"):

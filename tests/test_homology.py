@@ -495,6 +495,38 @@ class TestSpanningForest:
         self.assert_forest(n, u, v, 1)
         self.assert_forest(n, v[::-1], u[::-1], 1)
 
+    @pytest.mark.parametrize("n", [3, 4, 65, 1000])
+    def test_root_hooks_onto_a_root_hooked_in_the_same_round(self, n):
+        # labels decrease along the path and its edges are listed from the
+        # end with the highest labels, so in the first round every vertex
+        # picks its edge toward the next higher label and all of them hook
+        # at once, a chain of n - 2 hooked roots for the jumping to resolve
+        labels = np.random.default_rng(n).permutation(3 * n)[:n]
+        labels[::-1].sort()
+        self.assert_forest(3 * n, labels[:-1], labels[1:], 2 * n + 1)
+        self.assert_forest(3 * n, labels[1:], labels[:-1], 2 * n + 1)
+
+    def test_isolated_vertices_keep_their_own_root(self):
+        # edges among every third vertex of a geometric graph's labels,
+        # with the vertices between them isolated
+        gen = np.random.default_rng(43)
+        u, v = NeighborGrid(gen.random((200, 2)) * 5.0, 0.6).pairs_within()
+        n = 3 * 200 + 2
+        u, v = 3 * u + 1, 3 * v + 1
+        _, root = _boruvka(n, u, v)
+        isolated = np.setdiff1d(np.arange(n), np.concatenate((u, v)))
+        assert len(isolated) >= 402
+        assert np.array_equal(root[isolated], isolated)
+        self.assert_forest(n, u, v, self.components(n, u.tolist(), v.tolist()))
+
+    def test_geometric_graph_over_ten_thousand_edges(self):
+        # a dense torus cloud, the size of a rate-d2-dense replicate
+        pts = np.random.default_rng(44).random((1800, 2)) * 20.0
+        u, v = NeighborGrid(pts, 1.0, 20.0).pairs_within()
+        assert len(u) > 10_000
+        self.assert_forest(len(pts), u, v,
+                           connected_components(PointCloud(pts), 1.0, period=20.0))
+
     @pytest.mark.parametrize("centre", [0, 499])
     def test_star(self, centre):
         # leaves listed from the largest down, centre first or last label
@@ -585,6 +617,13 @@ class TestDifferenceBound:
 
     def test_hollow_inside_filled(self):
         assert betti_diff_bound_check(hollow_triangle(), filled_triangle(), 1)
+
+    def test_given_betti_numbers_are_used(self):
+        # beta_1 is 1 and 0 with one extra simplex; a caller's Betti numbers
+        # stand in for computing them, so wrong ones can break the bound
+        hollow, filled = hollow_triangle(), filled_triangle()
+        assert betti_diff_bound_check(hollow, filled, 1, betti=(1, 0))
+        assert not betti_diff_bound_check(hollow, filled, 1, betti=(3, 0))
 
     def test_degree_below_one_rejected(self):
         with pytest.raises(HomologyError, match="stated for k >= 1$"):

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from betti_thermo import cech, limits
+from betti_thermo import cech, homology, limits
 from betti_thermo.limits import (
     CSV_HEADER,
     ConvergenceTable,
@@ -937,9 +937,9 @@ class TestIntensityPerturbation:
         calls = []
         check = limits.betti_diff_bound_check
 
-        def recording(k1, k2, k):
+        def recording(k1, k2, k, **kwargs):
             calls.append((k1.vertex_count, k2.vertex_count))
-            return check(k1, k2, k)
+            return check(k1, k2, k, **kwargs)
 
         monkeypatch.setattr(limits, "betti_diff_bound_check", recording)
         g = IntensityGrid(Window(np.zeros(2), np.array([6.0, 6.0])), cells,
@@ -953,6 +953,33 @@ class TestIntensityPerturbation:
         assert len(calls) == 6
         assert all(n_g <= n_f for n_g, n_f in calls)
         assert any(n_g < n_f for n_g, n_f in calls)
+
+    def test_homology_twice_per_replicate(self, monkeypatch):
+        # a one-sided perturbation checks every realization's nested bound
+        # with the Betti numbers the replicate already has, so it takes
+        # the homology of its two complexes once each
+        calls = []
+        for module in (limits, homology):
+            def counting(cx, k, betti_numbers=module.betti_numbers):
+                calls.append(cx.vertex_count)
+                return betti_numbers(cx, k)
+
+            monkeypatch.setattr(module, "betti_numbers", counting)
+        # each check is given the Betti numbers of its own two complexes
+        given = []
+        check = limits.betti_diff_bound_check
+
+        def recording(k1, k2, k, **kwargs):
+            given.append(kwargs["betti"] == (betti_numbers(k1, k)[k], betti_numbers(k2, k)[k]))
+            return check(k1, k2, k, **kwargs)
+
+        monkeypatch.setattr(limits, "betti_diff_bound_check", recording)
+        f = self.base_intensity()
+        g = IntensityGrid(f.box, f.cells_per_axis, f.values + 0.5)
+        report = intensity_perturbation_check(f, g, 1.0, 1, 5, RngStream(92))
+        assert report.passed and report.gap > 0
+        assert given == [True] * 5
+        assert len(calls) == 2 * 5
 
     def test_gap_shrinks_with_the_perturbation(self):
         f = self.base_intensity()
@@ -1000,8 +1027,9 @@ class TestWorkerPool:
         # 6 replicates: even shares at 2 and 3 workers, uneven ones (2, 2, 1,
         # 1) at 4, and more workers than replicates at 7, which forks 5
         shares = {2: [3], 3: [2, 2], 4: [2, 1, 1], 7: [1] * 5}[workers]
-        tasks = [functools.partial(limits._rep_simplex_rate, 1.0, 0.5, 16.0, 1, 2, "plain",
-                                   RngStream(seed)) for seed in (60, 61)]
+        tasks = [functools.partial(limits._rep_simplex_rate, 1.0, 0.5, 16.0, 1,
+                                   Window.centered(16.0, 2), "plain", RngStream(seed))
+                 for seed in (60, 61)]
         serial = limits._map_replicates("simplex_rate", tasks, 3, 1)
         assert forked_shares == []
         assert limits._map_replicates("simplex_rate", tasks, 3, workers) == serial

@@ -395,6 +395,20 @@ class TestCouplings:
         assert big.contains(scaled.points).all()
         assert len(scaled) == len(cloud)
 
+    def test_scaling_a_raw_draw_gives_the_scaled_cloud(self):
+        # one cloud from the array equals the cloud of the draw, scaled: an
+        # exact duplicate, and two distinct points that scaling merges
+        # (both underflow to 0 at theta = 1e-300), keep only their first
+        gen = np.random.default_rng(38)
+        draw = np.vstack([gen.random((40, 2)), [[0.25, 0.5]], gen.random((5, 2)),
+                          [[0.25, 0.5]], [[1e-200, 0.0]], [[3e-200, 0.0]]])
+        for theta in (3.7, 1e-300):
+            direct = scale_points(draw, theta)
+            assert direct == scale_points(PointCloud(draw), theta)
+            assert not direct.points.flags.writeable
+        assert len(scale_points(draw, 3.7)) == len(draw) - 1
+        assert len(scale_points(draw, 1e-300)) < len(draw) - 1
+
     def test_scale_rejects_nonpositive(self):
         with pytest.raises(SamplerError):
             scale_points(PointCloud.empty(2), 0.0)
