@@ -79,11 +79,12 @@ class SimplicialComplex:
     keys a simplex: parent * vertex_count + last vertex is strictly
     increasing along each level and below S_{j-1} * vertex_count, an int64
     for any complex that fits in memory. facets[0] has no columns, and
-    facets[1] is simplices[1] itself. max_dim is the enumeration cutoff requested at
-    build time; it may exceed the highest nonempty dimension. Builders
-    guarantee downward closure. Two complexes are equal when their
-    simplices and other fields are (the facets follow from the simplices).
-    restrict(labels) keeps those inside labelled parts of the vertices.
+    facets[1] equals simplices[1] (a build shares the one array). max_dim
+    is the enumeration cutoff requested at build time; it may exceed the
+    highest nonempty dimension. Builders guarantee downward closure. Two
+    complexes are equal when their simplices and other fields are (the
+    facets follow from the simplices). restrict(labels) keeps those inside
+    labelled parts of the vertices.
     """
 
     max_dim: int
@@ -138,7 +139,7 @@ class SimplicialComplex:
             if j and not kept.any():
                 break
             levels.append(vertex[rows[kept]])
-            facets.append(levels[1] if j == 1 else index[up[kept]])
+            facets.append(index[up[kept]])
             index = kept.cumsum() - 1
         return SimplicialComplex(self.max_dim, tuple(levels), len(levels[0]),
                                  tuple(facets))
@@ -260,8 +261,11 @@ class NeighborGrid:
     """
 
     def __init__(self, points: np.ndarray, r: float, period: float | None = None):
-        if r <= 0:
+        # `not >` fails nan too
+        if not r > 0:
             raise CechError(f"pair radius must be positive, got {r}")
+        if period is not None and not 0 < period < np.inf:
+            raise CechError(f"torus period must be positive and finite, got {period}")
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 2:
             raise CechError("points must be an (n, d) array")
@@ -414,11 +418,14 @@ def build_rips(cloud: PointCloud, r: float, max_dim: int,
 
 def _build(cloud: PointCloud, r: float, max_dim: int, period: float | None,
            filtered: bool) -> SimplicialComplex:
-    if r <= 0:
+    # `not >` fails nan too
+    if not r > 0:
         raise CechError(f"radius must be positive, got {r}")
     if max_dim < 0:
         raise CechError(f"max_dim must be non-negative, got {max_dim}")
-    if period is not None and period <= 3.0 * r:
+    if period is not None and not period < np.inf:
+        raise CechError(f"torus period must be finite, got {period}")
+    if period is not None and not period > 3.0 * r:
         raise CechError(
             f"torus period {period} too small for radius {r}: "
             "need period > 3r so simplices cannot wrap"
@@ -434,6 +441,9 @@ def _build(cloud: PointCloud, r: float, max_dim: int, period: float | None,
         eu, ev = NeighborGrid(pts, r, period).pairs_within()
         levels.append(np.column_stack((eu, ev)))
         facets.append(levels[1])
+        # the last level's facet columns, read as built rather than out of
+        # its stacked facets array: an edge's facets are its vertices
+        up = [eu, ev]
         # CSR upper-neighbour lists: the edges are sorted by (u, v), so
         # vertex a's neighbours above it are ev[starts[a]:starts[a + 1]]
         starts = eu.searchsorted(np.arange(n + 1))
@@ -448,7 +458,6 @@ def _build(cloud: PointCloud, r: float, max_dim: int, period: float | None,
             # edge (v0, vi)
             deltas = [_min_image(x[ev] - x[eu], period) for x in axes]
         for j in range(2, top + 1):
-            up = facets[-1]
             # level j extends each accepted (j-1)-simplex by every upper
             # neighbour of its last vertex, so each level comes out in
             # lexicographic order
@@ -459,10 +468,10 @@ def _build(cloud: PointCloud, r: float, max_dim: int, period: float | None,
             # Rips clique test, the Cech facet condition). Facet c lacks
             # vertex j-c: c = 0 is the parent, c = j = 2 the edge grown
             # along, any other is keyed (parent's facet c-1, new vertex)
-            prev_keys = up[:, 0] * n + last
+            prev_keys = up[0] * n + last
             cols = [parent]
             for c in range(1, 2 if j == 2 else j + 1):
-                at, found = sorted_lookup(prev_keys, up[cols[0], c - 1] * n + ev[pos])
+                at, found = sorted_lookup(prev_keys, up[c - 1][cols[0]] * n + ev[pos])
                 found = found.nonzero()[0]
                 cols = [col[found] for col in cols] + [at[found]]
                 pos = pos[found]
@@ -495,6 +504,7 @@ def _build(cloud: PointCloud, r: float, max_dim: int, period: float | None,
                 break
             levels.append(np.column_stack(verts))
             facets.append(np.column_stack(cols))
+            up = cols
     while len(levels) > 1 and not len(levels[-1]):
         levels.pop()
         facets.pop()

@@ -13,10 +13,9 @@ bit-for-bit reproducible for any worker count. Every estimator and every
 experiment runs all its replicates in one map, _map_replicates(kind, tasks,
 reps, workers), with one task per grid point, schedule entry or side of the
 scaling identity: a partial over a module-level _rep_* body, called as
-task(i) for replicate i. kind only labels trace spans and picks _records'
-record shape. With workers > 1 the calling process runs one share of that
-map and forks one process for each other share; every one of them has
-exited by the time the map returns or raises.
+task(i) for replicate i; kind only labels trace spans. With workers > 1 the
+caller runs one share of that map and forks one process for each other
+share; every one of them has exited by the time the map returns or raises.
 """
 
 from __future__ import annotations
@@ -164,26 +163,22 @@ def write_json(path, doc: dict) -> None:
 # ---------------------------------------------------------------------------
 # replicate engine
 
-def _torus_period(L: float, dim: int, boundary_mode: str) -> float | None:
-    return L ** (1.0 / dim) if boundary_mode == "torus" else None
-
-
 def _betti_k(cloud: PointCloud, r: float, k: int, period: float | None) -> int:
     cx = build_cech(cloud, r, k + 1, period=period)
     return betti_numbers(cx, k)[k]
 
 
-# the rate and strip bodies take the window of volume L, Window.centered(L,
-# dim), built once per task rather than validated again in every replicate
+# a rate or strip task builds its window of volume L once, not in every
+# replicate; a rate body takes the window's side as its torus period, or None
 
-def _rep_betti_rate(lam, r, L, k, window, mode, stream, i: int):
+def _rep_betti_rate(lam, r, L, k, window, period, stream, i: int):
     cloud = sample_poisson_homogeneous(lam, window, stream.substream(i))
-    return _betti_k(cloud, r, k, _torus_period(L, window.dim, mode)) / L
+    return _betti_k(cloud, r, k, period) / L
 
 
-def _rep_simplex_rate(lam, r, L, j, window, mode, stream, i: int):
+def _rep_simplex_rate(lam, r, L, j, window, period, stream, i: int):
     cloud = sample_poisson_homogeneous(lam, window, stream.substream(i))
-    cx = build_cech(cloud, r, j, period=_torus_period(L, window.dim, mode))
+    cx = build_cech(cloud, r, j, period=period)
     return len(cx.simplices_of(j)) / L
 
 
@@ -305,8 +300,7 @@ def _join_share(child, receive) -> tuple:
 def _map_replicates(kind: str, tasks, reps: int, workers: int) -> list[list]:
     """Runs replicates 0..reps-1 of each task in one map and returns each
     task's values: task(i) draws from substream i of the task's stream.
-    kind, the tasks' replicate body, is only a label of trace spans until
-    the benchmark reads the library's own records.
+    kind only labels trace spans.
 
     Every estimator and experiment runs its replicates here, so the
     replicate and worker counts are checked once, before any cloud is
@@ -341,20 +335,12 @@ def _mean_stderr(values) -> tuple[float, float]:
     return float(arr.mean()), float(arr.std(ddof=1) / math.sqrt(len(arr)))
 
 
-def _records(kind: str, tasks, reps: int, workers: int) -> list[EstimateRecord]:
-    """The estimates of rate or binomial tasks, from one replicate map."""
-    records = []
-    for task, values in zip(tasks, _map_replicates(kind, tasks, reps, workers)):
-        mean, stderr = _mean_stderr(values)
-        if kind == "binomial":
-            _, n, r, k, rng = task.args
-            records.append(EstimateRecord("expectation_per_n", k, None, r, n, mean,
-                                          stderr, reps, rng.master_seed, "plain"))
-        else:
-            lam, r, L, degree, _, boundary_mode, rng = task.args
-            records.append(EstimateRecord(kind, degree, lam, r, L, mean, stderr, reps,
-                                          rng.master_seed, boundary_mode))
-    return records
+def _records(kind: str, requests, reps: int, workers: int) -> list[EstimateRecord]:
+    """The estimates of (task, head) requests from one replicate map: each
+    head, EstimateRecord over the fields its request fixes, gets its task's
+    mean, stderr and reps. kind only labels trace spans."""
+    values = _map_replicates(kind, [task for task, _ in requests], reps, workers)
+    return [head(*_mean_stderr(v), reps) for (_, head), v in zip(requests, values)]
 
 
 # ---------------------------------------------------------------------------
@@ -462,10 +448,20 @@ def _check_args(**args) -> None:
 # ---------------------------------------------------------------------------
 # rate estimators
 
-def _betti_rate_task(lam: float, r: float, L: float, k: int, rng: RngStream,
-                     boundary_mode: str, dim: int):
+def _rate_request(body, quantity: str, lam: float, r: float, L: float, degree: int,
+                  rng: RngStream, boundary_mode: str, dim: int):
+    window = Window.centered(L, dim)
+    period = window.sides[0] if boundary_mode == "torus" else None
+    return (partial(body, lam, r, L, degree, window, period, rng),
+            partial(EstimateRecord, quantity, degree, lam, r, L,
+                    master_seed=rng.master_seed, boundary_mode=boundary_mode))
+
+
+def _betti_rate_request(lam: float, r: float, L: float, k: int, rng: RngStream,
+                        boundary_mode: str, dim: int):
     _check_args(lam=lam, r=r, L=L, dim=dim, k=k, boundary_mode=boundary_mode)
-    return partial(_rep_betti_rate, lam, r, L, k, Window.centered(L, dim), boundary_mode, rng)
+    return _rate_request(_rep_betti_rate, "betti_rate", lam, r, L, k, rng,
+                         boundary_mode, dim)
 
 
 def estimate_betti_rate(lam: float, r: float, L: float, k: int, reps: int,
@@ -476,8 +472,8 @@ def estimate_betti_rate(lam: float, r: float, L: float, k: int, reps: int,
     boundary_mode "torus" replaces the Euclidean metric with the flat
     torus on the observation window, removing boundary bias.
     """
-    task = _betti_rate_task(lam, r, L, k, rng, boundary_mode, dim)
-    return _records("betti_rate", [task], reps, workers)[0]
+    request = _betti_rate_request(lam, r, L, k, rng, boundary_mode, dim)
+    return _records("betti_rate", [request], reps, workers)[0]
 
 
 def estimate_simplex_rate(lam: float, r: float, L: float, j: int, reps: int,
@@ -485,9 +481,9 @@ def estimate_simplex_rate(lam: float, r: float, L: float, j: int, reps: int,
                           dim: int = 2, workers: int = 1) -> EstimateRecord:
     """Mean of S_j(lam, r; L) / L, the per-volume j-simplex count."""
     _check_args(lam=lam, r=r, L=L, dim=dim, j=j, boundary_mode=boundary_mode)
-    task = partial(_rep_simplex_rate, lam, r, L, j, Window.centered(L, dim),
-                   boundary_mode, rng)
-    return _records("simplex_rate", [task], reps, workers)[0]
+    request = _rate_request(_rep_simplex_rate, "simplex_rate", lam, r, L, j, rng,
+                            boundary_mode, dim)
+    return _records("simplex_rate", [request], reps, workers)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -581,9 +577,9 @@ def build_limit_curve(k: int, s_grid, L: float, reps: int, rng: RngStream,
     """
     _check_args(s_grid=s_grid)
     grid = [float(s) for s in s_grid]
-    tasks = [_betti_rate_task(1.0, s, L, k, rng.substream(idx), boundary_mode, dim)
-             for idx, s in enumerate(grid) if s != 0.0]
-    estimates = iter(_records("betti_rate", tasks, reps, workers))
+    requests = [_betti_rate_request(1.0, s, L, k, rng.substream(idx), boundary_mode, dim)
+                for idx, s in enumerate(grid) if s != 0.0]
+    estimates = iter(_records("betti_rate", requests, reps, workers))
     records = [None if s == 0.0 else next(estimates) for s in grid]
     return LimitCurve(k=k, dim=dim, L=L, reps=reps, master_seed=rng.master_seed,
                       boundary_mode=boundary_mode, s_grid=grid,
@@ -709,11 +705,11 @@ def scaling_check(lam: float, theta: float, r: float, L: float, k: int,
     substream, so both sides coincide exactly.
     """
     _check_args(theta=theta)
-    tasks = [_betti_rate_task(lam, r, L, k, rng.substream(0), boundary_mode, dim)]
+    requests = [_betti_rate_request(lam, r, L, k, rng.substream(0), boundary_mode, dim)]
     if theta != 1.0:
-        tasks.append(_betti_rate_task(lam * theta, r / theta ** (1.0 / dim), L, k,
-                                      rng.substream(1), boundary_mode, dim))
-    estimates = _records("betti_rate", tasks, reps, workers)
+        requests.append(_betti_rate_request(lam * theta, r / theta ** (1.0 / dim), L, k,
+                                            rng.substream(1), boundary_mode, dim))
+    estimates = _records("betti_rate", requests, reps, workers)
     lhs, rhs = estimates[0], estimates[-1]
     scaled_mean = rhs.mean / theta
     scaled_se = rhs.stderr / theta
@@ -729,9 +725,11 @@ def scaling_check(lam: float, theta: float, r: float, L: float, k: int,
 # ---------------------------------------------------------------------------
 # binomial / Poissonized expectations and the convergence experiment
 
-def _binomial_task(density: DensityGrid, n: int, r: float, k: int, rng: RngStream):
+def _binomial_request(density: DensityGrid, n: int, r: float, k: int, rng: RngStream):
     _check_args(n=n, r=r, k=k, dim=density.dim)
-    return partial(_rep_binomial, density, n, r, k, rng)
+    return (partial(_rep_binomial, density, n, r, k, rng),
+            partial(EstimateRecord, "expectation_per_n", k, None, r, n,
+                    master_seed=rng.master_seed, boundary_mode="plain"))
 
 
 def estimate_binomial_expectation(density: DensityGrid, n: int, r: float,
@@ -742,8 +740,8 @@ def estimate_binomial_expectation(density: DensityGrid, n: int, r: float,
     Implemented on the rescaled cloud n^(1/d) * X_n at radius r, which
     carries the same complex.
     """
-    task = _binomial_task(density, n, r, k, rng)
-    return _records("binomial", [task], reps, workers)[0]
+    request = _binomial_request(density, n, r, k, rng)
+    return _records("binomial", [request], reps, workers)[0]
 
 
 @dataclass(frozen=True)
@@ -787,9 +785,9 @@ def convergence_table(density: DensityGrid, n_schedule, r: float, k: int,
     schedule = tuple(n_schedule)
     _check_args(schedule=schedule)
     schedule = tuple(map(int, schedule))  # numpy integers as ints, for JSON
-    tasks = [_binomial_task(density, n, r, k, rng.substream(idx))
-             for idx, n in enumerate(schedule)]
-    records = tuple(_records("binomial", tasks, reps, workers))
+    requests = [_binomial_request(density, n, r, k, rng.substream(idx))
+                for idx, n in enumerate(schedule)]
+    records = tuple(_records("binomial", requests, reps, workers))
     return ConvergenceTable(n_schedule=schedule, records=records,
                             target=target, target_stderr=target_stderr)
 
@@ -941,10 +939,11 @@ def boundary_strip_check(lam: float, r: float, L: float, sub_box_count: int,
         raise LimitsError(
             f"cannot split a cube into {sub_box_count} congruent boxes in d={dim}"
         )
-    side = L ** (1.0 / dim) / m
+    window = Window.centered(L, dim)
+    side = window.sides[0] / m
     if side <= 2 * r:
         raise LimitsError(f"box side {side} must exceed 2r = {2 * r}")
-    task = partial(_rep_strip, lam, r, L, m, k, Window.centered(L, dim), rng)
+    task = partial(_rep_strip, lam, r, L, m, k, window, rng)
     [results] = _map_replicates("strip", [task], reps, workers)
     return StripReport(
         lam=lam, r=r, L=L, boxes=sub_box_count, k=k, reps=reps,

@@ -17,8 +17,9 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -78,10 +79,15 @@ class RngStream:
 
 @dataclass(frozen=True, eq=False)
 class Window:
-    """Axis-aligned half-open box [lower, upper) in R^d."""
+    """Axis-aligned half-open box [lower, upper) in R^d.
+
+    Its sides, upper - lower, are computed once, read-only, as is its
+    volume: a sampler reads both in every replicate.
+    """
 
     lower: np.ndarray
     upper: np.ndarray
+    sides: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         lo = np.atleast_1d(np.asarray(self.lower, dtype=float))
@@ -95,10 +101,13 @@ class Window:
                 f"window bounds must be finite, got {lo.tolist()} / {hi.tolist()}")
         if not np.all(lo < hi):
             raise SamplerError(f"window must satisfy lower < upper, got {lo} / {hi}")
-        lo.flags.writeable = False
-        hi.flags.writeable = False
+        sides = hi - lo
+        for arr in (lo, hi, sides):
+            arr.flags.writeable = False
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
+        object.__setattr__(self, "sides", sides)
+        object.__setattr__(self, "_volume", float(np.prod(sides)))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Window):
@@ -110,12 +119,8 @@ class Window:
     def dim(self) -> int:
         return self.lower.shape[0]
 
-    @property
-    def sides(self) -> np.ndarray:
-        return self.upper - self.lower
-
     def volume(self) -> float:
-        return float(np.prod(self.sides))
+        return self._volume
 
     def contains(self, points: np.ndarray) -> np.ndarray:
         """Half-open membership mask for an (n, d) array of points."""
@@ -369,6 +374,8 @@ def sample_poisson_homogeneous(lam: float, window: Window, rng: RngStream) -> Po
     The count is Poisson(lam * |window|); given the count, points are
     i.i.d. uniform. lam = 0 is the trivial process with no points.
     """
+    if not math.isfinite(lam):
+        raise SamplerError(f"intensity must be finite, got {lam}")
     if lam < 0:
         raise SamplerError(f"intensity must be non-negative, got {lam}")
     gen = rng.generator()

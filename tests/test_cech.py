@@ -262,10 +262,16 @@ class TestNeighborGrid:
         with pytest.raises(CechError, match=re.escape("points must be an (n, d) array")):
             NeighborGrid(np.zeros(3), 0.5)
 
-    @pytest.mark.parametrize("r", [0.0, -1.0])
+    @pytest.mark.parametrize("r", [0.0, -1.0, np.nan])
     def test_non_positive_radius_rejected(self, r):
-        with pytest.raises(CechError, match=f"got {r}"):
+        with pytest.raises(CechError, match=f"pair radius must be positive, got {r}$"):
             NeighborGrid(np.zeros((3, 2)), r)
+
+    @pytest.mark.parametrize("period", [np.nan, np.inf, 0.0, -2.0])
+    def test_period_not_positive_and_finite_rejected(self, period):
+        with pytest.raises(CechError, match="torus period must be positive and "
+                                            f"finite, got {period}$"):
+            NeighborGrid(np.random.default_rng(3).random((6, 2)), 0.5, period)
 
 
 @example(runs=[(0, 5, 2), (1, 0, 0), (2, 9, 3), (3, 2, -4)])
@@ -395,13 +401,18 @@ class TestBuildCech:
         with pytest.raises(CechError, match=re.escape(message) + "$"):
             build_cech(cloud, 1.0, 2)
 
-    @pytest.mark.parametrize("r, max_dim, message", [
-        (-0.5, 2, "radius must be positive, got -0.5"),
-        (1.0, -1, "max_dim must be non-negative, got -1"),
-    ], ids=["r", "max-dim"])
-    def test_message_names_the_value(self, r, max_dim, message):
+    @pytest.mark.parametrize("r, max_dim, period, message", [
+        (-0.5, 2, None, "radius must be positive, got -0.5"),
+        (np.nan, 2, None, "radius must be positive, got nan"),
+        (1.0, -1, None, "max_dim must be non-negative, got -1"),
+        (1.0, 2, np.nan, "torus period must be finite, got nan"),
+        (1.0, 2, np.inf, "torus period must be finite, got inf"),
+        (1.0, 2, 3.0, "torus period 3.0 too small for radius 1.0: "
+                      "need period > 3r so simplices cannot wrap"),
+    ], ids=["r", "r-nan", "max-dim", "period-nan", "period-inf", "period-3r"])
+    def test_message_names_the_value(self, r, max_dim, period, message):
         with pytest.raises(CechError, match=re.escape(message) + "$"):
-            build_cech(equilateral(), r, max_dim)
+            build_cech(equilateral(), r, max_dim, period=period)
 
     @pytest.mark.parametrize("r", [1e155, 1e300, 1.7976931348623157e308])
     def test_radius_whose_square_overflows_gives_the_complete_complex(self, r):
@@ -487,6 +498,28 @@ class TestDegenerateGeometry:
             + [[np.sin(polar), 0.0, np.cos(polar)]])
         assert_cech_matches_brute_force(PointCloud(pts), 2.0 * radius * (1.0 + rel))
 
+    @pytest.mark.parametrize("height, tetrahedra", [(1.0 - 3e-7, 1), (1.0 + 3e-7, 0)],
+                             ids=["circumcenter-below-the-base", "circumcenter-inside"])
+    def test_circumcenter_just_past_the_base_at_scale(self, height, tetrahedra):
+        # an acute base inscribed in a circle of radius R in z = 0, and the
+        # apex, the first vertex, at height h = R(1 -/+ 3e-7) above its centre.
+        # The circumcenter (0, 0, (h^2 - R^2) / 2h) lies just below the base or
+        # just inside, and the circumradius (h^2 + R^2) / 2h exceeds R by
+        # 4.5e-11; r/2 lies halfway. Below, Welzl's miniball is the base's
+        # circumball, of radius R <= r/2, and the tetrahedron is in; inside,
+        # the circumball is the miniball and it is out. An inside test
+        # loosened by 1e-6 would call the first circumcenter inside and drop
+        # that tetrahedron; at unit scale it errs only within MINIBALL_TOL
+        R = 1000.0
+        h = R * height
+        base = [[R * np.cos(t), R * np.sin(t), 0.0] for t in (0.3, 2.2, 4.1)]
+        cloud = PointCloud(np.array([[0.0, 0.0, h]] + base))
+        r = R + (h * h + R * R) / (2.0 * h)
+        cx = build_cech(cloud, r, 3)
+        assert len(cx.simplices_of(2)) == 4
+        assert len(cx.simplices_of(3)) == tetrahedra
+        assert_cech_matches_brute_force(cloud, r)
+
     @degenerate
     @given(st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
                     min_size=4, max_size=6),
@@ -516,6 +549,28 @@ class TestDegenerateGeometry:
                     for t, lat in zip(thetas, lats)]
         pts = radius * np.array(rows) + shift
         assert_cech_matches_brute_force(PointCloud(pts), 2.0 * radius * (1.0 + rel))
+
+    @pytest.mark.parametrize("height, tetrahedra", [(1.0 - 3e-7, 1), (1.0 + 3e-7, 0)],
+                             ids=["circumcenter-below-the-base", "circumcenter-inside"])
+    def test_circumcenter_just_past_the_base_at_scale(self, height, tetrahedra):
+        # an acute base inscribed in a circle of radius R in z = 0, and the
+        # apex, the first vertex, at height h = R(1 -/+ 3e-7) above its centre.
+        # The circumcenter (0, 0, (h^2 - R^2) / 2h) lies just below the base or
+        # just inside, and the circumradius (h^2 + R^2) / 2h exceeds R by
+        # 4.5e-11; r/2 lies halfway. Below, Welzl's miniball is the base's
+        # circumball, of radius R <= r/2, and the tetrahedron is in; inside,
+        # the circumball is the miniball and it is out. An inside test
+        # loosened by 1e-6 would call the first circumcenter inside and drop
+        # that tetrahedron; at unit scale it errs only within MINIBALL_TOL
+        R = 1000.0
+        h = R * height
+        base = [[R * np.cos(t), R * np.sin(t), 0.0] for t in (0.3, 2.2, 4.1)]
+        cloud = PointCloud(np.array([[0.0, 0.0, h]] + base))
+        r = R + (h * h + R * R) / (2.0 * h)
+        cx = build_cech(cloud, r, 3)
+        assert len(cx.simplices_of(2)) == 4
+        assert len(cx.simplices_of(3)) == tetrahedra
+        assert_cech_matches_brute_force(cloud, r)
 
     @degenerate
     @given(st.lists(st.tuples(*[st.floats(0.0, 1.0)] * 3), min_size=3, max_size=5,
@@ -809,7 +864,7 @@ def assert_same_complex(got, want):
         assert a.dtype == b.dtype and a.shape == b.shape
         assert np.array_equal(a, b)
     if len(got.simplices) > 1:
-        assert got.facets[1] is got.simplices[1]
+        assert np.array_equal(got.facets[1], got.simplices[1])
 
 
 class TestRestrict:

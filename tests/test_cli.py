@@ -935,12 +935,22 @@ class TestFlagsPerCommand:
 
 class TestReadme:
     """Every `$ betti-thermo ...` line of README's example blocks prints
-    what the README shows under it."""
+    what the README shows under it, and every print of its Python blocks
+    the comment on its line."""
 
     README = Path(__file__).resolve().parents[1] / "README.md"
     BLOCKS = [block for block in re.findall(r"^```\w*\n(.*?)^```$", README.read_text(),
                                             re.M | re.S)
               if block.startswith("$ ")]
+    PYTHON = re.findall(r"^```python\n(.*?)^```$", README.read_text(), re.M | re.S)
+
+    @pytest.mark.parametrize("block", PYTHON,
+                             ids=[f"python{i}" for i in range(len(PYTHON))])
+    def test_python_prints_what_its_comments_show(self, capsys, block):
+        shown = [line.partition("  # ")[2] for line in block.splitlines()
+                 if line.startswith("print(")]
+        exec(compile(block, "README.md", "exec"), {})
+        assert capsys.readouterr().out.splitlines() == shown
 
     @pytest.mark.parametrize("block", BLOCKS,
                              ids=[f"block{i}" for i in range(len(BLOCKS))])

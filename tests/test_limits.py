@@ -1028,7 +1028,7 @@ class TestWorkerPool:
         # 1) at 4, and more workers than replicates at 7, which forks 5
         shares = {2: [3], 3: [2, 2], 4: [2, 1, 1], 7: [1] * 5}[workers]
         tasks = [functools.partial(limits._rep_simplex_rate, 1.0, 0.5, 16.0, 1,
-                                   Window.centered(16.0, 2), "plain", RngStream(seed))
+                                   Window.centered(16.0, 2), None, RngStream(seed))
                  for seed in (60, 61)]
         serial = limits._map_replicates("simplex_rate", tasks, 3, 1)
         assert forked_shares == []

@@ -40,6 +40,21 @@ class TestWindow:
         assert np.allclose(w.lower, [-10.0, -10.0])
         assert np.allclose(w.upper, [10.0, 10.0])
 
+    def test_sides_and_volume_are_read_only(self):
+        w = Window(np.zeros(2), np.array([2.0, 3.0]))
+        assert w.sides.tolist() == [2.0, 3.0] and w.volume() == 6.0
+        with pytest.raises(ValueError, match="read-only"):
+            w.sides[0] = 1.0
+        with pytest.raises(AttributeError):
+            w.sides = np.ones(2)
+
+    def test_centered_side_is_the_volume_root(self):
+        # the rate estimators take a torus period from this side: it must be
+        # the float L ** (1/d), bit for bit
+        for L in np.geomspace(1e-300, 1e300, 601):
+            for d in range(1, 7):
+                assert Window.centered(L, d).sides[0] == L ** (1.0 / d), (L, d)
+
     def test_half_open_membership(self):
         w = Window.unit(2)
         inside = w.contains(np.array([[0.0, 0.0], [0.5, 0.999], [1.0, 0.5]]))
@@ -429,6 +444,10 @@ class TestRejectedValues:
          "n must be non-negative, got -3"),
         (lambda: sample_poisson_homogeneous(-1.5, Window.unit(2), RngStream(0)),
          "intensity must be non-negative, got -1.5"),
+        (lambda: sample_poisson_homogeneous(np.nan, Window.unit(2), RngStream(0)),
+         "intensity must be finite, got nan"),
+        (lambda: sample_poisson_homogeneous(np.inf, Window.unit(2), RngStream(0)),
+         "intensity must be finite, got inf"),
         (lambda: Window.centered(-5.0, 2), "window volume must be positive, got -5.0"),
         (lambda: scale_points(PointCloud.empty(2), 0.0),
          "scale factor must be positive, got 0.0"),
@@ -440,8 +459,8 @@ class TestRejectedValues:
         (lambda: PointCloud(np.zeros(3)), "points must be an (n, d) array"),
         (lambda: superpose(PointCloud.empty(2), PointCloud.empty(3)),
          "dimension mismatch: 2 vs 3"),
-    ], ids=["n", "intensity", "volume", "scale", "seed", "float-seed", "path", "bounds",
-            "cloud-shape", "superpose"])
+    ], ids=["n", "intensity", "intensity-nan", "intensity-inf", "volume", "scale", "seed",
+            "float-seed", "path", "bounds", "cloud-shape", "superpose"])
     def test_message_names_the_value(self, make, message):
         with pytest.raises(SamplerError, match=re.escape(message) + "$"):
             make()
