@@ -53,7 +53,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from betti_thermo.pointproc import PointCloud
+from betti_thermo.pointproc import _ARG_RULES, _COUNT, PointCloud, _check_value
 
 # absolute slack on the miniball-radius <= r/2 comparison; keeps the
 # complex monotone in r under floating point
@@ -61,6 +61,10 @@ MINIBALL_TOL = 1e-12
 # the builder's version in limit-curve cache file names: bump it whenever a
 # change can make any complex differ, so no cached curve outlives its builder
 ALGORITHM_VERSION = 1
+# the highest ambient dimension of a neighbour grid, which enumerates the 3^d
+# cell offsets in Python: 729 at d = 6 (364 half-offsets), 3.5e9 at d = 20
+MAX_DIM = 6
+_ARG_RULES["dim"] = ("dimension", _COUNT, (lambda v: 1 <= v <= MAX_DIM, f"lie in 1..{MAX_DIM}"))
 
 
 class CechError(ValueError):
@@ -261,11 +265,9 @@ class NeighborGrid:
     """
 
     def __init__(self, points: np.ndarray, r: float, period: float | None = None):
-        # `not >` fails nan too
-        if not r > 0:
-            raise CechError(f"pair radius must be positive, got {r}")
-        if period is not None and not 0 < period < np.inf:
-            raise CechError(f"torus period must be positive and finite, got {period}")
+        _check_value(CechError, "build_r", r)
+        if period is not None:
+            _check_value(CechError, "period", period)
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 2:
             raise CechError("points must be an (n, d) array")
@@ -283,6 +285,7 @@ class NeighborGrid:
         width = self.r * (1 + 1e-6) + 4 * MINIBALL_TOL
         if n < 2:
             return
+        _check_value(CechError, "dim", d)
         if self._wrap:
             cells = [max(int(self.period / width), 3)] * d
         else:
@@ -418,18 +421,13 @@ def build_rips(cloud: PointCloud, r: float, max_dim: int,
 
 def _build(cloud: PointCloud, r: float, max_dim: int, period: float | None,
            filtered: bool) -> SimplicialComplex:
-    # `not >` fails nan too
-    if not r > 0:
-        raise CechError(f"radius must be positive, got {r}")
-    if max_dim < 0:
-        raise CechError(f"max_dim must be non-negative, got {max_dim}")
-    if period is not None and not period < np.inf:
-        raise CechError(f"torus period must be finite, got {period}")
-    if period is not None and not period > 3.0 * r:
-        raise CechError(
-            f"torus period {period} too small for radius {r}: "
-            "need period > 3r so simplices cannot wrap"
-        )
+    _check_value(CechError, "build_r", r)
+    _check_value(CechError, "max_dim", max_dim)
+    if period is not None:
+        _check_value(CechError, "period", period)
+        if not period > 3.0 * r:
+            raise CechError(f"torus period {period} too small for radius {r}: "
+                            "need period > 3r so simplices cannot wrap")
     pts = cloud.points
     n = len(pts)
     r2_cut = _square(0.5 * r + MINIBALL_TOL)

@@ -335,16 +335,16 @@ def cmd_sample(cfg: ExperimentConfig) -> int:
 
 def _cloud_complex(cfg: ExperimentConfig) -> tuple[SimplicialComplex, float | None, dict]:
     """The Cech complex (to dimension k + 1) of the cloud complex and betti
-    describe, its torus period or None, and the JSON fields the two share;
-    the parameters are checked before any sampling, and the cloud's
-    dimension, which a density file sets, before the build."""
+    describe, its torus period or None, and the JSON fields the two share.
+    k and a torus window are checked before any sampling; the build checks
+    r and the cloud's dimension, which a density file sets."""
     if cfg.k < 0:
         raise CliError(f"k must be non-negative, got {cfg.k}")
-    torus = _poisson(cfg) and cfg.boundary == "torus"
-    _check_args(r=cfg.r, **(dict(L=cfg.L, dim=cfg.dim) if torus else {}))
-    period = cfg.L ** (1.0 / cfg.dim) if torus else None
+    period = None
+    if _poisson(cfg) and cfg.boundary == "torus":
+        _check_args(r=cfg.r, L=cfg.L, dim=cfg.dim)
+        period = cfg.L ** (1.0 / cfg.dim)
     cloud = _sample_cloud(cfg)
-    _check_args(dim=cloud.dim)
     cx = build_cech(cloud, cfg.r, cfg.k + 1, period=period)
     return cx, period, {
         "n_points": len(cloud),

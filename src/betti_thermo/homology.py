@@ -36,6 +36,7 @@ from itertools import chain
 import numpy as np
 
 from betti_thermo.cech import SimplicialComplex, sorted_lookup
+from betti_thermo.pointproc import _check_value
 
 
 # a peeled rank core with at least this many two-entry columns has them
@@ -85,6 +86,7 @@ def boundary_matrix(complex: SimplicialComplex, j: int,
     nothing is cleared, which leaves the rank unchanged: clearing only
     shrinks the work.
     """
+    _check_value(HomologyError, "j", j)
     if not 1 <= j <= complex.max_dim:
         raise HomologyError(f"boundary dimension {j} outside 1..{complex.max_dim}")
     rows = len(complex.simplices_of(j - 1))
@@ -297,8 +299,7 @@ def betti_numbers(complex: SimplicialComplex, max_k: int) -> tuple[int, ...]:
     truncating the (k+1)-simplices away would silently inflate beta_k,
     so a too-shallow complex is a hard error.
     """
-    if max_k < 0:
-        raise HomologyError(f"max_k must be non-negative, got {max_k}")
+    _check_value(HomologyError, "max_k", max_k)
     if complex.max_dim < max_k + 1:
         raise HomologyError(
             f"complex built to max_dim {complex.max_dim}; "
@@ -322,14 +323,13 @@ def betti_diff_bound_check(k1: SimplicialComplex, k2: SimplicialComplex,
     """Betti-difference bound for nested complexes.
 
     Verifies K1 is a subcomplex of K2 (simplex by simplex; non-nested
-    inputs are rejected), then checks
+    inputs are rejected), then checks, for k >= 1,
     |beta_k(K1) - beta_k(K2)| <= #k-simplices + #(k+1)-simplices of K2 \\ K1.
     Both complexes must have been built with max_dim >= k + 1. A caller
     that has already computed (beta_k(K1), beta_k(K2)) passes them as
     betti, so they are not computed again.
     """
-    if k < 1:
-        raise HomologyError("the difference bound is stated for k >= 1")
+    _check_value(HomologyError, "k", k)
     # K1's simplices are found level by level: a j-simplex is in K2 when
     # its parent is and K2 has the key (parent's index in K2, last vertex)
     top = k1.top_dim()

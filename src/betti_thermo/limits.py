@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 import os
 import pickle
 from dataclasses import dataclass, fields
@@ -35,12 +34,15 @@ import numpy as np
 from betti_thermo.cech import ALGORITHM_VERSION, build_cech, simplices_touching
 from betti_thermo.homology import betti_diff_bound_check, betti_numbers
 from betti_thermo.pointproc import (
+    _ARG_RULES,
+    _COUNT,
+    _NUMBER,
     DensityGrid,
     IntensityGrid,
     PointCloud,
     RngStream,
     Window,
-    _is_count,
+    _check_value,
     sample_poisson_homogeneous,
     sample_poisson_intensity,
     scale_points,
@@ -356,70 +358,30 @@ MAX_REPS = 10 ** 6
 # workload uses: a map forks one process per worker but its own, so a mistyped
 # count would otherwise start thousands
 MAX_WORKERS = 256
-# the highest ambient dimension: the neighbour grid enumerates the 3^d cell
-# offsets in Python, 729 at d = 6 (364 half-offsets), 3.5e9 at d = 20
-MAX_DIM = 6
 
-# what a value of each kind must be, as messages say it, and its test. A nan
-# or infinite window volume fails the window rule or the cap, which name r or lam
-_COUNT, _REAL = "an integer", "a finite number"
-_KINDS = {_COUNT: _is_count, _REAL: lambda v: isinstance(v, numbers.Real) and math.isfinite(v),
-          "a number": lambda v: isinstance(v, numbers.Real),
-          "'plain' or 'torus'": ("plain", "torus").__contains__}
-
-# argument -> (its name in messages, its kind, its bound or None, the message
-# when the bound fails); these arguments pass each entry through their row
 _SEQUENCES = ("schedule", "s_grid", "values", "stderrs", "masses")
-_ARG_RULES = {
-    "dim": ("dimension", _COUNT, lambda v: 1 <= v <= MAX_DIM,
-            f"dimension must lie in 1..{MAX_DIM}, got {{}}"),
-    "k": ("k", _COUNT, None, None),
-    "j": ("simplex dimension", _COUNT, lambda v: v >= 0,
-          "simplex dimension must be non-negative, got {}"),
-    "n": ("n", _COUNT, lambda v: v >= 1, "n must be at least 1, got {}"),
-    "reps": ("replicate count", _COUNT, lambda v: 2 <= v <= MAX_REPS,
-             f"need 2..{MAX_REPS} replicates (2 for a standard error), got {{}}"),
-    "workers": ("workers", _COUNT, lambda v: 1 <= v <= MAX_WORKERS,
-                f"workers must lie in 1..{MAX_WORKERS}, got {{}}"),
-    "boxes": ("box count", _COUNT, None, None),
-    "lam": ("intensity", _REAL, lambda v: v >= 0, "intensity must be non-negative, got {}"),
-    "r": ("radius", _REAL, lambda v: v > 0, "radius must be positive, got {}"),
-    "L": ("window volume", "a number", None, None),
-    "theta": ("theta", _REAL, lambda v: v > 0, "theta must be positive, got {}"),
-    "s_grid": ("s-grid point", _REAL, None, None),
-    "values": ("curve value", _REAL, None, None),
-    "stderrs": ("curve stderr", _REAL, None, None),
-    "boundary_mode": ("boundary mode", "'plain' or 'torus'", None, None),
+_ARG_RULES.update(
+    reps=("replicate count", _COUNT,
+          (lambda v: 2 <= v <= MAX_REPS, f"lie in 2..{MAX_REPS} (2 for a standard error)")),
+    workers=("workers", _COUNT, (lambda v: 1 <= v <= MAX_WORKERS, f"lie in 1..{MAX_WORKERS}")),
     # in floats, so a mass that overflowed is inf and fails, as nan does
-    "masses": ("intensity grid mass", "a number", lambda v: v <= MAX_EXPECTED_POINTS,
-               f"an intensity grid of mass {{}} expects more than {MAX_EXPECTED_POINTS} "
-               "points per replicate"),
-}
-_ARG_RULES["schedule"] = _ARG_RULES["n"]
+    masses=("intensity grid mass", _NUMBER,
+            (lambda v: v <= MAX_EXPECTED_POINTS, f"be at most {MAX_EXPECTED_POINTS}")))
 
 
 def _check_args(**args) -> None:
     """The estimators' argument checks, made before any replicate runs.
 
-    Each argument given passes its row of _ARG_RULES, kind then bound: a
-    count (dim, k, j, n, reps, workers, boxes, a schedule entry) passes
-    operator.index, a real (lam, r, theta, an s-grid point) is finite, and
-    neither is a bool. Bounds cap the work before it starts: dim at
-    MAX_DIM, reps at MAX_REPS, workers at MAX_WORKERS, and each of the
-    masses, the expected points of an intensity grid's cloud, at
-    MAX_EXPECTED_POINTS. The rules that join arguments follow: the
+    Each value given passes its row of pointproc's _ARG_RULES, or raises a
+    LimitsError naming it. The rules that join arguments follow: the
     s-grid's and schedule's order; a window of volume L, given with r and
     dim, has side L^(1/d), the torus period, which must exceed 3r; k lies
     in 1..d-1 for the ambient dimension d; and one replicate expects at
     most MAX_EXPECTED_POINTS points, lam * L or n (a schedule's last).
     """
     for name, value in args.items():
-        label, kind, bound, message = _ARG_RULES[name]
         for v in value if name in _SEQUENCES else (value,):
-            if isinstance(v, bool) or not _KINDS[kind](v):
-                raise LimitsError(f"{label} must be {kind}, got {v!r}")
-            if bound is not None and not bound(v):
-                raise LimitsError(message.format(v))
+            _check_value(LimitsError, name, v)
     lam, r, L, k, dim, n, grid, schedule = map(args.get, "lam r L k dim n s_grid schedule".split())
     if grid is not None and (len(grid) < 2 or grid[0] < 0 or np.any(np.diff(grid) <= 0)):
         raise LimitsError("s_grid must be strictly increasing from s >= 0 with >= 2 "
@@ -429,13 +391,12 @@ def _check_args(**args) -> None:
             raise LimitsError(f"n-schedule must be non-empty and increasing, got {schedule}")
         n = schedule[-1]
     if L is not None and r is not None:
-        # L <= 0 has no real side and fails as side 0; `not >` fails nan too
-        side = max(L, 0.0) ** (1.0 / dim)
+        side = L ** (1.0 / dim)
         if not side > 3.0 * r:
             raise LimitsError(
                 f"window volume {L} too small for radius {r}: its side {side} "
                 f"must exceed 3r = {3.0 * r}")
-    if k is not None and not 1 <= k <= dim - 1:
+    if k is not None and not k <= dim - 1:
         raise LimitsError(f"k must lie in 1..d-1, got k={k} in d={dim}")
     # in floats, where an overflow is inf and fails rather than warns
     if lam is not None and L is not None and not float(lam) * float(L) <= MAX_EXPECTED_POINTS:

@@ -11,6 +11,9 @@ Every sampler returns a PointCloud: finite coordinates, exact duplicate
 rows dropped. Duplicates are screened by sorting the first column, since
 equal rows have equal first coordinates; only clouds with a tie there go
 through the row-wise np.unique.
+
+Every layer checks its scalar arguments against this module's table of
+rules, _ARG_RULES, with _check_value, raising its own error naming the value.
 """
 
 from __future__ import annotations
@@ -34,12 +37,65 @@ class SamplerError(ValueError):
     """Invalid sampler arguments."""
 
 
-def _is_count(value) -> bool:
-    """Whether operator.index takes value: an int, a bool or a numpy integer."""
+def _converts(convert, value) -> bool:
+    """Whether convert takes value: operator.index takes an int or a numpy
+    integer, math.isnan a real number, a numpy scalar or a 0-d array."""
     try:
-        return operator.index(value) is not None
-    except TypeError:
+        convert(value)
+    except (TypeError, ValueError, OverflowError):
         return False
+    return True
+
+
+# what a value of each kind must be, as messages say it, and its test; no
+# kind takes a bool
+_COUNT, _REAL, _NUMBER = "an integer", "a finite number", "a number"
+_KINDS = {_COUNT: lambda v: _converts(operator.index, v),
+          _REAL: lambda v: _converts(math.isnan, v) and math.isfinite(v),
+          _NUMBER: lambda v: _converts(math.isnan, v),
+          "'plain' or 'torus'": ("plain", "torus").__contains__}
+# a bound's test and what it asks of a value, as messages say it
+_POSITIVE = (lambda v: v > 0, "be positive")
+_NON_NEGATIVE = (lambda v: v >= 0, "be non-negative")
+_AT_LEAST_1 = (lambda v: v >= 1, "be at least 1")
+
+# argument -> (its name in messages, its kind, its bound or None); a row whose
+# bound reads a cap, such as cech.MAX_DIM, is added by the module stating the cap
+_ARG_RULES = {
+    "stream": ("seed and stream path", _COUNT, (lambda v: v >= 0, "be non-negative integers")),
+    "window_dim": ("window dimension", _COUNT, _AT_LEAST_1),
+    "cells": ("cells per axis", _COUNT, _AT_LEAST_1),
+    # a draw may be empty; an estimate divides by its n
+    "draws": ("n", _COUNT, _NON_NEGATIVE),
+    "n": ("n", _COUNT, _AT_LEAST_1),
+    "L": ("window volume", _REAL, _POSITIVE),
+    "lam": ("intensity", _REAL, _NON_NEGATIVE),
+    "theta": ("theta", _REAL, _POSITIVE),
+    # an estimator's radius is finite; a build's may be inf, the complete complex
+    "r": ("radius", _REAL, _POSITIVE),
+    "build_r": ("radius", _NUMBER, _POSITIVE),
+    "period": ("torus period", _REAL, _POSITIVE),
+    "max_dim": ("max_dim", _COUNT, _NON_NEGATIVE),
+    "max_k": ("max_k", _COUNT, _NON_NEGATIVE),
+    "k": ("k", _COUNT, _AT_LEAST_1),
+    "j": ("simplex dimension", _COUNT, _NON_NEGATIVE),
+    "boxes": ("box count", _COUNT, None),
+    "s_grid": ("s-grid point", _REAL, None),
+    "values": ("curve value", _REAL, None),
+    "stderrs": ("curve stderr", _REAL, None),
+    "boundary_mode": ("boundary mode", "'plain' or 'torus'", None),
+}
+_ARG_RULES["schedule"] = _ARG_RULES["n"]
+
+
+def _check_value(error: type[ValueError], name: str, value) -> None:
+    """Raises error naming value unless it passes the row of argument name:
+    its kind, which no bool is, then its bound."""
+    label, kind, bound = _ARG_RULES[name]
+    if value.__class__ is bool or not _KINDS[kind](value):
+        raise error(f"{label} must be {kind}, got {value!r}")
+    if bound is not None and not bound[0](value):
+        raise error(f"{label} must {bound[1]}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -62,12 +118,9 @@ class RngStream:
     path: tuple[int, ...] = ()
 
     def __post_init__(self):
-        # numpy integers pass through operator.index; a negative or
-        # non-integer entry would otherwise fail only inside numpy
+        # a negative or non-integer entry would otherwise fail inside numpy
         for value in (self.master_seed, *self.path):
-            if not _is_count(value) or value < 0:
-                raise SamplerError(
-                    f"seed and stream path must be non-negative integers, got {value!r}")
+            _check_value(SamplerError, "stream", value)
 
     def substream(self, index: int) -> "RngStream":
         return RngStream(self.master_seed, self.path + (index,))
@@ -95,7 +148,7 @@ class Window:
         if lo.ndim != 1 or lo.shape != hi.shape:
             raise SamplerError("window bounds must be equal-length vectors, "
                                f"got {lo.tolist()} / {hi.tolist()}")
-        _check_dim(len(lo))
+        _check_value(SamplerError, "window_dim", len(lo))
         if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
             raise SamplerError(
                 f"window bounds must be finite, got {lo.tolist()} / {hi.tolist()}")
@@ -130,21 +183,15 @@ class Window:
     @classmethod
     def centered(cls, L: float, dim: int) -> "Window":
         """The observation window of volume L: [-L^(1/d)/2, L^(1/d)/2)^d."""
-        if L <= 0:
-            raise SamplerError(f"window volume must be positive, got {L}")
-        _check_dim(dim)
+        _check_value(SamplerError, "L", L)
+        _check_value(SamplerError, "window_dim", dim)
         half = 0.5 * L ** (1.0 / dim)
         return cls(np.full(dim, -half), np.full(dim, half))
 
     @classmethod
     def unit(cls, dim: int) -> "Window":
-        _check_dim(dim)
+        _check_value(SamplerError, "window_dim", dim)
         return cls(np.zeros(dim), np.ones(dim))
-
-
-def _check_dim(dim: int) -> None:
-    if dim < 1:
-        raise SamplerError(f"window dimension must be at least 1, got {dim}")
 
 
 def _dedup_rows(pts: np.ndarray) -> np.ndarray:
@@ -213,14 +260,11 @@ class _Grid:
     values: np.ndarray
 
     def __post_init__(self):
-        try:
-            cells = tuple(map(operator.index, np.atleast_1d(self.cells_per_axis)))
-        except TypeError:
-            raise DensityError(f"cells_per_axis must be integers, got "
-                               f"{self.cells_per_axis!r}") from None
-        if len(cells) != self.box.dim or any(c < 1 for c in cells):
-            raise DensityError("cells_per_axis must give a positive count per axis, "
-                               f"got {list(cells)} in d={self.box.dim}")
+        cells = tuple(np.atleast_1d(self.cells_per_axis).tolist())
+        for c in cells:
+            _check_value(DensityError, "cells", c)
+        if len(cells) != self.box.dim:
+            raise DensityError(f"need one cell count per axis, got {list(cells)} in d={self.dim}")
         vals = np.asarray(self.values, dtype=float).ravel()
         if vals.shape[0] != int(np.prod(cells)):
             raise DensityError(f"expected {int(np.prod(cells))} cell values, got {vals.shape[0]}")
@@ -362,8 +406,7 @@ class IntensityGrid(_Grid):
 
 def sample_binomial(density: DensityGrid, n: int, rng: RngStream) -> PointCloud:
     """Exactly n i.i.d. draws from the density."""
-    if n < 0:
-        raise SamplerError(f"n must be non-negative, got {n}")
+    _check_value(SamplerError, "draws", n)
     gen = rng.generator()
     return PointCloud(density.sample(n, gen))
 
@@ -374,10 +417,7 @@ def sample_poisson_homogeneous(lam: float, window: Window, rng: RngStream) -> Po
     The count is Poisson(lam * |window|); given the count, points are
     i.i.d. uniform. lam = 0 is the trivial process with no points.
     """
-    if not math.isfinite(lam):
-        raise SamplerError(f"intensity must be finite, got {lam}")
-    if lam < 0:
-        raise SamplerError(f"intensity must be non-negative, got {lam}")
+    _check_value(SamplerError, "lam", lam)
     gen = rng.generator()
     if lam == 0:
         return PointCloud.empty(window.dim)
@@ -410,7 +450,6 @@ def scale_points(cloud: PointCloud | np.ndarray, theta: float) -> PointCloud:
     points, and deduplication keeps first occurrences, so that is the
     cloud of the draw, scaled.
     """
-    if theta <= 0:
-        raise SamplerError(f"scale factor must be positive, got {theta}")
+    _check_value(SamplerError, "theta", theta)
     points = cloud.points if isinstance(cloud, PointCloud) else np.asarray(cloud, dtype=float)
     return PointCloud(points * theta)

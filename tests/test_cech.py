@@ -264,13 +264,13 @@ class TestNeighborGrid:
 
     @pytest.mark.parametrize("r", [0.0, -1.0, np.nan])
     def test_non_positive_radius_rejected(self, r):
-        with pytest.raises(CechError, match=f"pair radius must be positive, got {r}$"):
+        with pytest.raises(CechError, match=f"radius must be positive, got {r}$"):
             NeighborGrid(np.zeros((3, 2)), r)
 
     @pytest.mark.parametrize("period", [np.nan, np.inf, 0.0, -2.0])
     def test_period_not_positive_and_finite_rejected(self, period):
-        with pytest.raises(CechError, match="torus period must be positive and "
-                                            f"finite, got {period}$"):
+        kind = "positive" if np.isfinite(period) else "a finite number"
+        with pytest.raises(CechError, match=f"torus period must be {kind}, got {period}$"):
             NeighborGrid(np.random.default_rng(3).random((6, 2)), 0.5, period)
 
 
@@ -401,18 +401,32 @@ class TestBuildCech:
         with pytest.raises(CechError, match=re.escape(message) + "$"):
             build_cech(cloud, 1.0, 2)
 
-    @pytest.mark.parametrize("r, max_dim, period, message", [
-        (-0.5, 2, None, "radius must be positive, got -0.5"),
-        (np.nan, 2, None, "radius must be positive, got nan"),
-        (1.0, -1, None, "max_dim must be non-negative, got -1"),
-        (1.0, 2, np.nan, "torus period must be finite, got nan"),
-        (1.0, 2, np.inf, "torus period must be finite, got inf"),
-        (1.0, 2, 3.0, "torus period 3.0 too small for radius 1.0: "
-                      "need period > 3r so simplices cannot wrap"),
-    ], ids=["r", "r-nan", "max-dim", "period-nan", "period-inf", "period-3r"])
-    def test_message_names_the_value(self, r, max_dim, period, message):
+    @pytest.mark.parametrize("dim, r, max_dim, period, message", [
+        (2, -0.5, 2, None, "radius must be positive, got -0.5"),
+        (2, np.nan, 2, None, "radius must be positive, got nan"),
+        (2, 1.0, -1, None, "max_dim must be non-negative, got -1"),
+        (2, 1.0, 2, np.nan, "torus period must be a finite number, got nan"),
+        (2, 1.0, 2, np.inf, "torus period must be a finite number, got inf"),
+        (2, 1.0, 2, 3.0, "torus period 3.0 too small for radius 1.0: "
+                         "need period > 3r so simplices cannot wrap"),
+        # a float max_dim failed in range() with a TypeError, and r=True
+        # built at radius 1
+        (2, 0.3, 1.5, None, "max_dim must be an integer, got 1.5"),
+        (2, True, 1, None, "radius must be a number, got True"),
+        # the neighbour grid enumerates the 3^d cell offsets: d = 7 built,
+        # and d = 20 stalled in the enumeration, which raises here instead
+        (7, 1.0, 2, None, "dimension must lie in 1..6, got 7"),
+        (20, 1.0, 2, None, "dimension must lie in 1..6, got 20"),
+    ], ids=["r", "r-nan", "max-dim", "period-nan", "period-inf", "period-3r",
+            "float-max-dim", "bool-r", "dim-7", "dim-20"])
+    def test_message_names_the_value(self, monkeypatch, dim, r, max_dim, period, message):
+        def half_offsets(d):
+            raise AssertionError(f"enumerated the cell offsets of d={d}")
+
+        monkeypatch.setattr("betti_thermo.cech._half_offsets", half_offsets)
+        cloud = equilateral() if dim == 2 else PointCloud(np.eye(3, dim))
         with pytest.raises(CechError, match=re.escape(message) + "$"):
-            build_cech(equilateral(), r, max_dim, period=period)
+            build_cech(cloud, r, max_dim, period=period)
 
     @pytest.mark.parametrize("r", [1e155, 1e300, 1.7976931348623157e308])
     def test_radius_whose_square_overflows_gives_the_complete_complex(self, r):

@@ -508,7 +508,7 @@ class TestRejectedBeforeAnyPool:
     @pytest.mark.parametrize("fields, named", [
         (dict(values=[1.5, -0.5]), "finite and non-negative, got -0.5"),
         (dict(values=[float("nan"), 1.0]), "finite and non-negative, got nan"),
-        (dict(cells_per_axis=[0, 1]), "positive count per axis, got [0, 1] in d=2"),
+        (dict(cells_per_axis=[0, 1]), "cells per axis must be at least 1, got 0"),
         (dict(lower=[0, 0, 0]), "equal-length vectors, got [0.0, 0.0, 0.0] / [1.0, 1.0]"),
     ], ids=["negative", "nan", "cells", "bounds"])
     def test_density_file_value_named(self, tmp_path, capsys, fields, named):
@@ -1096,13 +1096,13 @@ class TestWorkCap:
         (["sample", "--n", "1000000000000"], "n = 1000000000000 is more than 1000000"),
         (["checks", "--only", "perturbation", "--lambda", "1e12", "--L", "100",
           "--reps", "2"],
-         "an intensity grid of mass 100000000000000.0 expects more than 1000000 points"),
+         "intensity grid mass must be at most 1000000, got 100000000000000.0"),
         (["curve", "--s-max", "1e300", "--s-step", "1e-300"],
          "an s-grid to 1e+300 in steps of 1e-300 takes more than 10000 steps"),
         (["complex", "--boundary", "torus", "--dim", "0"],
          "dimension must lie in 1..6, got 0"),
         (["rate", "--reps", "1000000000000", "--r", "1", "--L", "100"],
-         "need 2..1000000 replicates (2 for a standard error), got 1000000000000"),
+         "replicate count must lie in 2..1000000 (2 for a standard error), got 1000000000000"),
     ], ids=["rate", "sample", "sample-n", "perturbation", "s-grid", "torus-dim", "reps"])
     def test_rejected_before_sampling(self, tmp_path, capsys, forked_shares, argv, named):
         assert main(argv + ["--out", str(tmp_path / "x")]) == 1

@@ -3,6 +3,7 @@ rank and BFS component oracles, identity tests on random complexes, and
 a full flat-torus reconstruction."""
 
 import itertools
+import re
 from unittest import mock
 
 import numpy as np
@@ -194,9 +195,15 @@ class TestBoundaryMatrix:
                         acc ^= cols_low[c]
                     assert acc == 0
 
-    def test_negative_max_k_names_the_value(self):
-        with pytest.raises(HomologyError, match="max_k must be non-negative, got -2$"):
-            betti_numbers(hollow_triangle(), -2)
+    @pytest.mark.parametrize("max_k, message", [
+        (-2, "max_k must be non-negative, got -2"),
+        # read as beta_1.5, and True as beta_1
+        (1.5, "max_k must be an integer, got 1.5"),
+        (True, "max_k must be an integer, got True"),
+    ], ids=["negative", "float", "bool"])
+    def test_max_k_names_the_value(self, max_k, message):
+        with pytest.raises(HomologyError, match=re.escape(message) + "$"):
+            betti_numbers(hollow_triangle(), max_k)
 
     def test_out_of_range_rejected(self):
         with pytest.raises(HomologyError):
@@ -626,7 +633,7 @@ class TestDifferenceBound:
         assert not betti_diff_bound_check(hollow, filled, 1, betti=(3, 0))
 
     def test_degree_below_one_rejected(self):
-        with pytest.raises(HomologyError, match="stated for k >= 1$"):
+        with pytest.raises(HomologyError, match="k must be at least 1, got 0$"):
             betti_diff_bound_check(hollow_triangle(), filled_triangle(), 0)
 
     def test_non_nested_rejected(self):

@@ -448,6 +448,15 @@ class TestThermodynamicIntegral:
         want = 0.5 * 1.5 * 2.0 * math.sqrt(1.5) + 0.5 * 0.5 * 2.0 * math.sqrt(0.5)
         assert est.value == pytest.approx(want, rel=1e-9)
 
+    def test_two_level_density_hand_riemann_sum_in_d3(self):
+        # each cell reads the curve at f_c^(1/3) r; in the plane the square
+        # root is the same exponent, so only d != 2 tells the two apart
+        curve = synthetic_curve(lambda s: 2.0 * s, np.arange(14) * 0.1, dim=3)
+        density = DensityGrid(Window.unit(3), (2, 1, 1), np.array([1.5, 0.5]))
+        est = thermodynamic_integral(density, 1.0, 1, curve)
+        want = 0.5 * 1.5 * 2.0 * 1.5 ** (1 / 3) + 0.5 * 0.5 * 2.0 * 0.5 ** (1 / 3)
+        assert est.value == pytest.approx(want, rel=1e-9)
+
     def test_error_propagation_at_grid_point(self):
         sigma = 0.03
         curve = synthetic_curve(lambda s: s, [0.0, 0.5, 1.0], sigma=sigma)
@@ -494,6 +503,12 @@ class TestScalingCheck:
         with pytest.raises(LimitsError):
             scaling_check(1.0, 0.0, 1.0, 100.0, 1, 10, RngStream(69), dim=2)
 
+    def test_theta_eight_in_d3_halves_the_radius(self):
+        # r / theta^(1/d): theta^(1/3) = 2, where theta^(1/2) would be 2.83
+        report = scaling_check(0.1, 8.0, 1.0, 64.0, 1, 2, RngStream(69), dim=3)
+        assert report.rhs.lam == pytest.approx(0.8)
+        assert report.rhs.r == pytest.approx(0.5)
+
     def test_report_serializes(self):
         report = scaling_check(1.0, 1.0, 1.0, 60.0, 1, 10, RngStream(67), dim=2)
         doc = report.to_dict()
@@ -513,6 +528,22 @@ class TestExpectations:
         assert rec.quantity == "expectation_per_n"
         assert rec.L_or_n == 30
         assert rec.lam is None
+
+    def test_cloud_scaled_by_the_cube_root_of_n_in_d3(self, monkeypatch):
+        # the unit cube's draw is scaled by n^(1/3) = 4 into [0, 4)^3; a
+        # square root would spread it over [0, 8)^3
+        clouds = []
+
+        def spy(cloud, *args, **kwargs):
+            clouds.append(cloud)
+            return build_cech(cloud, *args, **kwargs)
+
+        monkeypatch.setattr(limits, "build_cech", spy)
+        estimate_binomial_expectation(unit_uniform(3), 64, 0.5, 1, 2, RngStream(75))
+        assert len(clouds) == 2
+        for cloud in clouds:
+            assert len(cloud) == 64 and cloud.dim == 3
+            assert cloud.points.min() >= 0.0 and 3.0 < cloud.points.max() < 4.0
 
     def test_worker_independence(self):
         a = estimate_binomial_expectation(unit_uniform(), 100, 1.0, 1, 10, RngStream(74))
@@ -724,7 +755,8 @@ class TestArgumentChecks:
     @pytest.mark.parametrize("kwargs, message", [
         (dict(r=1.0, lam=-1e3), "intensity must be non-negative, got -1000.0"),
         (dict(r=0.0), "radius must be positive, got 0.0"),
-        (dict(r=1.0, reps=1), "need 2..1000000 replicates (2 for a standard error), got 1"),
+        (dict(r=1.0, reps=1),
+         "replicate count must lie in 2..1000000 (2 for a standard error), got 1"),
         (dict(r=1.0, n=0), "n must be at least 1, got 0"),
         (dict(r=1.0, schedule=(400, 200)),
          "n-schedule must be non-empty and increasing, got (400, 200)"),
@@ -733,14 +765,14 @@ class TestArgumentChecks:
         (dict(r=2.0, L=30.0, dim=2), "window volume 30.0 too small for radius 2.0"),
         (dict(r=1.0, j=-1), "simplex dimension must be non-negative, got -1"),
         (dict(r=1.0, L=100.0, dim=2, k=2), "k must lie in 1..d-1, got k=2 in d=2"),
-        (dict(r=1.0, k=0, dim=2), "k must lie in 1..d-1, got k=0 in d=2"),
+        (dict(r=1.0, k=0, dim=2), "k must be at least 1, got 0"),
         (dict(r=1.0, k=1, dim=1), "k must lie in 1..d-1, got k=1 in d=1"),
         (dict(r=1.0, boundary_mode="torsu"),
          "boundary mode must be 'plain' or 'torus', got 'torsu'"),
         (dict(r=1.0, workers=0), "workers must lie in 1..256, got 0"),
         (dict(r=1e200, L=1e300, dim=2), "window volume 1e+300 too small for radius "
          "1e+200: its side 1e+150 must exceed 3r = 3e+200"),
-        (dict(r=1.0, L=float("nan"), dim=2), "window volume nan too small for radius 1.0"),
+        (dict(r=1.0, L=float("nan"), dim=2), "window volume must be a finite number, got nan"),
         (dict(s_grid=np.array([-0.1, 0.5])), "s_grid must be strictly increasing from "
          "s >= 0 with >= 2 points, got [-0.1, 0.5]"),
         (dict(s_grid=(0.5, 0.4)), "s_grid must be strictly increasing from "
@@ -852,7 +884,7 @@ class TestArgumentChecks:
         (lambda: scaling_check(1e300, 1e10, 1.0, 100.0, 1, 2, RngStream(1)),
          "intensity 1e+300 on window volume 100.0 expects more than 1000000 points"),
         (lambda: estimate_betti_rate(1.0, 1e-300, math.inf, 1, 2, RngStream(1)),
-         "intensity 1.0 on window volume inf expects more than 1000000 points"),
+         "window volume must be a finite number, got inf"),
         (lambda: estimate_binomial_expectation(unit_uniform(), 10 ** 12, 1.0, 1, 2,
                                                RngStream(1)),
          "n = 1000000000000 is more than 1000000 points per replicate"),
@@ -861,12 +893,12 @@ class TestArgumentChecks:
          "n = 2000000 is more than 1000000 points per replicate"),
         (lambda: intensity_perturbation_check(_one_cell(1e12), _one_cell(1e12), 1.0, 1, 2,
                                               RngStream(1)),
-         "an intensity grid of mass 100000000000000.0 expects more than 1000000 points"),
+         "intensity grid mass must be at most 1000000, got 100000000000000.0"),
         (lambda: intensity_perturbation_check(_one_cell(1.0), _one_cell(1e307), 1.0, 1, 2,
                                               RngStream(1)),
-         "an intensity grid of mass inf expects more than 1000000 points"),
+         "intensity grid mass must be at most 1000000, got inf"),
         (lambda: estimate_betti_rate(1.0, 1.0, 100.0, 1, 10 ** 12, RngStream(1)),
-         "need 2..1000000 replicates (2 for a standard error), got 1000000000000"),
+         "replicate count must lie in 2..1000000 (2 for a standard error), got 1000000000000"),
     ], ids=["rate", "scaling-overflow", "infinite-window", "binomial", "gap-schedule",
             "perturbation", "perturbation-overflow", "reps"])
     def test_work_cap(self, monkeypatch, call, message):
@@ -907,8 +939,8 @@ class TestArgumentChecks:
             limits._check_args(workers=over)
 
     def test_dimension_cap_admits_its_own_size(self):
-        limits._check_args(dim=limits.MAX_DIM, r=0.3, L=1.0)
-        assert len(cech._half_offsets(limits.MAX_DIM)) == 364
+        limits._check_args(dim=cech.MAX_DIM, r=0.3, L=1.0)
+        assert len(cech._half_offsets(cech.MAX_DIM)) == 364
 
 
 class TestIntensityPerturbation:
@@ -1237,7 +1269,7 @@ class TestReplicateMap:
         assert calls == [(kind, tasks, 3)]
 
     @pytest.mark.parametrize("reps, workers, message", [
-        (1, 1, r"need 2..1000000 replicates \(2 for a standard error\), got 1$"),
+        (1, 1, r"replicate count must lie in 2..1000000 \(2 for a standard error\), got 1$"),
         (3, 0, r"workers must lie in 1\.\.256, got 0$"),
     ], ids=["reps-1", "workers-0"])
     @pytest.mark.parametrize("name", MAP_CALLS)

@@ -198,7 +198,7 @@ class TestDensityGrid:
             DensityGrid.from_json(path)
 
     def test_non_integer_cell_count_rejected(self):
-        with pytest.raises(DensityError, match=re.escape("integers, got (2.7,)")):
+        with pytest.raises(DensityError, match="cells per axis must be an integer, got 2.7$"):
             IntensityGrid(Window.unit(1), (2.7,), [1.0, 2.0])
 
     def test_numpy_integer_cell_counts(self):
@@ -445,12 +445,12 @@ class TestRejectedValues:
         (lambda: sample_poisson_homogeneous(-1.5, Window.unit(2), RngStream(0)),
          "intensity must be non-negative, got -1.5"),
         (lambda: sample_poisson_homogeneous(np.nan, Window.unit(2), RngStream(0)),
-         "intensity must be finite, got nan"),
+         "intensity must be a finite number, got nan"),
         (lambda: sample_poisson_homogeneous(np.inf, Window.unit(2), RngStream(0)),
-         "intensity must be finite, got inf"),
+         "intensity must be a finite number, got inf"),
         (lambda: Window.centered(-5.0, 2), "window volume must be positive, got -5.0"),
         (lambda: scale_points(PointCloud.empty(2), 0.0),
-         "scale factor must be positive, got 0.0"),
+         "theta must be positive, got 0.0"),
         (lambda: RngStream(-3), "got -3"),
         (lambda: RngStream(1.5), "got 1.5"),
         (lambda: RngStream(4).substream(2).substream(-1), "got -1"),
@@ -459,8 +459,29 @@ class TestRejectedValues:
         (lambda: PointCloud(np.zeros(3)), "points must be an (n, d) array"),
         (lambda: superpose(PointCloud.empty(2), PointCloud.empty(3)),
          "dimension mismatch: 2 vs 3"),
+        # each of these failed with a foreign error, blamed the scaled points
+        # or, for the bools, was accepted
+        (lambda: sample_binomial(DensityGrid.uniform(Window.unit(2)), 2.5, RngStream(0)),
+         "n must be an integer, got 2.5"),
+        (lambda: sample_binomial(DensityGrid.uniform(Window.unit(2)), np.nan, RngStream(0)),
+         "n must be an integer, got nan"),
+        (lambda: sample_binomial(DensityGrid.uniform(Window.unit(2)), np.inf, RngStream(0)),
+         "n must be an integer, got inf"),
+        (lambda: scale_points(PointCloud(np.ones((2, 2))), np.nan),
+         "theta must be a finite number, got nan"),
+        (lambda: scale_points(PointCloud(np.ones((2, 2))), np.inf),
+         "theta must be a finite number, got inf"),
+        (lambda: Window.centered(4.0, 2.5), "window dimension must be an integer, got 2.5"),
+        (lambda: Window.unit(1.5), "window dimension must be an integer, got 1.5"),
+        (lambda: sample_poisson_homogeneous("1", Window.unit(2), RngStream(0)),
+         "intensity must be a finite number, got '1'"),
+        (lambda: RngStream(True), "seed and stream path must be an integer, got True"),
+        (lambda: sample_poisson_homogeneous(True, Window.unit(2), RngStream(0)),
+         "intensity must be a finite number, got True"),
     ], ids=["n", "intensity", "intensity-nan", "intensity-inf", "volume", "scale", "seed",
-            "float-seed", "path", "bounds", "cloud-shape", "superpose"])
+            "float-seed", "path", "bounds", "cloud-shape", "superpose", "float-n", "nan-n",
+            "inf-n", "nan-scale", "inf-scale", "float-dim", "float-unit-dim", "str-intensity",
+            "bool-seed", "bool-intensity"])
     def test_message_names_the_value(self, make, message):
         with pytest.raises(SamplerError, match=re.escape(message) + "$"):
             make()
@@ -468,9 +489,10 @@ class TestRejectedValues:
     @pytest.mark.parametrize("cells, values, message", [
         ((2, 1), [1.5, -0.5], "cell values must be finite and non-negative, got -0.5"),
         ((2, 1), [np.nan, 1.0], "cell values must be finite and non-negative, got nan"),
-        ((0, 1), [], "cells_per_axis must give a positive count per axis, got [0, 1] in d=2"),
+        ((0, 1), [], "cells per axis must be at least 1, got 0"),
         ((2, 1), [1.0], "expected 2 cell values, got 1"),
-    ], ids=["negative", "nan", "cells", "count"])
+        ((2,), [1.0, 1.0], "need one cell count per axis, got [2] in d=2"),
+    ], ids=["negative", "nan", "cells", "count", "cells-length"])
     def test_grid_message_names_the_value(self, cells, values, message):
         with pytest.raises(DensityError, match=re.escape(message) + "$"):
             IntensityGrid(Window.unit(2), cells, np.array(values))
